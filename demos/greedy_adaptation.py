@@ -12,7 +12,7 @@ import os
 
 from anisomesh import GreedyConfig, StopRule, get_field, greedy_run, save_mesh
 from anisomesh.cli import mesh_to_svg
-from anisomesh.approx import local_error
+from anisomesh.approx import local_errors
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -36,7 +36,7 @@ print(f"comparable; leaf error spread = {errs[-1] / errs[0]:.1f}x "
 
 mesh_path = os.path.join(OUT, "expbump_mesh.txt")
 save_mesh(forest, mesh_path)
-values = [local_error(t, f, 2.0) for t in forest.leaf_triangles()]
+values = local_errors(forest.leaf_vertex_array(), f, 2.0)
 svg_path = os.path.join(OUT, "expbump_error.svg")
 with open(svg_path, "w") as fh:
     fh.write(mesh_to_svg(forest, values, legend="local L2 error"))

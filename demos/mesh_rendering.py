@@ -10,7 +10,7 @@ so the greedy mesh tiles the domain with them).
 import os
 
 from anisomesh import GreedyConfig, StopRule, get_field, greedy_run, save_mesh
-from anisomesh.approx import local_error
+from anisomesh.approx import local_errors
 from anisomesh.cli import mesh_to_svg
 from anisomesh.engine import load_mesh
 from anisomesh.geometry import sigma_batch
@@ -41,7 +41,7 @@ print(f"sigma_q over leaves: min {sigmas.min():.3f} max {sigmas.max():.3f} "
       f"(1 = ideal aspect ratio)")
 write("aniso10_sigma.svg", mesh_to_svg(forest, sigmas, legend="sigma_q"))
 
-errors = [local_error(t, f, 2.0) for t in forest.leaf_triangles()]
+errors = local_errors(forest.leaf_vertex_array(), f, 2.0)
 write("aniso10_error.svg", mesh_to_svg(forest, errors, legend="local L2 error"))
 
 # --- the mixed-sign saddle: geometry showcase only ---

@@ -11,10 +11,8 @@ from .geometry import (
     bisect,
     canonical_transform,
     delta,
-    edges,
     psi,
     q_abs,
-    q_eval,
     q_longest_edge_index,
     q_metric,
     reference_triangle,
@@ -26,11 +24,11 @@ from .approx import (
     AffinePoly,
     DEFAULT_RULE,
     QuadratureRule,
-    decision_gain_convex,
     decision_l1,
     decision_lp_split,
     interpolate,
     local_error,
+    local_errors,
     local_error_quadratic_exact,
     project_l2,
 )
@@ -45,7 +43,6 @@ from .engine import (
     load_mesh,
     save_mesh,
     select_edge,
-    select_triangle,
     uniform_refine,
 )
 from .analysis import (

@@ -5,6 +5,10 @@ vertex interpolation and L2 projection.  Both reproduce affine functions
 and commute with affine changes of variables, so the local Lp error
 scales as ``|det L|^(1/p)`` under a map with linear part L.
 
+``local_errors`` is the one implementation of the local error: it scores a
+batch of triangles, and every other error consumer (``local_error``, the
+quadrature decisions, global errors, error colouring) calls it.
+
 The edge-decision functions score the three possible bisections of a
 triangle.  For convex integrands the L1-interpolation error reduction has
 the closed form ``|T|/3 * (midpoint convexity gap)``, which the refinement
@@ -28,10 +32,11 @@ __all__ = [
     "OPERATORS",
     "interpolate",
     "project_l2",
+    "local_errors",
     "local_error",
+    "lp_sum",
     "local_error_quadratic_exact",
     "decision_l1",
-    "decision_gain_convex",
     "decision_gains_convex",
     "decision_gain_quadrature",
     "decision_lp_split",
@@ -73,7 +78,7 @@ class QuadratureRule:
     exact for polynomials up to ``degree`` on any triangle.
     """
 
-    __slots__ = ("nodes", "weights", "degree")
+    __slots__ = ("nodes", "weights", "degree", "_key")
 
     def __init__(self, nodes, weights, degree: int):
         nodes = np.array(nodes, dtype=float)
@@ -87,13 +92,12 @@ class QuadratureRule:
         self.nodes = nodes
         self.weights = weights
         self.degree = int(degree)
+        # equal rules share cached node sets
+        self._key = (self.degree, nodes.tobytes(), weights.tobytes())
 
     def points_on(self, t: Triangle) -> np.ndarray:
         """Cartesian node coordinates on a triangle, shape (n, 2)."""
         return self.nodes @ t.vertices
-
-    def _key(self):
-        return (self.degree, self.nodes.tobytes(), self.weights.tobytes())
 
 
 def _symmetric_rule(groups, degree):
@@ -134,8 +138,11 @@ EDGE_MIDPOINT_RULE = QuadratureRule(
     degree=2,
 )
 
-_SUBDIV_CACHE: dict = {}
-_LATTICE_CACHE: dict = {}
+_NODE_CACHE: dict = {}
+
+# Triangles per evaluation chunk in local_errors: bounds the (chunk, nodes)
+# temporaries, so memory stays flat however many triangles are scored.
+_CHUNK = 64
 
 
 def _subdivided(rule: QuadratureRule, subdiv: int):
@@ -144,8 +151,8 @@ def _subdivided(rule: QuadratureRule, subdiv: int):
     The |f - I_T f| integrand is only piecewise smooth (a curve of kinks for
     sign-changing residuals), so error integrals subdivide once by default.
     """
-    key = (rule._key(), subdiv)
-    hit = _SUBDIV_CACHE.get(key)
+    key = (rule._key, subdiv)
+    hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
     corners = [np.eye(3)]
@@ -163,67 +170,74 @@ def _subdivided(rule: QuadratureRule, subdiv: int):
     n_sub = len(corners)
     bary = np.vstack([rule.nodes @ s for s in corners])
     weights = np.tile(rule.weights / n_sub, n_sub)
-    _SUBDIV_CACHE[key] = (bary, weights)
+    _NODE_CACHE[key] = (bary, weights)
     return bary, weights
 
 
-def _lattice(order: int = 16) -> np.ndarray:
-    """Barycentric lattice {(i, j, k)/order : i+j+k = order}, (m, 3)."""
-    pts = _LATTICE_CACHE.get(order)
-    if pts is None:
-        pts = np.array([(i / order, j / order, (order - i - j) / order)
-                        for i in range(order + 1) for j in range(order + 1 - i)])
-        _LATTICE_CACHE[order] = pts
-    return pts
+def _error_nodes(rule: QuadratureRule, subdiv: int, p: float):
+    """Barycentric nodes and quadrature weights of the local error.
+
+    The subdivided quadrature nodes come first, then for p = inf the
+    barycentric lattice of order 16, and last the three vertices, which
+    give the interpolation its vertex values.
+    """
+    key = (rule._key, subdiv, math.isinf(p))
+    if key not in _NODE_CACHE:
+        bary, weights = _subdivided(rule, subdiv)
+        lattice = [(i / 16, j / 16, (16 - i - j) / 16)
+                   for i in range(17) for j in range(17 - i)]
+        _NODE_CACHE[key] = (np.vstack([bary, *([lattice] if key[2] else []), np.eye(3)]),
+                            weights)
+    return _NODE_CACHE[key]
 
 
-def _check_shape(t: Triangle, what: str) -> None:
-    d = t.diameter
-    if t.area < FLAT_RTOL * d * d:
-        raise ValueError(f"{what}: triangle too flat (area {t.area}, diam {d})")
+def _check_shapes(v: np.ndarray, what: str):
+    """Areas and squared diameters of a vertex batch (n, 3, 2).
 
-
-def _check_p(p) -> float:
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"Lp exponent must satisfy p >= 1, got {p}")
-    return p
-
-
-def _check_op(op: str) -> str:
-    if op not in OPERATORS:
-        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
-    return op
+    Rejects flat triangles.  The areas are bit-identical to Triangle.area.
+    """
+    e = v[:, [1, 2, 0]] - v  # edges c, a, b
+    cb = e[:, 0] * e[:, 2, ::-1]
+    area = 0.5 * (cb[:, 1] - cb[:, 0])
+    ee = e * e
+    diam2 = (ee[..., 0] + ee[..., 1]).max(axis=1)
+    flat = area < FLAT_RTOL * diam2
+    if flat.any():
+        i = int(flat.argmax())
+        raise ValueError(f"{what}: triangle too flat (area {area[i]}, "
+                         f"diam {math.sqrt(diam2[i])})")
+    return area, diam2
 
 
 def interpolate(t: Triangle, f) -> AffinePoly:
     """The affine function matching ``f`` at the three vertices."""
-    _check_shape(t, "interpolate")
+    _check_shapes(t.vertices[None], "interpolate")
     v = t.vertices
     a = np.column_stack([np.ones(3), v[:, 0], v[:, 1]])
     coeff = np.linalg.solve(a, np.asarray(f(v[:, 0], v[:, 1]), dtype=float))
     return AffinePoly(*coeff)
 
 
-def _projection_local(t: Triangle, f, rule: QuadratureRule, subdiv: int):
-    """L2 projection in the centered local basis {1, (x-cx)/h, (y-cy)/h}.
+def _project(v: np.ndarray, h: np.ndarray, xy: np.ndarray, fx: np.ndarray,
+             w: np.ndarray):
+    """L2 projection per triangle in the local basis {1, (x-cx)/h, (y-cy)/h}.
 
-    Returns (alpha, cx, cy, h); the centered basis keeps the Gram matrix
-    well conditioned on thin triangles.
+    ``h`` (n, 1) holds the diameters; the centred, scaled basis keeps the
+    Gram matrix well conditioned on thin triangles.  Fits the values fx at
+    the first len(w) points of xy (n, m, 2), the quadrature nodes, and
+    returns the offsets of all points from the centroids and the (n, 3)
+    coefficients.
     """
-    _check_shape(t, "project_l2")
-    cx, cy = t.centroid
-    h = t.diameter
-    bary, w = _subdivided(rule, subdiv)
-    xy = bary @ t.vertices
-    phi = np.column_stack([np.ones(len(xy)), (xy[:, 0] - cx) / h, (xy[:, 1] - cy) / h])
-    gram = (phi * w[:, None]).T @ phi
-    load = (phi * w[:, None]).T @ np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
+    k = len(w)
+    d = xy - v.mean(axis=1)[:, None]
+    phi = np.empty((len(xy), k, 3))
+    phi[..., 0] = 1.0
+    phi[..., 1:] = d[:, :k] / h[..., None]
+    phi_w = (phi * w[:, None]).transpose(0, 2, 1)
     try:
-        alpha = np.linalg.solve(gram, load)
+        return d, np.linalg.solve(phi_w @ phi, phi_w @ fx[:, :k, None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"project_l2: singular Gram matrix on {t}") from exc
-    return alpha, cx, cy, h
+        raise ValueError("project_l2: singular Gram matrix") from exc
 
 
 def project_l2(t: Triangle, f, rule: QuadratureRule = DEFAULT_RULE,
@@ -235,43 +249,80 @@ def project_l2(t: Triangle, f, rule: QuadratureRule = DEFAULT_RULE,
     """
     if rule.degree < 2:
         raise ValueError("projection needs a rule exact to degree >= 2")
-    alpha, cx, cy, h = _projection_local(t, f, rule, subdiv)
+    v = t.vertices[None]
+    h = np.sqrt(_check_shapes(v, "project_l2")[1])[:, None]
+    bary, w = _subdivided(rule, subdiv)
+    xy = bary @ v
+    alpha = _project(v, h, xy, np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float), w)[1][0]
+    (cx, cy), h = t.centroid, float(h[0, 0])
     return AffinePoly(alpha[0] - alpha[1] * cx / h - alpha[2] * cy / h,
                       alpha[1] / h, alpha[2] / h)
 
 
-def _operator_node_values(t: Triangle, f, op: str, bary: np.ndarray,
-                          rule: QuadratureRule, subdiv: int) -> np.ndarray:
-    """Values of A_T f at barycentric nodes, evaluated stably."""
+def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``local_errors`` of one chunk of at most _CHUNK triangles."""
+    area, diam2 = _check_shapes(v, "local_error")
+    xy = nodes @ v
+    fx = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
     if op == "interpolation":
-        v = t.vertices
-        fv = np.asarray(f(v[:, 0], v[:, 1]), dtype=float)
-        return bary @ fv
-    alpha, cx, cy, h = _projection_local(t, f, rule, subdiv)
-    xy = bary @ t.vertices
-    return alpha[0] + alpha[1] * (xy[:, 0] - cx) / h + alpha[2] * (xy[:, 1] - cy) / h
+        # the last three nodes are the vertices; one matrix-vector product
+        # per triangle keeps the values bit-identical to nodes @ f(vertices)
+        res = fx - np.matmul(nodes, fx[:, -3:, None])[..., 0]
+    else:
+        h = np.sqrt(diam2)[:, None]
+        d, a = _project(v, h, xy, fx, w)
+        res = fx - (a[:, :1] + a[:, 1:2] * d[..., 0] / h + a[:, 2:3] * d[..., 1] / h)
+    res = np.abs(res)
+    if math.isinf(p):
+        errs = res.max(axis=1).tolist()
+    else:
+        # the root is taken per scalar: numpy's array power can differ in the last bit
+        sums = area * (w * res[:, :len(w)] ** p).sum(axis=1)
+        errs = [s ** (1.0 / p) for s in sums.tolist()]
+    # NaN and inf field values propagate into the errors
+    if not all(map(math.isfinite, errs)):
+        i = next(i for i, e in enumerate(errs) if not math.isfinite(e))
+        raise ValueError(f"local error of field {getattr(f, 'label', f)!r} is not "
+                         f"finite on triangle {v[i].tolist()}")
+    return np.array(errs)
+
+
+def local_errors(verts, f, p, op: str = "interpolation",
+                 rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> np.ndarray:
+    """Local Lp errors ``||f - A_T f||_{Lp(T)}`` of a batch of triangles.
+
+    ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
+    quadrature on 4**subdiv congruent subtriangles; p = inf takes the
+    maximum over the quadrature nodes and a barycentric lattice of order
+    16.  Raises ValueError on flat triangles and on non-finite field values.
+    """
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"Lp exponent must satisfy p >= 1, got {p}")
+    verts = np.asarray(verts, dtype=float)
+    if verts.ndim != 3 or verts.shape[1:] != (3, 2):
+        raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
+    nodes, w = _error_nodes(rule, subdiv, p)
+    if len(verts) <= _CHUNK:
+        return _chunk_errors(verts, f, p, op, nodes, w)
+    return np.concatenate([_chunk_errors(verts[s:s + _CHUNK], f, p, op, nodes, w)
+                           for s in range(0, len(verts), _CHUNK)])
 
 
 def local_error(t: Triangle, f, p, op: str = "interpolation",
                 rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
-    """Local Lp error ``||f - A_T f||_{Lp(T)}``.
+    """Local Lp error ``||f - A_T f||_{Lp(T)}`` of one triangle (see local_errors)."""
+    return float(local_errors(t.vertices[None], f, p, op, rule, subdiv)[0])
 
-    Finite p uses quadrature on 4**subdiv congruent subtriangles; p = inf
-    takes the maximum over the quadrature nodes and a barycentric lattice
-    of order 16.
-    """
-    _check_op(op)
-    _check_shape(t, "local_error")
-    bary, w = _subdivided(rule, subdiv)
+
+def lp_sum(errs, p) -> float:
+    """Global Lp error from local errors: their l^p norm, the max for p = inf."""
+    errs = np.asarray(errs, dtype=float)
     if math.isinf(p):
-        bary = np.vstack([bary, _lattice(16)])
-    xy = bary @ t.vertices
-    res = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float) \
-        - _operator_node_values(t, f, op, bary, rule, subdiv)
-    if math.isinf(p):
-        return float(np.abs(res).max())
-    p = _check_p(p)
-    return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+        return float(errs.max())
+    return float((errs ** p).sum() ** (1.0 / p))
 
 
 def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
@@ -287,7 +338,7 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
     tol = 1e-12 * max(qf.form.scale, 1e-300)
     if lo < -tol and hi > tol:
         raise ValueError("exact L1 error needs a semidefinite homogeneous part")
-    _check_shape(t, "local_error_quadratic_exact")
+    _check_shapes(t.vertices[None], "local_error_quadratic_exact")
     mids = EDGE_MIDPOINT_RULE.nodes @ t.vertices
     v = t.vertices
     fv = np.asarray(qf(v[:, 0], v[:, 1]), dtype=float)
@@ -295,25 +346,33 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
     return abs(t.area * float(gaps.sum()) / 3.0)
 
 
+def _children_mass(t: Triangle, f, p: float, edge_index: int, op: str,
+                   rule: QuadratureRule, subdiv: int) -> float:
+    """Child errors of one bisection to the p-th power, summed (max for p = inf)."""
+    c1, c2 = bisect(t, edge_index)
+    e1, e2 = local_errors(np.stack([c1.vertices, c2.vertices]), f, p, op,
+                          rule, subdiv).tolist()
+    if math.isinf(p):
+        return max(e1, e2)
+    return e1 ** p + e2 ** p
+
+
 def decision_l1(t: Triangle, f, edge_index: int,
                 rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
-    """L1 interpolation error summed over the two children of a bisection."""
-    c1, c2 = bisect(t, edge_index)
-    return (local_error(c1, f, 1, "interpolation", rule, subdiv)
-            + local_error(c2, f, 1, "interpolation", rule, subdiv))
+    """L1 interpolation error summed over the two children of a bisection.
 
-
-def decision_gain_convex(t: Triangle, f, edge_index: int) -> float:
-    """Reduction of the L1 interpolation error when bisecting one edge.
-
-    Valid for convex ``f`` (caller-asserted): ``|T|/3`` times the midpoint
-    convexity gap of the edge; for a quadratic this is ``|T| q(e) / 12``.
+    ``decision_lp_split`` at p = 1 with the interpolation operator.
     """
-    return float(decision_gains_convex(t, f)[edge_index])
+    return _children_mass(t, f, 1.0, edge_index, "interpolation", rule, subdiv)
 
 
 def decision_gains_convex(t: Triangle, f) -> np.ndarray:
-    """Convex-case error reductions for all three edges at once."""
+    """Reductions of the L1 interpolation error when bisecting each edge.
+
+    Valid for convex ``f`` (caller-asserted): entry ``e`` is ``|T|/3`` times
+    the midpoint convexity gap of edge ``e``; for a quadratic this is
+    ``|T| q(e) / 12``.
+    """
     v = t.vertices
     mids = 0.5 * (v[[1, 2, 0]] + v[[2, 0, 1]])  # midpoint of edge i
     xs = np.concatenate([v[:, 0], mids[:, 0]])
@@ -341,13 +400,7 @@ def decision_lp_split(t: Triangle, f, p, edge_index: int,
                       rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
     """Error mass after bisection: sum of child errors to the p-th power.
 
-    For p = inf, the maximum of the two child errors.
+    For p = inf, the maximum of the two child errors.  Both children are
+    scored in one ``local_errors`` call.
     """
-    _check_op(op)
-    c1, c2 = bisect(t, edge_index)
-    e1 = local_error(c1, f, p, op, rule, subdiv)
-    e2 = local_error(c2, f, p, op, rule, subdiv)
-    if math.isinf(p):
-        return max(e1, e2)
-    p = _check_p(p)
-    return e1 ** p + e2 ** p
+    return _children_mass(t, f, float(p), edge_index, op, rule, subdiv)

@@ -87,9 +87,6 @@ def _add_run_flags(sp, with_decision=True):
     sp.add_argument("--initial", choices=engine.INITIAL_MESHES,
                     default="ref-triangle")
     sp.add_argument("--node-cap", type=int, default=2 ** 22)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="reserved for sampling subcommands; run outputs "
-                         "are deterministic")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--initial", choices=engine.INITIAL_MESHES,
                      default="ref-triangle")
     sig.add_argument("--csv-out", required=True)
-    sig.add_argument("--seed", type=int, default=0)
 
     ren = sub.add_parser("render", help="render a mesh file to SVG")
     ren.add_argument("mesh", help="mesh text file")
@@ -140,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--p", type=_parse_p, default=2.0)
     ren.add_argument("--operator", choices=approx.OPERATORS,
                      default="interpolation")
-    ren.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -266,8 +261,8 @@ def cmd_render(args) -> int:
         if args.field is None:
             print("error: error coloring needs --field", file=sys.stderr)
             return 2
-        values = [approx.local_error(t, args.field, args.p, args.operator)
-                  for t in forest.leaf_triangles()]
+        values = approx.local_errors(forest.leaf_vertex_array(), args.field,
+                                     args.p, args.operator)
         legend = f"local L{args.p:g} error"
     _atomic_write(args.svg_out, mesh_to_svg(forest, values, legend))
     print(f"wrote {args.svg_out} ({forest.n_leaves} polygons)")

@@ -27,8 +27,6 @@ __all__ = [
     "ForestNode",
     "RefinementForest",
     "initial_mesh",
-    "leaf_error",
-    "select_triangle",
     "select_edge",
     "greedy_run",
     "uniform_refine",
@@ -70,6 +68,8 @@ class StopRule:
     def __post_init__(self):
         if self.kind not in STOP_KINDS:
             raise ValueError(f"unknown stop rule {self.kind!r}; expected {STOP_KINDS}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.kind} needs a finite value, got {self.value}")
         if self.kind == "target-count" and (self.value < 1 or self.value != int(self.value)):
             raise ValueError("target-count needs a positive integer leaf count")
         if self.kind == "error-threshold" and not self.value > 0:
@@ -133,8 +133,6 @@ class RefinementForest:
         ]
         self.n_roots = len(roots)
         self._leaves: set[int] = set(range(len(roots)))
-        # (p, operator) the cached errors were computed with, if any
-        self.error_config: tuple[float, str] | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -195,23 +193,6 @@ def initial_mesh(spec) -> list[Triangle]:
     return tris
 
 
-def leaf_error(t: Triangle, f, config: GreedyConfig) -> float:
-    """Local error of one triangle under the run configuration."""
-    return approx.local_error(t, f, config.p, config.operator)
-
-
-def select_triangle(forest: RefinementForest) -> int:
-    """Leaf with maximal cached error; ties pick the earliest-created leaf."""
-    best, best_err = -1, -math.inf
-    for i in forest.leaf_ids():
-        err = forest.nodes[i].error
-        if err is None:
-            raise ValueError(f"leaf {i} has no cached error")
-        if err > best_err:
-            best, best_err = i, err
-    return best
-
-
 def _reference_form(f):
     form = getattr(f, "form", None)
     if form is not None and form.is_positive_definite:
@@ -236,13 +217,6 @@ def select_edge(t: Triangle, f, config: GreedyConfig) -> int:
     return int(np.argmin(vals))
 
 
-def _global_error_from_caches(forest: RefinementForest, p: float) -> float:
-    errs = np.array([forest.nodes[i].error for i in forest.leaf_ids()], dtype=float)
-    if math.isinf(p):
-        return float(errs.max())
-    return float((errs ** p).sum() ** (1.0 / p))
-
-
 def max_leaf_diameter(forest: RefinementForest) -> float:
     e = edge_vectors_of(forest.leaf_vertex_array())
     return float(np.sqrt((e * e).sum(axis=2).max()))
@@ -254,12 +228,23 @@ def _trace_record(forest, p, form, step) -> TraceRecord:
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
-    return TraceRecord(step, forest.n_leaves, _global_error_from_caches(forest, p),
+    errs = [forest.nodes[i].error for i in forest.leaf_ids()]
+    return TraceRecord(step, forest.n_leaves, approx.lp_sum(errs, p),
                        max_leaf_diameter(forest), smean, smax)
 
 
 def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
+
+
+def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int) -> None:
+    """Fail fast unless bisecting ``n_leaves`` leaves ``levels`` times fits the cap."""
+    # past the cap's bit length, 2**levels alone exceeds the cap
+    added = 2 * n_leaves * (2 ** min(levels, int(node_cap).bit_length()) - 1)
+    if n_nodes + added > node_cap:
+        raise RunawayRefinementError(
+            f"refining {n_leaves} leaves by {levels} levels exceeds the node cap "
+            f"{node_cap}")
 
 
 def greedy_run(f, config: GreedyConfig, record_at=None):
@@ -268,20 +253,22 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     Returns ``(forest, trace)``.  Trace records are emitted at step 0,
     every step while the mesh has at most 1024 leaves, at powers of two
     beyond that, at every leaf count in ``record_at``, and at the final
-    step.  Raises RunawayRefinementError at the node cap.
+    step.  Raises RunawayRefinementError at the node cap, and before
+    refining when a generation-levels run cannot fit under it.
     """
     forest = RefinementForest(initial_mesh(config.initial))
-    forest.error_config = (config.p, config.operator)
     stop = config.stop
     if stop.kind == "target-count" and stop.value < forest.n_roots:
         raise ValueError(
             f"target-count {stop.value} below the {forest.n_roots} initial triangles")
+    if stop.kind == "generation-levels":
+        _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
     form = _reference_form(f)
 
     heap: list[tuple[float, int]] = []
     for i in forest.leaf_ids():
-        err = leaf_error(forest.nodes[i].triangle, f, config)
+        err = approx.local_error(forest.nodes[i].triangle, f, config.p, config.operator)
         forest.nodes[i].error = err
         heapq.heappush(heap, (-err, i))
 
@@ -313,7 +300,8 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         node = forest.nodes[node_id]
         edge = select_edge(node.triangle, f, config)
         for child in forest.bisect_node(node_id, edge):
-            err = leaf_error(forest.nodes[child].triangle, f, config)
+            err = approx.local_error(forest.nodes[child].triangle, f, config.p,
+                                     config.operator)
             forest.nodes[child].error = err
             heapq.heappush(heap, (-err, child))
         step += 1
@@ -331,15 +319,14 @@ def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,
     """Bisect every leaf ``levels`` times with the configured edge choice.
 
     Leaf count multiplies by 2**levels; leaf errors are left uncached
-    (greedy selection is not involved).
+    (greedy selection is not involved).  Raises RunawayRefinementError
+    before refining when the result would exceed the node cap.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    _check_levels_fit(len(forest.nodes), forest.n_leaves, levels, config.node_cap)
     for _ in range(levels):
         for node_id in forest.leaf_ids():
-            if len(forest.nodes) + 2 > config.node_cap:
-                raise RunawayRefinementError(
-                    f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
             edge = select_edge(forest.nodes[node_id].triangle, f, config)
             forest.bisect_node(node_id, edge)
     return forest
@@ -347,17 +334,7 @@ def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,
 
 def global_error(forest: RefinementForest, f, p, op: str = "interpolation") -> float:
     """Global Lp error over the leaves (max over leaves when p = inf)."""
-    if forest.error_config == (p, op):
-        for i in forest.leaf_ids():
-            node = forest.nodes[i]
-            if node.error is None:
-                node.error = approx.local_error(node.triangle, f, p, op)
-        return _global_error_from_caches(forest, p)
-    errs = np.array([approx.local_error(t, f, p, op)
-                     for t in forest.leaf_triangles()])
-    if math.isinf(p):
-        return float(errs.max())
-    return float((errs ** p).sum() ** (1.0 / p))
+    return approx.lp_sum(approx.local_errors(forest.leaf_vertex_array(), f, p, op), p)
 
 
 def _fmt(x: float) -> str:
@@ -418,7 +395,6 @@ def mesh_from_text(text: str) -> RefinementForest:
 
     forest = object.__new__(RefinementForest)
     forest.nodes = []
-    forest.error_config = None
     children: dict[int, list[int]] = {}
     n_roots = 0
     for n, (ln, i, j, k, parent) in enumerate(tris):

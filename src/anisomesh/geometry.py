@@ -19,8 +19,6 @@ __all__ = [
     "Triangle",
     "QuadForm",
     "reference_triangle",
-    "edges",
-    "q_eval",
     "q_metric",
     "q_abs",
     "canonical_transform",
@@ -33,7 +31,6 @@ __all__ = [
     "q_sorted_edge_indices",
     "edge_vectors_of",
     "sigma_batch",
-    "rho_batch",
 ]
 
 # Relative tolerance for "equal q-length" ties in edge selection.
@@ -99,11 +96,6 @@ class Triangle:
         """Edge vector ``i`` (opposite vertex ``z_i``)."""
         v = self._v
         return v[(i + 2) % 3] - v[(i + 1) % 3]
-
-    def edge_endpoints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The two vertices bounding edge ``i``, in orientation order."""
-        v = self._v
-        return v[(i + 1) % 3], v[(i + 2) % 3]
 
     def __repr__(self):
         pts = ", ".join(f"({x:g}, {y:g})" for x, y in self._v)
@@ -197,12 +189,6 @@ def _require_positive_definite(q: QuadForm, what: str) -> None:
         raise ValueError(f"{what} requires a positive-definite form, got {q.classify()}")
 
 
-def edges(t: Triangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge vectors ``(a, b, c)`` with ``a + b + c = 0``."""
-    v = t.vertices
-    return v[2] - v[1], v[0] - v[2], v[1] - v[0]
-
-
 def edge_vectors_of(verts: np.ndarray) -> np.ndarray:
     """Edge vectors for one vertex array (3, 2) or a batch (n, 3, 2).
 
@@ -210,11 +196,6 @@ def edge_vectors_of(verts: np.ndarray) -> np.ndarray:
     """
     verts = np.asarray(verts, dtype=float)
     return verts[..., [2, 0, 1], :] - verts[..., [1, 2, 0], :]
-
-
-def q_eval(q: QuadForm, v) -> float:
-    """Value ``q(v)`` of the quadratic form on a vector."""
-    return q(v)
 
 
 def q_metric(q: QuadForm, v) -> float:
@@ -277,15 +258,6 @@ def sigma_batch(q: QuadForm, verts: np.ndarray) -> np.ndarray:
     vals = q(e)
     areas = 0.5 * cross2(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
     return (vals.sum(axis=1) - vals.max(axis=1)) / (4.0 * areas * np.sqrt(q.det))
-
-
-def rho_batch(q: QuadForm, verts: np.ndarray) -> np.ndarray:
-    """Vectorized ``rho`` over a batch of vertex arrays (n, 3, 2)."""
-    _require_nondegenerate(q, "rho")
-    verts = np.asarray(verts, dtype=float)
-    vals = np.abs(q(edge_vectors_of(verts)))
-    areas = 0.5 * cross2(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-    return vals.max(axis=1) / (areas * np.sqrt(abs(q.det)))
 
 
 def q_sorted_edge_indices(q: QuadForm, t: Triangle) -> list[int]:

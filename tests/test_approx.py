@@ -10,7 +10,6 @@ from anisomesh.approx import (
     DEFAULT_RULE,
     EDGE_MIDPOINT_RULE,
     AffinePoly,
-    decision_gain_convex,
     decision_gain_quadrature,
     decision_gains_convex,
     decision_l1,
@@ -18,6 +17,7 @@ from anisomesh.approx import (
     interpolate,
     local_error,
     local_error_quadratic_exact,
+    local_errors,
     project_l2,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
@@ -151,6 +151,83 @@ class TestLocalError:
             local_error(REF, DISK, 2, "nearest")
 
 
+def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
+    """Per-triangle local error, written without the batched kernel."""
+    from anisomesh.approx import _subdivided
+
+    bary, w = _subdivided(rule, subdiv)
+    if math.isinf(p):
+        lattice = [(i / 16, j / 16, (16 - i - j) / 16)
+                   for i in range(17) for j in range(17 - i)]
+        bary = np.vstack([bary, lattice])
+    xy = bary @ t.vertices
+    if op == "interpolation":
+        v = t.vertices
+        nodes = bary @ np.asarray(f(v[:, 0], v[:, 1]), dtype=float)
+    else:
+        cx, cy = t.centroid
+        h = t.diameter
+        qxy = xy[: len(w)]
+        phi = np.column_stack([np.ones(len(qxy)), (qxy[:, 0] - cx) / h, (qxy[:, 1] - cy) / h])
+        gram = (phi * w[:, None]).T @ phi
+        load = (phi * w[:, None]).T @ np.asarray(f(qxy[:, 0], qxy[:, 1]), dtype=float)
+        alpha = np.linalg.solve(gram, load)
+        nodes = alpha[0] + alpha[1] * (xy[:, 0] - cx) / h + alpha[2] * (xy[:, 1] - cy) / h
+    res = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float) - nodes
+    if math.isinf(p):
+        return float(np.abs(res).max())
+    return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+
+
+class TestLocalErrorsKernel:
+    """The batched kernel against a per-triangle reference loop."""
+
+    @pytest.mark.parametrize("label", ["expbump", "aniso-100", "mixed-saddle"])
+    @pytest.mark.parametrize("op", ["interpolation", "l2-projection"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_matches_reference_loop(self, label, op, p):
+        rng = np.random.default_rng(57)
+        tris = [random_triangle(rng) for _ in range(40)]
+        f = get_field(label)
+        got = local_errors(np.array([t.vertices for t in tris]), f, p, op)
+        want = np.array([reference_local_error(t, f, p, op) for t in tris])
+        if op == "interpolation":
+            assert np.array_equal(got, want)
+        else:
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_chunk_boundary(self, p):
+        # 65 triangles span two evaluation chunks
+        rng = np.random.default_rng(61)
+        tris = [random_triangle(rng) for _ in range(65)]
+        f = get_field("expbump")
+        got = local_errors(np.array([t.vertices for t in tris]), f, p)
+        assert got.shape == (65,)
+        assert np.array_equal(got, [local_error(t, f, p) for t in tris])
+
+    def test_empty_batch_and_bad_shape(self):
+        assert local_errors(np.empty((0, 3, 2)), DISK, 2.0).shape == (0,)
+        with pytest.raises(ValueError, match="shape"):
+            local_errors(REF.vertices, DISK, 2.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("op", ["interpolation", "l2-projection"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, op, bad):
+        f = ScalarField("spike", lambda x, y: np.where(x + y > 1.5, bad, x * y))
+        verts = np.array([REF.vertices, REF.vertices + 1.0])
+        with pytest.raises(ValueError,
+                           match=r"field 'spike' is not finite on triangle "
+                                 r"\[\[1\.0, 1\.0\], \[2\.0, 1\.0\], \[1\.0, 2\.0\]\]"):
+            local_errors(verts, f, 2.0, op)
+
+    def test_flat_triangle_rejected(self):
+        flat = np.array([[(0, 0), (1, 0), (0.5, 1e-15)]])
+        with pytest.raises(ValueError, match="too flat"):
+            local_errors(flat, DISK, 2.0)
+
+
 class TestQuadraticExact:
     def test_reference_value(self):
         assert local_error_quadratic_exact(REF, DISK) == pytest.approx(1 / 6, rel=1e-14)
@@ -184,9 +261,9 @@ class TestQuadraticExact:
 
 class TestDecisions:
     def test_gain_reference_values(self):
-        assert decision_gain_convex(REF, DISK, 0) == pytest.approx(1 / 12, rel=1e-13)
-        assert decision_gain_convex(REF, DISK, 1) == pytest.approx(1 / 24, rel=1e-13)
-        assert decision_gain_convex(REF, DISK, 2) == pytest.approx(1 / 24, rel=1e-13)
+        assert decision_gains_convex(REF, DISK)[0] == pytest.approx(1 / 12, rel=1e-13)
+        assert decision_gains_convex(REF, DISK)[1] == pytest.approx(1 / 24, rel=1e-13)
+        assert decision_gains_convex(REF, DISK)[2] == pytest.approx(1 / 24, rel=1e-13)
 
     def test_gain_affine_vanishes(self):
         f = affine_field(1.0, 2.0, -3.0)
@@ -206,7 +283,7 @@ class TestDecisions:
             qf = QuadraticField("s", q.a20, q.a11, q.a02)
             for e in range(3):
                 dq = decision_gain_quadrature(t, qf, e)
-                dc = decision_gain_convex(t, qf, e)
+                dc = decision_gains_convex(t, qf)[e]
                 assert dq == pytest.approx(dc, rel=1e-8, abs=1e-14)
 
     def test_argmin_l1_is_q_longest_edge(self):
@@ -312,7 +389,7 @@ class TestSandwich:
             t = random_triangle(rng)
             for e in range(3):
                 lo = t.area * q(t.edge_vector(e)) / 12.0
-                gain = decision_gain_convex(t, f, e)
+                gain = decision_gains_convex(t, f)[e]
                 assert lo * (1 - 1e-10) <= gain <= (1 + mu) * lo * (1 + 1e-10)
 
 

@@ -3,11 +3,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from anisomesh import cli
+from anisomesh.approx import local_error
 from anisomesh.cli import main, mesh_to_svg
 from anisomesh.engine import GreedyConfig, StopRule, greedy_run, load_mesh
-from anisomesh.fields import get_field
+from anisomesh.fields import ScalarField, get_field
 
 
 def run_cli(*args):
@@ -70,6 +73,34 @@ class TestRun:
                        "--trace-out", str(tmp_path / "t.csv"))
         assert code == 3
         assert "node cap" in capsys.readouterr().err
+
+    def test_levels_over_node_cap_exit_3(self, tmp_path, capsys):
+        code = run_cli("run", "--field", "disk", "--levels", "40",
+                       "--mesh-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert "exceeds the node cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop", [("--target-n", "64"), ("--eta", "1e-3")])
+    def test_non_finite_field_exit_1(self, tmp_path, capsys, monkeypatch, stop):
+        def hole(x, y):
+            return np.where((x > 0.3) & (x < 0.4) & (y < 0.2), np.nan, x * x + y * y)
+
+        monkeypatch.setattr(cli, "get_field",
+                            lambda label: ScalarField(label, hole))
+        code = run_cli("run", "--field", "hole", "--initial", "unit-square", *stop,
+                       "--mesh-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert "field 'hole' is not finite on triangle" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_seed_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--field", "disk", "--target-n", "4", "--seed", "1",
+                    "--mesh-out", str(tmp_path / "m.txt"),
+                    "--trace-out", str(tmp_path / "t.csv"))
+        assert exc.value.code == 2
 
     def test_unknown_field_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -170,6 +201,34 @@ class TestRender:
                        "--color-by", "error", "--field", "disk", "--p", "2")
         assert code == 0
         assert "local L2 error" in svg.read_text()
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    @pytest.mark.parametrize("op", ["interpolation", "l2-projection"])
+    def test_error_values_equal_local_error(self, tmp_path, monkeypatch, p, op):
+        mesh = tmp_path / "mesh.txt"
+        run_cli("run", "--field", "expbump", "--target-n", "100",
+                "--mesh-out", str(mesh), "--trace-out", str(tmp_path / "t.csv"))
+        seen = []
+        real = cli.mesh_to_svg
+        monkeypatch.setattr(cli, "mesh_to_svg",
+                            lambda forest, values, legend: seen.append(values)
+                            or real(forest, values, legend))
+        code = run_cli("render", str(mesh), "--svg-out", str(tmp_path / "m.svg"),
+                       "--color-by", "error", "--field", "expbump", "--p", p,
+                       "--operator", op)
+        assert code == 0
+        f = get_field("expbump")
+        want = [local_error(t, f, float(p), op) for t in load_mesh(mesh).leaf_triangles()]
+        assert np.array_equal(seen[0], want)
+
+    def test_error_coloring_non_finite_field_exit_1(self, small_mesh, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.setattr(cli, "get_field", lambda label: ScalarField(
+            label, lambda x, y: np.where(x > 0.5, np.nan, x)))
+        code = run_cli("render", str(small_mesh), "--svg-out", str(tmp_path / "m.svg"),
+                       "--color-by", "error", "--field", "nan-right")
+        assert code == 1
+        assert "field 'nan-right' is not finite" in capsys.readouterr().err
 
     def test_indefinite_form_clean_error(self, small_mesh, tmp_path, capsys):
         code = run_cli("render", str(small_mesh), "--svg-out",

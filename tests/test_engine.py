@@ -15,14 +15,12 @@ from anisomesh.engine import (
     global_error,
     greedy_run,
     initial_mesh,
-    leaf_error,
     load_mesh,
     max_leaf_diameter,
     mesh_from_text,
     mesh_to_text,
     save_mesh,
     select_edge,
-    select_triangle,
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
@@ -49,6 +47,13 @@ class TestStopRuleValidation:
             StopRule("error-threshold", 0.0)
         with pytest.raises(ValueError):
             StopRule("generation-levels", -1)
+
+    @pytest.mark.parametrize("kind", ["target-count", "error-threshold",
+                                      "generation-levels"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="finite"):
+            StopRule(kind, value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +93,7 @@ class TestForest:
         forest, _ = greedy_run(DISK, cfg)
         for i in forest.leaf_ids():
             node = forest.nodes[i]
-            recomputed = leaf_error(node.triangle, DISK, cfg)
+            recomputed = local_error(node.triangle, DISK, cfg.p, cfg.operator)
             assert abs(node.error - recomputed) <= 1e-12 * max(recomputed, 1e-300)
 
     def test_double_bisection_rejected(self):
@@ -99,28 +104,25 @@ class TestForest:
 
 
 class TestSelectTriangle:
+    """The greedy loop bisects the maximal-error leaf, earliest id on ties."""
+
     def test_max_and_tie(self):
-        forest = RefinementForest(initial_mesh("unit-square"))
-        forest.nodes[0].error = 0.3
-        forest.nodes[1].error = 0.7
-        assert select_triangle(forest) == 1
-        forest.nodes[1].error = 0.3
-        assert select_triangle(forest) == 0
+        # the two unit-square roots have equal errors under the disk field
+        errs = [local_error(t, DISK, 2.0) for t in initial_mesh("unit-square")]
+        assert errs[0] == errs[1]
+        forest, _ = greedy_run(DISK, count_config(3, initial="unit-square"))
+        assert forest.nodes[0].children == (2, 3)
+        assert forest.nodes[1].children is None
 
     def test_matches_heap_selection(self):
-        # brute-force max over leaves tracks the greedy loop's heap
-        cfg = count_config(40)
-        forest, _ = greedy_run(DISK, cfg)
-        best = select_triangle(forest)
+        # brute-force max over the leaves of a 40-leaf run is the leaf the
+        # heap bisects in step 40
+        forest, _ = greedy_run(DISK, count_config(40))
         errs = {i: forest.nodes[i].error for i in forest.leaf_ids()}
         top = max(errs.values())
-        assert errs[best] == top
-        assert best == min(i for i, e in errs.items() if e == top)
-
-    def test_requires_cached_errors(self):
-        forest = RefinementForest(initial_mesh("ref-triangle"))
-        with pytest.raises(ValueError):
-            select_triangle(forest)
+        best = min(i for i, e in errs.items() if e == top)
+        nxt, _ = greedy_run(DISK, count_config(41))
+        assert nxt.nodes[best].children == (len(forest.nodes), len(forest.nodes) + 1)
 
 
 class TestSelectEdge:
@@ -193,6 +195,31 @@ class TestGreedyRun:
         with pytest.raises(RunawayRefinementError):
             greedy_run(DISK, count_config(64, node_cap=16))
 
+    def test_generation_levels_node_cap_checked_up_front(self):
+        # two roots to level 3 need 2 * (2**4 - 1) = 30 nodes
+        cfg = GreedyConfig(stop=StopRule("generation-levels", 3),
+                           initial="unit-square", node_cap=30)
+        assert len(greedy_run(DISK, cfg)[0].nodes) == 30
+        calls = []
+        counting = ScalarField("counting", lambda x, y: calls.append(1) or x * x)
+        with pytest.raises(RunawayRefinementError, match="node cap 29"):
+            greedy_run(counting, GreedyConfig(stop=StopRule("generation-levels", 3),
+                                              initial="unit-square", node_cap=29))
+        assert calls == []  # failed before any error was computed
+        with pytest.raises(RunawayRefinementError):
+            greedy_run(DISK, GreedyConfig(stop=StopRule("generation-levels", 10 ** 9)))
+
+    @pytest.mark.parametrize("stop", [StopRule("target-count", 64),
+                                      StopRule("error-threshold", 1e-3),
+                                      StopRule("generation-levels", 6)])
+    def test_nan_field_rejected(self, stop):
+        def hole(x, y):
+            return np.where((x > 0.3) & (x < 0.4) & (y < 0.2), np.nan, x * x + y * y)
+
+        cfg = GreedyConfig(stop=stop, initial="unit-square")
+        with pytest.raises(ValueError, match=r"field 'hole' is not finite on triangle \[\["):
+            greedy_run(ScalarField("hole", hole), cfg)
+
     def test_trace_cadence(self):
         _, trace = greedy_run(DISK, count_config(40))
         assert [r.n_leaves for r in trace] == list(range(1, 41))
@@ -216,6 +243,16 @@ class TestGreedyRun:
 
 
 class TestUniformRefine:
+    def test_node_cap_checked_up_front(self):
+        # one leaf bisected 3 times adds 2 * (2**3 - 1) = 14 nodes
+        forest = RefinementForest(initial_mesh("ref-triangle"))
+        uniform_refine(forest, DISK, GreedyConfig(node_cap=15), 3)
+        assert len(forest.nodes) == 15
+        forest = RefinementForest(initial_mesh("ref-triangle"))
+        with pytest.raises(RunawayRefinementError, match="node cap 14"):
+            uniform_refine(forest, DISK, GreedyConfig(node_cap=14), 3)
+        assert len(forest.nodes) == 1  # nothing was refined
+
     def test_zero_levels_noop(self):
         forest = RefinementForest(initial_mesh("ref-triangle"))
         text = mesh_to_text(forest)
