@@ -30,7 +30,7 @@ for rec in trace:
               f"{rec.n_leaves * rec.global_error:>10.4f} {rec.max_diam:>9.4f}")
 
 print("\nerror equidistribution: the greedy loop keeps all local errors")
-errs = sorted(forest.nodes[i].error for i in forest.leaf_ids())
+errs = sorted(forest.nodes["error"][forest.leaf_ids()])
 print(f"comparable; leaf error spread = {errs[-1] / errs[0]:.1f}x "
       f"(min {errs[0]:.2e}, max {errs[-1]:.2e})")
 

@@ -48,7 +48,7 @@ print("|q| of the saddle:", q_abs(saddle))
 
 # --- Bisection from an edge midpoint to the opposite vertex ---
 big = Triangle([(0, 0), (2, 0), (0, 2)])
-c1, c2 = bisect(big, 0)
+c1, c2 = map(Triangle, bisect(big.vertices, 0))
 print("\nbisecting the hypotenuse of", big)
 print("  children:", c1, "and", c2, "(equal areas:", c1.area, c2.area, ")")
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import approx, engine
 from .engine import GreedyConfig, RefinementForest, StopRule
 from .fields import QuadraticField, ScalarField
-from .geometry import QuadForm, Triangle, cross2, edge_vectors_of, sigma, sigma_batch
+from .geometry import QuadForm, Triangle, bisect, cross2, edge_vectors_of, sigma, sigma_batch
 
 __all__ = [
     "R0",
@@ -121,42 +121,26 @@ def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
     return stats
 
 
-def _uniform_background(roots, depth: int) -> np.ndarray:
-    """Vertex batch (n, 3, 2) from `depth` euclidean longest-edge sweeps."""
-    verts = np.array([t.vertices for t in roots])
-    for _ in range(depth):
-        e = edge_vectors_of(verts)
-        longest = np.argmax((e * e).sum(axis=2), axis=1)
-        n = len(verts)
-        rows = np.arange(n)
-        vi = verts[rows, longest]
-        vj = verts[rows, (longest + 1) % 3]
-        vk = verts[rows, (longest + 2) % 3]
-        mid = 0.5 * (vj + vk)
-        child1 = np.stack([vi, vj, mid], axis=1)
-        child2 = np.stack([vi, mid, vk], axis=1)
-        verts = np.concatenate([child1, child2])
-    return verts
-
-
 def hessian_tau_norm(f: ScalarField, domain, tau: float, depth: int = 9) -> float:
     """``|| sqrt|det d2f| ||_{L^tau}`` over a domain of triangles.
 
     Integrates ``|det d2f|^(tau/2)`` by per-triangle quadrature on a
-    uniform background mesh obtained from ``depth`` bisection sweeps of
-    the domain triangles.
+    uniform background mesh obtained from ``depth`` euclidean longest-edge
+    bisection sweeps of the domain triangles.
     """
     if not 0.5 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [1/2, 1], got {tau}")
     if not f.has_hessian:
         raise ValueError(f"field {f.label!r} has no analytic hessian")
     if isinstance(domain, RefinementForest):
-        roots = domain.leaf_triangles()
+        verts = domain.leaf_vertex_array()
     elif isinstance(domain, Triangle):
-        roots = [domain]
+        verts = domain.vertices[None]
     else:
-        roots = list(domain)
-    verts = _uniform_background(roots, depth)
+        verts = np.array([t.vertices for t in domain])
+    for _ in range(depth):
+        e = edge_vectors_of(verts)
+        verts = np.concatenate(bisect(verts, np.argmax((e * e).sum(axis=2), axis=1)))
     areas = 0.5 * cross2(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
     rule = approx.DEFAULT_RULE
     xy = rule.nodes @ verts  # (n_tri, n_nodes, 2) via batched matmul

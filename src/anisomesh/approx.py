@@ -349,8 +349,7 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
 def _children_mass(t: Triangle, f, p: float, edge_index: int, op: str,
                    rule: QuadratureRule, subdiv: int) -> float:
     """Child errors of one bisection to the p-th power, summed (max for p = inf)."""
-    c1, c2 = bisect(t, edge_index)
-    e1, e2 = local_errors(np.stack([c1.vertices, c2.vertices]), f, p, op,
+    e1, e2 = local_errors(np.stack(bisect(t.vertices, edge_index)), f, p, op,
                           rule, subdiv).tolist()
     if math.isinf(p):
         return max(e1, e2)

@@ -24,7 +24,6 @@ __all__ = [
     "StopRule",
     "GreedyConfig",
     "TraceRecord",
-    "ForestNode",
     "RefinementForest",
     "initial_mesh",
     "select_edge",
@@ -112,61 +111,66 @@ class TraceRecord:
     sigma_max: float
 
 
-@dataclass
-class ForestNode:
-    triangle: Triangle
-    parent: int
-    level: int
-    children: tuple[int, int] | None = None
-    error: float | None = None
+NODE_DTYPE = np.dtype([("verts", float, (3, 2)), ("parent", np.int64),
+                       ("level", np.int64), ("child", np.int64), ("error", float)])
 
 
 class RefinementForest:
-    """Append-only binary forest of triangles; leaves form the triangulation."""
+    """Append-only binary forest of triangles; leaves form the triangulation.
+
+    ``nodes`` is a record array (NODE_DTYPE) in creation order, roots first.
+    ``child`` is the id of a node's first child (siblings are consecutive),
+    -1 for a leaf; ``error`` is the cached local error, nan until computed.
+    """
 
     def __init__(self, roots):
-        roots = list(roots)
-        if not roots:
+        self._buf = np.empty(0, NODE_DTYPE)
+        self._n = 0
+        self._append([t.vertices for t in roots], parent=-1, level=0)
+        if not self._n:
             raise ValueError("forest needs at least one root triangle")
-        self.nodes: list[ForestNode] = [
-            ForestNode(t, parent=-1, level=0) for t in roots
-        ]
-        self.n_roots = len(roots)
-        self._leaves: set[int] = set(range(len(roots)))
+        self.n_roots = self._n
+
+    def _append(self, verts, parent: int, level: int) -> int:
+        """Append leaves, doubling the buffer when full; returns the first id."""
+        first, self._n = self._n, self._n + len(verts)
+        if self._n > len(self._buf):
+            grown = np.empty(max(2 * len(self._buf), self._n), NODE_DTYPE)
+            grown[:first] = self._buf[:first]
+            self._buf = grown
+        self._buf[first:self._n] = [(v, parent, level, -1, math.nan) for v in verts]
+        return first
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._buf[:self._n]
 
     @property
     def n_leaves(self) -> int:
-        return len(self._leaves)
+        return (self._n + self.n_roots) // 2
 
-    def is_leaf(self, node_id: int) -> bool:
-        return node_id in self._leaves
+    def triangle(self, node_id: int) -> Triangle:
+        return Triangle(self.nodes["verts"][node_id])
 
-    def leaf_ids(self) -> list[int]:
-        return sorted(self._leaves)
+    def leaf_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.nodes["child"] < 0)
 
     def leaf_triangles(self) -> list[Triangle]:
-        return [self.nodes[i].triangle for i in self.leaf_ids()]
+        return [Triangle(v) for v in self.leaf_vertex_array()]
 
     def leaf_vertex_array(self) -> np.ndarray:
         """Vertices of all leaves, shape (n_leaves, 3, 2), in id order."""
-        return np.array([self.nodes[i].triangle.vertices for i in self.leaf_ids()])
-
-    def roots(self) -> list[Triangle]:
-        return [self.nodes[i].triangle for i in range(self.n_roots)]
+        return self.nodes["verts"][self.nodes["child"] < 0]
 
     def bisect_node(self, node_id: int, edge_index: int) -> tuple[int, int]:
         """Split a leaf; returns the ids of the two new children."""
         node = self.nodes[node_id]
-        if node.children is not None:
+        if node["child"] >= 0:
             raise ValueError(f"node {node_id} is already bisected")
-        c1, c2 = bisect(node.triangle, edge_index)
-        i1 = len(self.nodes)
-        self.nodes.append(ForestNode(c1, parent=node_id, level=node.level + 1))
-        self.nodes.append(ForestNode(c2, parent=node_id, level=node.level + 1))
-        node.children = (i1, i1 + 1)
-        self._leaves.discard(node_id)
-        self._leaves.update((i1, i1 + 1))
-        return i1, i1 + 1
+        first = self._append(bisect(node["verts"], edge_index), node_id,
+                             node["level"] + 1)
+        self._buf[node_id]["child"] = first
+        return first, first + 1
 
 
 def initial_mesh(spec) -> list[Triangle]:
@@ -217,20 +221,26 @@ def select_edge(t: Triangle, f, config: GreedyConfig) -> int:
     return int(np.argmin(vals))
 
 
-def max_leaf_diameter(forest: RefinementForest) -> float:
-    e = edge_vectors_of(forest.leaf_vertex_array())
+def _max_diameter(verts: np.ndarray) -> float:
+    e = edge_vectors_of(verts)
     return float(np.sqrt((e * e).sum(axis=2).max()))
 
 
+def max_leaf_diameter(forest: RefinementForest) -> float:
+    return _max_diameter(forest.leaf_vertex_array())
+
+
 def _trace_record(forest, p, form, step) -> TraceRecord:
+    nodes = forest.nodes
+    leaves = nodes[nodes["child"] < 0]
+    verts = leaves["verts"]
     if form is not None:
-        s = sigma_batch(form, forest.leaf_vertex_array())
+        s = sigma_batch(form, verts)
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
-    errs = [forest.nodes[i].error for i in forest.leaf_ids()]
-    return TraceRecord(step, forest.n_leaves, approx.lp_sum(errs, p),
-                       max_leaf_diameter(forest), smean, smax)
+    return TraceRecord(step, forest.n_leaves, approx.lp_sum(leaves["error"], p),
+                       _max_diameter(verts), smean, smax)
 
 
 def _is_pow2(n: int) -> bool:
@@ -266,44 +276,39 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
     form = _reference_form(f)
 
-    heap: list[tuple[float, int]] = []
-    for i in forest.leaf_ids():
-        err = approx.local_error(forest.nodes[i].triangle, f, config.p, config.operator)
-        forest.nodes[i].error = err
-        heapq.heappush(heap, (-err, i))
+    # Entries (-error, id, triangle) are exactly the leaves not parked at
+    # their generation level; unique ids keep triangles from being compared.
+    heap: list[tuple[float, int, Triangle]] = []
 
+    def push(node_id: int) -> None:
+        t = forest.triangle(node_id)
+        err = approx.local_error(t, f, config.p, config.operator)
+        forest.nodes["error"][node_id] = err
+        heapq.heappush(heap, (-err, node_id, t))
+
+    for i in range(forest.n_roots):
+        push(i)
     trace = [_trace_record(forest, config.p, form, 0)]
     step = 0
     traced_last = True
     while True:
-        # pop the current maximal-error leaf, skipping stale entries
-        while heap and not forest.is_leaf(heap[0][1]):
-            heapq.heappop(heap)
         if stop.kind == "target-count":
             if forest.n_leaves >= int(stop.value):
                 break
         elif stop.kind == "error-threshold":
-            if not heap or -heap[0][0] <= stop.value:
+            if -heap[0][0] <= stop.value:
                 break
         else:  # generation-levels: park leaves that reached the level
-            while heap and (not forest.is_leaf(heap[0][1])
-                            or forest.nodes[heap[0][1]].level >= int(stop.value)):
+            while heap and forest.nodes["level"][heap[0][1]] >= int(stop.value):
                 heapq.heappop(heap)
             if not heap:
                 break
-        if not heap:
-            break
         if len(forest.nodes) + 2 > config.node_cap:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
-        node_id = heapq.heappop(heap)[1]
-        node = forest.nodes[node_id]
-        edge = select_edge(node.triangle, f, config)
-        for child in forest.bisect_node(node_id, edge):
-            err = approx.local_error(forest.nodes[child].triangle, f, config.p,
-                                     config.operator)
-            forest.nodes[child].error = err
-            heapq.heappush(heap, (-err, child))
+        _, node_id, t = heapq.heappop(heap)
+        for child in forest.bisect_node(node_id, select_edge(t, f, config)):
+            push(child)
         step += 1
         n = forest.n_leaves
         traced_last = n <= 1024 or _is_pow2(n) or n in record_at
@@ -326,9 +331,8 @@ def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,
         raise ValueError("levels must be >= 0")
     _check_levels_fit(len(forest.nodes), forest.n_leaves, levels, config.node_cap)
     for _ in range(levels):
-        for node_id in forest.leaf_ids():
-            edge = select_edge(forest.nodes[node_id].triangle, f, config)
-            forest.bisect_node(node_id, edge)
+        for node_id, t in zip(forest.leaf_ids().tolist(), forest.leaf_triangles()):
+            forest.bisect_node(node_id, select_edge(t, f, config))
     return forest
 
 
@@ -346,18 +350,19 @@ def mesh_to_text(forest: RefinementForest) -> str:
     vert_index: dict[tuple[float, float], int] = {}
     vert_lines: list[str] = []
     node_lines: list[str] = []
-    for node in forest.nodes:
+    nodes = forest.nodes
+    for verts, parent in zip(nodes["verts"].tolist(), nodes["parent"].tolist()):
         idx = []
-        for x, y in node.triangle.vertices:
-            key = (float(x), float(y))
+        for xy in verts:
+            key = tuple(xy)
             i = vert_index.get(key)
             if i is None:
                 i = len(vert_index)
                 vert_index[key] = i
                 vert_lines.append(f"v {_fmt(key[0])} {_fmt(key[1])}")
             idx.append(i)
-        node_lines.append(f"t {idx[0]} {idx[1]} {idx[2]} {node.parent}")
-    leaf_lines = [f"leaf {i}" for i in forest.leaf_ids()]
+        node_lines.append(f"t {idx[0]} {idx[1]} {idx[2]} {parent}")
+    leaf_lines = [f"leaf {i}" for i in forest.leaf_ids().tolist()]
     return "\n".join([MESH_HEADER, *vert_lines, *node_lines, *leaf_lines]) + "\n"
 
 
@@ -367,13 +372,19 @@ def save_mesh(forest: RefinementForest, path) -> None:
 
 
 def mesh_from_text(text: str) -> RefinementForest:
-    """Parse the plain-text mesh format back into a forest."""
+    """Parse the plain-text mesh format back into a forest.
+
+    The roots come first; the two children of a node are consecutive ``t``
+    lines and its exact bisection, which is replayed to check them; ``leaf``
+    lines list every leaf once, in ascending id order.  Any violation
+    raises MeshFormatError naming the line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != MESH_HEADER:
         raise MeshFormatError(f"line 1: expected header {MESH_HEADER!r}")
     verts: list[tuple[float, float]] = []
     tris: list[tuple[int, int, int, int, int]] = []  # (line, i, j, k, parent)
-    leaves: list[int] = []
+    leaves: list[tuple[int, int]] = []  # (line, id)
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -385,7 +396,7 @@ def mesh_from_text(text: str) -> RefinementForest:
             elif parts[0] == "t" and len(parts) == 5:
                 tris.append((ln, *(int(s) for s in parts[1:])))
             elif parts[0] == "leaf" and len(parts) == 2:
-                leaves.append(int(parts[1]))
+                leaves.append((ln, int(parts[1])))
             else:
                 raise ValueError("unrecognized directive")
         except ValueError as exc:
@@ -393,37 +404,46 @@ def mesh_from_text(text: str) -> RefinementForest:
     if not tris:
         raise MeshFormatError("line 1: mesh contains no triangles")
 
-    forest = object.__new__(RefinementForest)
-    forest.nodes = []
-    children: dict[int, list[int]] = {}
-    n_roots = 0
+    roots = []
     for n, (ln, i, j, k, parent) in enumerate(tris):
         if not all(0 <= v < len(verts) for v in (i, j, k)):
             raise MeshFormatError(f"line {ln}: vertex index out of range")
         if parent >= n or parent < -1:
             raise MeshFormatError(f"line {ln}: parent {parent} must precede node {n}")
+        if parent == -1 and n == len(roots):
+            try:
+                roots.append(Triangle([verts[i], verts[j], verts[k]]))
+            except ValueError as exc:
+                raise MeshFormatError(f"line {ln}: {exc}") from None
+    forest = RefinementForest(roots)
+
+    # child 0 of a bisection starts at the vertex opposite the bisected edge
+    table = np.array(tris)
+    tri_verts = np.array(verts)[table[:, 1:4]]
+    first = np.arange(len(roots), len(tris), 2)
+    edges = (tri_verts[table[first, 4]] == tri_verts[first, :1]).all(axis=2).argmax(axis=1)
+    for n, edge in zip(first.tolist(), edges.tolist()):
+        ln, parent = tris[n][0], tris[n][4]
         if parent == -1:
-            if n != n_roots:
-                raise MeshFormatError(f"line {ln}: roots must come first")
-            n_roots += 1
-            level = 0
-        else:
-            level = forest.nodes[parent].level + 1
-            children.setdefault(parent, []).append(n)
-        try:
-            tri = Triangle([verts[i], verts[j], verts[k]])
-        except ValueError as exc:
-            raise MeshFormatError(f"line {ln}: {exc}") from None
-        forest.nodes.append(ForestNode(tri, parent=parent, level=level))
-    for parent, kids in children.items():
-        if len(kids) != 2:
-            raise MeshFormatError(f"node {parent} has {len(kids)} children, expected 2")
-        forest.nodes[parent].children = tuple(kids)
-    forest.n_roots = n_roots
-    derived = {n for n in range(len(tris)) if forest.nodes[n].children is None}
-    if set(leaves) != derived:
-        raise MeshFormatError("leaf markers disagree with the refinement tree")
-    forest._leaves = derived
+            raise MeshFormatError(f"line {ln}: roots must come first")
+        if forest.nodes["child"][parent] >= 0:
+            raise MeshFormatError(f"line {ln}: node {parent} already has two children")
+        if n + 1 == len(tris) or tris[n + 1][4] != parent:
+            raise MeshFormatError(
+                f"line {ln}: the two children of node {parent} must be consecutive")
+        forest.bisect_node(parent, edge)
+    bad = np.flatnonzero((forest.nodes["verts"] != tri_verts).any(axis=(1, 2)))
+    if len(bad):
+        ln, *_, parent = tris[bad[0]]
+        raise MeshFormatError(
+            f"line {ln}: node {bad[0]} is not the bisection of its parent {parent}")
+
+    # both lists close with "end", which a missing or an extra marker meets
+    marks = leaves + [(len(lines) + 1, "end")]
+    for (ln, got), want in zip(marks, forest.leaf_ids().tolist() + ["end"]):
+        if got != want:
+            raise MeshFormatError(f"line {ln}: leaf markers disagree with the "
+                                  f"refinement tree: expected {want}, found {got}")
     return forest
 
 

@@ -286,19 +286,30 @@ def q_longest_edge_index(q: QuadForm, t: Triangle) -> int:
     return q_sorted_edge_indices(q, t)[0]
 
 
-def bisect(t: Triangle, edge_index: int) -> tuple[Triangle, Triangle]:
+_CYCLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # row i: vertices i, i+1, i+2
+
+
+def bisect(verts, edge_index):
     """Split from the midpoint of edge ``edge_index`` to the opposite vertex.
 
-    Returns the two equal-area counter-clockwise children; child 0 keeps
-    the full edge following the bisected one in cyclic order, child 1 the
+    ``verts`` is one vertex array (3, 2) with one edge index, or a batch
+    (n, 3, 2) with one edge index per triangle.  Returns the vertex arrays
+    of the two equal-area counter-clockwise children; child 0 keeps the
+    full edge following the bisected one in cyclic order, child 1 the
     preceding one.
     """
-    if edge_index not in (0, 1, 2):
-        raise ValueError(f"edge index must be 0, 1 or 2, got {edge_index}")
-    v = t.vertices
-    i, j, k = edge_index, (edge_index + 1) % 3, (edge_index + 2) % 3
-    m = 0.5 * (v[j] + v[k])
-    return Triangle([v[i], v[j], m]), Triangle([v[i], m, v[k]])
+    v = np.asarray(verts, dtype=float)
+    e = np.asarray(edge_index)
+    if (e.shape != v.shape[:-2] or e.dtype.kind not in "iu"
+            or not ((e >= 0) & (e <= 2)).all()):
+        raise ValueError(f"edge index must be 0, 1 or 2 per triangle, got {edge_index}")
+    order = _CYCLE[e]
+    w = v[np.arange(len(v))[:, None], order] if v.ndim == 3 else v[order]
+    m = 0.5 * (w[..., 1, :] + w[..., 2, :])
+    child0 = w.copy()
+    child0[..., 2, :] = m
+    w[..., 1, :] = m
+    return child0, w
 
 
 def psi(q: QuadForm, t: Triangle) -> Triangle:
@@ -309,9 +320,9 @@ def psi(q: QuadForm, t: Triangle) -> Triangle:
     """
     _require_positive_definite(q, "psi")
     ia, _, ic = q_sorted_edge_indices(q, t)
-    child_a, child_b = bisect(t, ia)
+    child_a, child_b = bisect(t.vertices, ia)
     # child_a keeps full edge (ia+2)%3, child_b keeps full edge (ia+1)%3
-    return child_a if ic == (ia + 2) % 3 else child_b
+    return Triangle(child_a if ic == (ia + 2) % 3 else child_b)
 
 
 def delta(q: QuadForm, t1: Triangle, t2: Triangle) -> float:

@@ -97,12 +97,12 @@ def test_criterion_3_sigma_monotonicity(samples):
     """Children never increase sigma; 3-level descendants obey the disjunction."""
     for q, t in samples:
         s0 = sigma(q, t)
-        for child in bisect(t, q_longest_edge_index(q, t)):
+        for child in map(Triangle, bisect(t.vertices, q_longest_edge_index(q, t))):
             assert sigma(q, child) <= s0 * (1.0 + 1e-12)
         tris = [t]
         for _ in range(3):
             tris = [c for tt in tris
-                    for c in bisect(tt, q_longest_edge_index(q, tt))]
+                    for c in map(Triangle, bisect(tt.vertices, q_longest_edge_index(q, tt)))]
         svals = [sigma(q, tt) for tt in tris]
         assert len(svals) == 8
         assert max(svals) <= s0 * (1.0 + 1e-12)

@@ -131,17 +131,17 @@ class TestSigmaStudy:
         for leaf in forest.leaf_ids():
             anc = leaf
             for _ in range(3):
-                anc = forest.nodes[anc].parent
-            s_anc = sigma(q, forest.nodes[anc].triangle)
-            assert sigma(q, forest.nodes[leaf].triangle) <= s_anc * (1 + 1e-9)
+                anc = forest.nodes["parent"][anc]
+            s_anc = sigma(q, forest.triangle(anc))
+            assert sigma(q, forest.triangle(leaf)) <= s_anc * (1 + 1e-9)
         # each 3-up ancestor has a descendant meeting the disjunction
         for anc in {a for a in range(len(forest.nodes))
-                    if forest.nodes[a].level == 3}:
-            s_anc = sigma(q, forest.nodes[anc].triangle)
+                    if forest.nodes["level"][a] == 3}:
+            s_anc = sigma(q, forest.triangle(anc))
             desc = [anc]
             for _ in range(3):
-                desc = [c for d in desc for c in forest.nodes[d].children]
-            svals = [sigma(q, forest.nodes[d].triangle) for d in desc]
+                desc = [forest.nodes["child"][d] + k for d in desc for k in (0, 1)]
+            svals = [sigma(q, forest.triangle(d)) for d in desc]
             assert min(svals) <= max(0.69 * s_anc, 5.0) * (1 + 1e-9)
 
     def test_rejects_non_pd(self):

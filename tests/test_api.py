@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, retired names stay gone."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,8 @@ def test_package_all_resolves():
     ("engine", "select_triangle"),
     ("engine", "leaf_error"),
     ("engine", "_global_error_from_caches"),
+    ("engine", "ForestNode"),
+    ("analysis", "_uniform_background"),
 ])
 def test_retired_names_are_gone(name, attr):
     module = importlib.import_module(f"anisomesh.{name}")
@@ -44,3 +48,18 @@ def test_retired_attributes_are_gone():
     assert not hasattr(anisomesh.Triangle, "edge_endpoints")
     forest = anisomesh.RefinementForest(anisomesh.engine.initial_mesh("ref-triangle"))
     assert not hasattr(forest, "error_config")
+    assert not hasattr(forest, "is_leaf")
+    assert not hasattr(forest, "roots")
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # the benchmark's tracer rebinds package functions by name and raises
+    # KeyError when one is gone; it lives outside the test paths
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = anisomesh.engine.select_edge
+    with tracer.Tracer().installed():
+        assert anisomesh.engine.select_edge is not before
+    assert anisomesh.engine.select_edge is before

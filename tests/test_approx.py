@@ -320,7 +320,7 @@ class TestDecisions:
     def test_lp_split_inf_uses_max(self):
         e1 = decision_lp_split(REF, DISK, math.inf, 0)
         from anisomesh.geometry import bisect
-        c1, c2 = bisect(REF, 0)
+        c1, c2 = map(Triangle, bisect(REF.vertices, 0))
         expect = max(local_error(c1, DISK, math.inf), local_error(c2, DISK, math.inf))
         assert e1 == pytest.approx(expect, rel=1e-14)
 

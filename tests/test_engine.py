@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from anisomesh.analysis import random_triangle as random_root
 from anisomesh.approx import local_error
 from anisomesh.engine import (
     GreedyConfig,
@@ -24,7 +26,7 @@ from anisomesh.engine import (
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.geometry import QuadForm, Triangle, q_longest_edge_index, sigma
+from anisomesh.geometry import QuadForm, Triangle, bisect, q_longest_edge_index, sigma
 
 from test_geometry import random_pd_form, random_triangle
 
@@ -35,6 +37,26 @@ AFFINE = ScalarField("plane", lambda x, y: 1.0 + 2.0 * x - 1.0 * y,
 
 def count_config(n, **kw):
     return GreedyConfig(stop=StopRule("target-count", n), **kw)
+
+
+# the reference triangle bisected once, as mesh_to_text writes it (no leaf lines)
+BISECTED = ("aniso-mesh v1\nv 0 0\nv 1 0\nv 0 1\nv 0.5 0.5\n"
+            "t 0 1 2 -1\nt 0 1 3 0\nt 0 3 2 0\n")
+
+
+@st.composite
+def refined_forest(draw):
+    """Random roots refined by a random greedy or uniform run: (roots, forest)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31 - 1)))
+    roots = [random_root(rng) for _ in range(draw(st.integers(1, 3)))]
+    f = get_field(draw(st.sampled_from(["disk", "aniso-10", "expbump", "mixed-saddle"])))
+    if draw(st.booleans()):
+        n = len(roots) + draw(st.integers(0, 40))
+        forest, _ = greedy_run(f, count_config(n, initial=tuple(roots)))
+    else:
+        forest = uniform_refine(RefinementForest(roots), f, GreedyConfig(),
+                                draw(st.integers(0, 4)))
+    return roots, forest
 
 
 class TestStopRuleValidation:
@@ -83,18 +105,17 @@ class TestForest:
 
     def test_children_partition_parent(self):
         forest, _ = greedy_run(DISK, count_config(64))
-        for node in forest.nodes:
-            if node.children is not None:
-                a = sum(forest.nodes[c].triangle.area for c in node.children)
-                assert a == pytest.approx(node.triangle.area, rel=1e-10)
+        for i in np.flatnonzero(forest.nodes["child"] >= 0):
+            c = forest.nodes["child"][i]
+            a = forest.triangle(c).area + forest.triangle(c + 1).area
+            assert a == pytest.approx(forest.triangle(i).area, rel=1e-10)
 
     def test_cache_coherence(self):
         cfg = count_config(50, p=2.0)
         forest, _ = greedy_run(DISK, cfg)
         for i in forest.leaf_ids():
-            node = forest.nodes[i]
-            recomputed = local_error(node.triangle, DISK, cfg.p, cfg.operator)
-            assert abs(node.error - recomputed) <= 1e-12 * max(recomputed, 1e-300)
+            recomputed = local_error(forest.triangle(i), DISK, cfg.p, cfg.operator)
+            assert abs(forest.nodes["error"][i] - recomputed) <= 1e-12 * max(recomputed, 1e-300)
 
     def test_double_bisection_rejected(self):
         forest = RefinementForest(initial_mesh("ref-triangle"))
@@ -111,18 +132,18 @@ class TestSelectTriangle:
         errs = [local_error(t, DISK, 2.0) for t in initial_mesh("unit-square")]
         assert errs[0] == errs[1]
         forest, _ = greedy_run(DISK, count_config(3, initial="unit-square"))
-        assert forest.nodes[0].children == (2, 3)
-        assert forest.nodes[1].children is None
+        assert forest.nodes["child"][0] == 2  # children 2 and 3
+        assert forest.nodes["child"][1] == -1
 
     def test_matches_heap_selection(self):
         # brute-force max over the leaves of a 40-leaf run is the leaf the
         # heap bisects in step 40
         forest, _ = greedy_run(DISK, count_config(40))
-        errs = {i: forest.nodes[i].error for i in forest.leaf_ids()}
+        errs = {i: forest.nodes["error"][i] for i in forest.leaf_ids()}
         top = max(errs.values())
         best = min(i for i, e in errs.items() if e == top)
         nxt, _ = greedy_run(DISK, count_config(41))
-        assert nxt.nodes[best].children == (len(forest.nodes), len(forest.nodes) + 1)
+        assert nxt.nodes["child"][best] == len(forest.nodes)
 
 
 class TestSelectEdge:
@@ -161,7 +182,7 @@ class TestGreedyRun:
         # the leaf generations within one level of each other
         for k in (4, 5):
             forest, _ = greedy_run(DISK, count_config(2 ** k))
-            levels = {forest.nodes[i].level for i in forest.leaf_ids()}
+            levels = {forest.nodes["level"][i] for i in forest.leaf_ids()}
             assert max(levels) - min(levels) <= 1
             assert max(levels) == k
 
@@ -170,16 +191,16 @@ class TestGreedyRun:
         cfg = GreedyConfig(p=2.0, stop=StopRule("error-threshold", eta))
         forest, _ = greedy_run(DISK, cfg)
         for i in forest.leaf_ids():
-            assert forest.nodes[i].error <= eta
+            assert forest.nodes["error"][i] <= eta
         for node in forest.nodes:
-            if node.children is not None:
-                assert node.error > eta
+            if node["child"] >= 0:
+                assert node["error"] > eta
 
     def test_generation_levels_matches_uniform(self):
         cfg = GreedyConfig(stop=StopRule("generation-levels", 3))
         forest, _ = greedy_run(DISK, cfg)
         assert forest.n_leaves == 8
-        assert {forest.nodes[i].level for i in forest.leaf_ids()} == {3}
+        assert {forest.nodes["level"][i] for i in forest.leaf_ids()} == {3}
         uni = uniform_refine(RefinementForest(initial_mesh("ref-triangle")),
                              DISK, GreedyConfig(), 3)
         # same leaf set; creation order differs (error order vs id order)
@@ -326,8 +347,8 @@ class TestSerialization:
         assert loaded.n_leaves == forest.n_leaves
         assert mesh_to_text(loaded) == mesh_to_text(forest)
         for a, b in zip(forest.nodes, loaded.nodes):
-            assert np.array_equal(a.triangle.vertices, b.triangle.vertices)
-            assert a.parent == b.parent and a.level == b.level
+            assert np.array_equal(a["verts"], b["verts"])
+            assert a["parent"] == b["parent"] and a["level"] == b["level"]
 
     def test_seventeen_digit_vertices(self):
         t = Triangle([(0, 0), (1, 0), (0.1234567890123456789, 1)])
@@ -360,6 +381,80 @@ class TestSerialization:
     def test_unknown_directive(self):
         with pytest.raises(MeshFormatError, match="line 2"):
             mesh_from_text("aniso-mesh v1\nq 1 2 3\n")
+
+    def test_bisected_reference_text(self):
+        forest = RefinementForest(initial_mesh("ref-triangle"))
+        forest.bisect_node(0, 0)
+        assert mesh_to_text(forest) == BISECTED + "leaf 1\nleaf 2\n"
+        assert mesh_to_text(mesh_from_text(BISECTED + "leaf 1\nleaf 2\n")) == \
+            mesh_to_text(forest)
+
+    def test_child_must_be_exact_bisection(self):
+        # the midpoint one ulp off: both children differ from the replay
+        text = BISECTED.replace("v 0.5 0.5", "v 0.5 0.50000000000000011")
+        with pytest.raises(MeshFormatError, match="line 7: node 1 is not the bisection"):
+            mesh_from_text(text + "leaf 1\nleaf 2\n")
+        # the right triangle, but not in the vertex order bisection gives
+        text = BISECTED.replace("t 0 3 2 0", "t 3 2 0 0")
+        with pytest.raises(MeshFormatError, match="line 8: node 2 is not the bisection"):
+            mesh_from_text(text + "leaf 1\nleaf 2\n")
+
+    def test_siblings_must_be_consecutive(self):
+        text = ("aniso-mesh v1\nv 0 0\nv 1 0\nv 0 1\nv 0.5 0.5\nv 0.5 0\n"
+                "t 0 1 2 -1\nt 0 1 3 0\nt 1 3 0 1\nt 0 3 2 0\nt 1 0 4 1\n"
+                "leaf 2\nleaf 3\nleaf 4\n")
+        with pytest.raises(MeshFormatError, match="line 8: the two children of node 0"):
+            mesh_from_text(text)
+
+    def test_third_child_rejected(self):
+        text = BISECTED + "t 0 1 3 0\nleaf 1\nleaf 2\nleaf 3\n"
+        with pytest.raises(MeshFormatError, match="line 9: node 0 already has two"):
+            mesh_from_text(text)
+
+    @pytest.mark.parametrize("leaves, line, found", [
+        ("leaf 1\nleaf 1\nleaf 2\n", 10, "expected 2, found 1"),
+        ("leaf 1\n", 10, "expected 2, found end"),
+        ("leaf 2\nleaf 1\n", 9, "expected 1, found 2"),
+    ], ids=["duplicate", "missing", "descending"])
+    def test_leaf_lines_list_every_leaf_once_ascending(self, leaves, line, found):
+        with pytest.raises(MeshFormatError, match=f"line {line}: leaf markers .*{found}"):
+            mesh_from_text(BISECTED + leaves)
+
+
+class TestForestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(refined_forest())
+    def test_mesh_text_round_trip(self, case):
+        _, forest = case
+        text = mesh_to_text(forest)
+        loaded = mesh_from_text(text)
+        assert mesh_to_text(loaded) == text
+        for name in ("verts", "parent", "level", "child"):
+            assert np.array_equal(loaded.nodes[name], forest.nodes[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(refined_forest())
+    def test_leaves_tile_the_roots(self, case):
+        roots, forest = case
+        leaves = forest.leaf_triangles()
+        assert len(leaves) == forest.n_leaves
+        assert sum(t.area for t in leaves) == \
+            pytest.approx(sum(t.area for t in roots), rel=1e-12)
+        assert np.array_equal(forest.leaf_vertex_array(),
+                              forest.nodes["verts"][forest.leaf_ids()])
+
+    @settings(max_examples=40, deadline=None)
+    @given(refined_forest())
+    def test_children_are_bisections(self, case):
+        _, forest = case
+        nodes = forest.nodes
+        for i in np.flatnonzero(nodes["child"] >= 0):
+            c = nodes["child"][i]
+            pair = nodes[c:c + 2]
+            assert (pair["parent"] == i).all()
+            assert (pair["level"] == nodes["level"][i] + 1).all()
+            assert any(np.array_equal(np.stack(bisect(nodes["verts"][i], e)), pair["verts"])
+                       for e in range(3))
 
 
 def test_max_leaf_diameter():

@@ -247,7 +247,7 @@ class TestInvariance:
 class TestBisect:
     def test_midpoint_construction(self):
         t = Triangle([(0, 0), (2, 0), (0, 2)])
-        c1, c2 = bisect(t, 0)
+        c1, c2 = map(Triangle, bisect(t.vertices, 0))
         assert np.allclose(c1.vertices, [(0, 0), (2, 0), (1, 1)])
         assert np.allclose(c2.vertices, [(0, 0), (1, 1), (0, 2)])
         assert c1.area == pytest.approx(1.0)
@@ -258,7 +258,7 @@ class TestBisect:
         for _ in range(50):
             t = random_triangle(rng)
             for e in range(3):
-                c1, c2 = bisect(t, e)
+                c1, c2 = map(Triangle, bisect(t.vertices, e))
                 assert c1.area == pytest.approx(t.area / 2, rel=1e-12)
                 assert c2.area == pytest.approx(t.area / 2, rel=1e-12)
 
@@ -269,7 +269,7 @@ class TestBisect:
         for _ in range(50):
             t = random_triangle(rng)
             a, b, c = edge_vectors_of(t.vertices)
-            c1, c2 = bisect(t, 0)
+            c1, c2 = map(Triangle, bisect(t.vertices, 0))
 
             def lengths(tt):
                 return sorted(float(np.dot(e, e)) for e in edge_vectors_of(tt.vertices))
@@ -281,7 +281,18 @@ class TestBisect:
 
     def test_bad_edge_index(self):
         with pytest.raises(ValueError):
-            bisect(reference_triangle(), 3)
+            bisect(reference_triangle().vertices, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 20))
+    def test_batch_matches_rows(self, seed, n):
+        rng = np.random.default_rng(seed)
+        verts = np.array([random_triangle(rng).vertices for _ in range(n)])
+        edges = rng.integers(0, 3, n)
+        c0, c1 = bisect(verts, edges)
+        for k in range(n):
+            r0, r1 = bisect(verts[k], int(edges[k]))
+            assert np.array_equal(c0[k], r0) and np.array_equal(c1[k], r1)
 
 
 class TestQSortedEdges:
@@ -347,7 +358,7 @@ class TestSigmaDecay:
             q = random_pd_form(rng)
             t = random_triangle(rng)
             s0 = sigma(q, t)
-            for child in bisect(t, q_longest_edge_index(q, t)):
+            for child in map(Triangle, bisect(t.vertices, q_longest_edge_index(q, t))):
                 assert sigma(q, child) <= s0 * (1 + 1e-12)
 
     def test_three_level_disjunction(self):
@@ -358,7 +369,8 @@ class TestSigmaDecay:
             s0 = sigma(q, t)
             tris = [t]
             for _level in range(3):
-                tris = [c for tt in tris for c in bisect(tt, q_longest_edge_index(q, tt))]
+                tris = [c for tt in tris for c in map(
+                    Triangle, bisect(tt.vertices, q_longest_edge_index(q, tt)))]
             svals = [sigma(q, tt) for tt in tris]
             assert len(svals) == 8
             assert max(svals) <= s0 * (1 + 1e-12)
@@ -412,10 +424,10 @@ class TestPerturbedBisection:
             t2 = random_triangle(rng)
             qvals2 = [q(t2.edge_vector(i)) for i in range(3)]
             top2 = max(qvals2)
-            r1, u1 = bisect(t1, q_longest_edge_index(q, t1))
+            r1, u1 = map(Triangle, bisect(t1.vertices, q_longest_edge_index(q, t1)))
             for e in range(3):
                 dlt = 1.0 - qvals2[e] / top2
-                r2, u2 = bisect(t2, e)
+                r2, u2 = map(Triangle, bisect(t2.vertices, e))
                 paired = min(
                     max(delta(q, r1, r2), delta(q, u1, u2)),
                     max(delta(q, r1, u2), delta(q, u1, r2)),
@@ -435,5 +447,5 @@ class TestPerturbedBisection:
             s0 = sigma(q, t)
             for e in range(3):
                 dlt = 1.0 - qvals[e] / top
-                for child in bisect(t, e):
+                for child in map(Triangle, bisect(t.vertices, e)):
                     assert sigma(q, child) <= (1 + 4 * dlt) * s0 * (1 + 1e-10)
