@@ -10,7 +10,7 @@ in practice (equivalence_constant_probe).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,10 +165,7 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
         raise ValueError("convergence study expects a convexity-tagged field")
     target = hessian_tau_norm(f, engine.initial_mesh(config.initial),
                               tau_from_p(config.p))
-    run_cfg = GreedyConfig(p=config.p, operator=config.operator,
-                           decision=config.decision,
-                           stop=StopRule("target-count", max(checkpoints)),
-                           initial=config.initial, node_cap=config.node_cap)
+    run_cfg = replace(config, stop=StopRule("target-count", max(checkpoints)))
     _, trace = engine.greedy_run(f, run_cfg, record_at=checkpoints)
     by_n = {}
     for rec in trace:

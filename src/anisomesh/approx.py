@@ -9,11 +9,12 @@ scales as ``|det L|^(1/p)`` under a map with linear part L.
 batch of triangles, and every other error consumer (``local_error``, the
 quadrature decisions, global errors, error colouring) calls it.
 
-The edge-decision functions score the three possible bisections of a
-triangle.  For convex integrands the L1-interpolation error reduction has
-the closed form ``|T|/3 * (midpoint convexity gap)``, which the refinement
-engine uses whenever the field is convexity-tagged; otherwise decisions
-fall back to quadrature over the children.
+The edge-decision functions score the three possible bisections of one
+triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
+(3,) or (n, 3).  For convex integrands the L1-interpolation error
+reduction has the closed form ``|T|/3 * (midpoint convexity gap)``, which
+the refinement engine uses whenever the field is convexity-tagged;
+otherwise decisions fall back to quadrature over the children.
 """
 from __future__ import annotations
 
@@ -139,6 +140,9 @@ EDGE_MIDPOINT_RULE = QuadratureRule(
 )
 
 _NODE_CACHE: dict = {}
+
+# the vertices after and before vertex i: edge i runs between them
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 # Triangles per evaluation chunk in local_errors: bounds the (chunk, nodes)
 # temporaries, so memory stays flat however many triangles are scored.
@@ -329,7 +333,7 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
     """Exact ``||q - I_T q||_{L1(T)}`` for a convex (or concave) quadratic.
 
     Convexity makes ``I_T q - q`` one-signed, so the L1 norm is the plain
-    integral of a quadratic, computed exactly by the edge-midpoint rule;
+    integral of a quadratic, the sum of the ``decision_gains_convex`` gains;
     equals ``|T| * |q(a) + q(b) + q(c)| / 12`` in terms of the form.
     """
     if not isinstance(qf, QuadraticField):
@@ -339,67 +343,67 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
     if lo < -tol and hi > tol:
         raise ValueError("exact L1 error needs a semidefinite homogeneous part")
     _check_shapes(t.vertices[None], "local_error_quadratic_exact")
-    mids = EDGE_MIDPOINT_RULE.nodes @ t.vertices
-    v = t.vertices
-    fv = np.asarray(qf(v[:, 0], v[:, 1]), dtype=float)
-    gaps = EDGE_MIDPOINT_RULE.nodes @ fv - np.asarray(qf(mids[:, 0], mids[:, 1]))
-    return abs(t.area * float(gaps.sum()) / 3.0)
+    return abs(float(decision_gains_convex(t.vertices, qf).sum()))
 
 
-def _children_mass(t: Triangle, f, p: float, edge_index: int, op: str,
-                   rule: QuadratureRule, subdiv: int) -> float:
-    """Child errors of one bisection to the p-th power, summed (max for p = inf)."""
-    e1, e2 = local_errors(np.stack(bisect(t.vertices, edge_index)), f, p, op,
-                          rule, subdiv).tolist()
+def _children_mass(verts, f, p: float, op: str, rule: QuadratureRule,
+                   subdiv: int) -> np.ndarray:
+    """Child errors of each bisection to the p-th power, summed (max for p = inf)."""
+    v = np.asarray(verts, dtype=float)
+    parents = np.repeat(v.reshape(-1, 3, 2), 3, axis=0)
+    children = np.stack(bisect(parents, np.tile(np.arange(3), len(parents) // 3)), axis=1)
+    errs = local_errors(children.reshape(-1, 3, 2), f, p, op, rule, subdiv)
     if math.isinf(p):
-        return max(e1, e2)
-    return e1 ** p + e2 ** p
+        mass = errs.reshape(-1, 2).max(axis=1)
+    else:
+        # the power is taken per scalar: numpy's array power can differ in the last bit
+        mass = np.array([e ** p for e in errs.tolist()]).reshape(-1, 2).sum(axis=1)
+    return mass.reshape(v.shape[:-2] + (3,))
 
 
-def decision_l1(t: Triangle, f, edge_index: int,
-                rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
-    """L1 interpolation error summed over the two children of a bisection.
+def decision_l1(verts, f, rule: QuadratureRule = DEFAULT_RULE,
+                subdiv: int = 1) -> np.ndarray:
+    """L1 interpolation error summed over the two children of each bisection.
 
     ``decision_lp_split`` at p = 1 with the interpolation operator.
     """
-    return _children_mass(t, f, 1.0, edge_index, "interpolation", rule, subdiv)
+    return _children_mass(verts, f, 1.0, "interpolation", rule, subdiv)
 
 
-def decision_gains_convex(t: Triangle, f) -> np.ndarray:
+def decision_gains_convex(verts, f) -> np.ndarray:
     """Reductions of the L1 interpolation error when bisecting each edge.
 
     Valid for convex ``f`` (caller-asserted): entry ``e`` is ``|T|/3`` times
     the midpoint convexity gap of edge ``e``; for a quadratic this is
     ``|T| q(e) / 12``.
     """
-    v = t.vertices
-    mids = 0.5 * (v[[1, 2, 0]] + v[[2, 0, 1]])  # midpoint of edge i
-    xs = np.concatenate([v[:, 0], mids[:, 0]])
-    ys = np.concatenate([v[:, 1], mids[:, 1]])
+    v = np.asarray(verts, dtype=float)
+    mids = 0.5 * (v[..., _NEXT, :] + v[..., _PREV, :])  # midpoint of edge i
+    xs = np.concatenate([v[..., 0], mids[..., 0]], axis=-1)
+    ys = np.concatenate([v[..., 1], mids[..., 1]], axis=-1)
     vals = np.asarray(f(xs, ys), dtype=float)
-    fv, fm = vals[:3], vals[3:]
-    gaps = 0.5 * (fv[[1, 2, 0]] + fv[[2, 0, 1]]) - fm
-    return t.area / 3.0 * gaps
+    gaps = 0.5 * (vals[..., _NEXT] + vals[..., _PREV]) - vals[..., 3:]
+    d = v[..., 1:, :] - v[..., :1, :]  # as Triangle.area computes it, bit for bit
+    area = 0.5 * (d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0])
+    return (area / 3.0)[..., None] * gaps
 
 
-def decision_gain_quadrature(t: Triangle, f, edge_index: int,
-                             rule: QuadratureRule = DEFAULT_RULE,
-                             subdiv: int = 1) -> float:
-    """The same error reduction measured by child quadrature.
+def decision_gain_quadrature(verts, f, rule: QuadratureRule = DEFAULT_RULE,
+                             subdiv: int = 1) -> np.ndarray:
+    """The same error reductions measured by child quadrature.
 
     ``||f - I_T f||_{L1(T)} - d_T(e, f)``; agrees with the closed form for
     convex fields up to quadrature accuracy.
     """
-    return (local_error(t, f, 1, "interpolation", rule, subdiv)
-            - decision_l1(t, f, edge_index, rule, subdiv))
+    v = np.asarray(verts, dtype=float)
+    whole = local_errors(v.reshape(-1, 3, 2), f, 1, "interpolation", rule, subdiv)
+    return whole.reshape(v.shape[:-2] + (1,)) - decision_l1(v, f, rule, subdiv)
 
 
-def decision_lp_split(t: Triangle, f, p, edge_index: int,
-                      op: str = "interpolation",
-                      rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
+def decision_lp_split(verts, f, p, op: str = "interpolation",
+                      rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> np.ndarray:
     """Error mass after bisection: sum of child errors to the p-th power.
 
-    For p = inf, the maximum of the two child errors.  Both children are
-    scored in one ``local_errors`` call.
+    For p = inf, the maximum of the two child errors.
     """
-    return _children_mass(t, f, float(p), edge_index, op, rule, subdiv)
+    return _children_mass(verts, f, float(p), op, rule, subdiv)

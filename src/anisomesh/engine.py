@@ -30,7 +30,6 @@ __all__ = [
     "greedy_run",
     "uniform_refine",
     "global_error",
-    "max_leaf_diameter",
     "mesh_to_text",
     "mesh_from_text",
     "save_mesh",
@@ -126,19 +125,21 @@ class RefinementForest:
     def __init__(self, roots):
         self._buf = np.empty(0, NODE_DTYPE)
         self._n = 0
-        self._append([t.vertices for t in roots], parent=-1, level=0)
+        self._append(np.array([t.vertices for t in roots]).reshape(-1, 3, 2), -1, 0)
         if not self._n:
             raise ValueError("forest needs at least one root triangle")
         self.n_roots = self._n
 
-    def _append(self, verts, parent: int, level: int) -> int:
-        """Append leaves, doubling the buffer when full; returns the first id."""
-        first, self._n = self._n, self._n + len(verts)
+    def _append(self, verts, parent, level) -> int:
+        """Append leaves (..., 3, 2), parent and level broadcast; returns the first id."""
+        first, self._n = self._n, self._n + verts.size // 6
         if self._n > len(self._buf):
             grown = np.empty(max(2 * len(self._buf), self._n), NODE_DTYPE)
+            grown["child"], grown["error"] = -1, math.nan  # rows are born leaves
             grown[:first] = self._buf[:first]
             self._buf = grown
-        self._buf[first:self._n] = [(v, parent, level, -1, math.nan) for v in verts]
+        new = self._buf[first:self._n].reshape(verts.shape[:-2])
+        new["verts"], new["parent"], new["level"] = verts, parent, level
         return first
 
     @property
@@ -155,22 +156,30 @@ class RefinementForest:
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.nodes["child"] < 0)
 
-    def leaf_triangles(self) -> list[Triangle]:
-        return [Triangle(v) for v in self.leaf_vertex_array()]
-
     def leaf_vertex_array(self) -> np.ndarray:
         """Vertices of all leaves, shape (n_leaves, 3, 2), in id order."""
         return self.nodes["verts"][self.nodes["child"] < 0]
 
-    def bisect_node(self, node_id: int, edge_index: int) -> tuple[int, int]:
-        """Split a leaf; returns the ids of the two new children."""
-        node = self.nodes[node_id]
-        if node["child"] >= 0:
-            raise ValueError(f"node {node_id} is already bisected")
-        first = self._append(bisect(node["verts"], edge_index), node_id,
-                             node["level"] + 1)
-        self._buf[node_id]["child"] = first
-        return first, first + 1
+    def bisect_node(self, node_id, edge_index):
+        """Split one leaf, or an array of distinct leaves, at the given edges.
+
+        Returns the ids of child 0 and child 1: ints, or arrays in the order of
+        ``node_id``.  A non-leaf or a repeated id raises ValueError, changing nothing.
+        """
+        ids = np.asarray(node_id)
+        rows = self.nodes[ids]
+        bad = rows["child"] >= 0
+        if np.count_nonzero(bad):
+            raise ValueError(f"node {ids[bad].flat[0]} is already bisected")
+        if ids.ndim and len(np.unique(ids)) < len(ids):
+            raise ValueError("a node id is given twice")
+        # the pair of children of each node, (..., 2, 3, 2), in node order
+        children = np.concatenate(bisect(rows["verts"], edge_index), axis=-2)
+        first = self._append(children.reshape(ids.shape + (2, 3, 2)), ids[..., None],
+                             (rows["level"] + 1)[..., None])
+        firsts = np.arange(first, self._n, 2).reshape(ids.shape)
+        self._buf["child"][ids] = firsts
+        return (first, first + 1) if not ids.ndim else (firsts, firsts + 1)
 
 
 def initial_mesh(spec) -> list[Triangle]:
@@ -197,37 +206,22 @@ def initial_mesh(spec) -> list[Triangle]:
     return tris
 
 
-def _reference_form(f):
-    form = getattr(f, "form", None)
-    if form is not None and form.is_positive_definite:
-        return form
-    return None
-
-
-def select_edge(t: Triangle, f, config: GreedyConfig) -> int:
+def select_edge(verts, f, config: GreedyConfig):
     """Edge whose bisection the decision function prefers.
 
-    For the L1-interpolation decision on convexity-tagged fields this is
-    the argmax of the exact error-reduction formula; otherwise the argmin
-    of the child-quadrature decision values.  Ties pick the lowest index.
+    An int for one triangle (3, 2), an index array for a batch (n, 3, 2):
+    the argmax of the exact error-reduction formula for the L1-interpolation
+    decision on convexity-tagged fields, otherwise the argmin of the
+    child-quadrature decision values.  Ties pick the lowest index.
     """
-    if config.decision == "l1-interp":
-        if getattr(f, "is_convex", False):
-            return int(np.argmax(approx.decision_gains_convex(t, f)))
-        vals = [approx.decision_l1(t, f, e) for e in range(3)]
-        return int(np.argmin(vals))
-    vals = [approx.decision_lp_split(t, f, config.p, e, config.operator)
-            for e in range(3)]
-    return int(np.argmin(vals))
-
-
-def _max_diameter(verts: np.ndarray) -> float:
-    e = edge_vectors_of(verts)
-    return float(np.sqrt((e * e).sum(axis=2).max()))
-
-
-def max_leaf_diameter(forest: RefinementForest) -> float:
-    return _max_diameter(forest.leaf_vertex_array())
+    if config.decision == "lp-split":
+        edges = np.argmin(approx.decision_lp_split(verts, f, config.p, config.operator),
+                          axis=-1)
+    elif getattr(f, "is_convex", False):
+        edges = np.argmax(approx.decision_gains_convex(verts, f), axis=-1)
+    else:
+        edges = np.argmin(approx.decision_l1(verts, f), axis=-1)
+    return int(edges) if edges.ndim == 0 else edges
 
 
 def _trace_record(forest, p, form, step) -> TraceRecord:
@@ -239,8 +233,9 @@ def _trace_record(forest, p, form, step) -> TraceRecord:
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
+    e = edge_vectors_of(verts)
     return TraceRecord(step, forest.n_leaves, approx.lp_sum(leaves["error"], p),
-                       _max_diameter(verts), smean, smax)
+                       float(np.sqrt((e * e).sum(axis=2).max())), smean, smax)
 
 
 def _is_pow2(n: int) -> bool:
@@ -274,17 +269,18 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
-    form = _reference_form(f)
+    form = getattr(f, "form", None)
+    if form is not None and not form.is_positive_definite:
+        form = None
 
-    # Entries (-error, id, triangle) are exactly the leaves not parked at
-    # their generation level; unique ids keep triangles from being compared.
-    heap: list[tuple[float, int, Triangle]] = []
+    # Entries (-error, id) are exactly the leaves not parked at their
+    # generation level; equal errors pop the earliest id.
+    heap: list[tuple[float, int]] = []
 
     def push(node_id: int) -> None:
-        t = forest.triangle(node_id)
-        err = approx.local_error(t, f, config.p, config.operator)
+        err = approx.local_error(forest.triangle(node_id), f, config.p, config.operator)
         forest.nodes["error"][node_id] = err
-        heapq.heappush(heap, (-err, node_id, t))
+        heapq.heappush(heap, (-err, node_id))
 
     for i in range(forest.n_roots):
         push(i)
@@ -306,8 +302,9 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         if len(forest.nodes) + 2 > config.node_cap:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
-        _, node_id, t = heapq.heappop(heap)
-        for child in forest.bisect_node(node_id, select_edge(t, f, config)):
+        _, node_id = heapq.heappop(heap)
+        edge = select_edge(forest.nodes["verts"][node_id], f, config)
+        for child in forest.bisect_node(node_id, edge):
             push(child)
         step += 1
         n = forest.n_leaves
@@ -331,8 +328,8 @@ def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,
         raise ValueError("levels must be >= 0")
     _check_levels_fit(len(forest.nodes), forest.n_leaves, levels, config.node_cap)
     for _ in range(levels):
-        for node_id, t in zip(forest.leaf_ids().tolist(), forest.leaf_triangles()):
-            forest.bisect_node(node_id, select_edge(t, f, config))
+        ids = forest.leaf_ids()
+        forest.bisect_node(ids, select_edge(forest.nodes["verts"][ids], f, config))
     return forest
 
 
@@ -346,22 +343,20 @@ def _fmt(x: float) -> str:
 
 
 def mesh_to_text(forest: RefinementForest) -> str:
-    """Serialize a forest to the plain-text mesh format."""
-    vert_index: dict[tuple[float, float], int] = {}
-    vert_lines: list[str] = []
-    node_lines: list[str] = []
+    """Serialize a forest to the plain-text mesh format.
+
+    Vertices are numbered by first use; equal bits share one (0.0 and -0.0 do not).
+    """
     nodes = forest.nodes
-    for verts, parent in zip(nodes["verts"].tolist(), nodes["parent"].tolist()):
-        idx = []
-        for xy in verts:
-            key = tuple(xy)
-            i = vert_index.get(key)
-            if i is None:
-                i = len(vert_index)
-                vert_index[key] = i
-                vert_lines.append(f"v {_fmt(key[0])} {_fmt(key[1])}")
-            idx.append(i)
-        node_lines.append(f"t {idx[0]} {idx[1]} {idx[2]} {parent}")
+    xy = np.ascontiguousarray(nodes["verts"]).reshape(-1, 2)
+    # one 16-byte key per vertex: equal keys are equal bits
+    _, first, inverse = np.unique(xy.view("V16"), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # a vertex's number is the rank of its first use
+    tris = np.argsort(order)[inverse.reshape(-1)].reshape(-1, 3).tolist()
+    vert_lines = [f"v {_fmt(x)} {_fmt(y)}" for x, y in xy[first[order]].tolist()]
+    node_lines = [f"t {i} {j} {k} {parent}"
+                  for (i, j, k), parent in zip(tris, nodes["parent"].tolist())]
     leaf_lines = [f"leaf {i}" for i in forest.leaf_ids().tolist()]
     return "\n".join([MESH_HEADER, *vert_lines, *node_lines, *leaf_lines]) + "\n"
 

@@ -63,7 +63,7 @@ def test_criterion_1_longest_q_edge_lemma(samples):
         qvals = sorted((q(t.edge_vector(i)) for i in range(3)), reverse=True)
         if qvals[0] - qvals[1] <= 1e-6 * qvals[0]:
             continue
-        chosen = int(np.argmin([decision_l1(t, quad_field(q), e) for e in range(3)]))
+        chosen = int(np.argmin([decision_l1(t.vertices, quad_field(q))[e] for e in range(3)]))
         checked += 1
         agreed += chosen == q_longest_edge_index(q, t)
     elapsed = time.time() - t0
@@ -79,13 +79,13 @@ def test_criterion_2_exact_gain_formula(samples):
     worst_closed = worst_quad = 0.0
     for k, (q, t) in enumerate(samples):
         qf = quad_field(q)
-        gains = decision_gains_convex(t, qf)
+        gains = decision_gains_convex(t.vertices, qf)
         for e in range(3):
             closed = t.area * q(t.edge_vector(e)) / 12.0
             worst_closed = max(worst_closed,
                                abs(gains[e] - closed) / (12.0 * closed))
             if k < 300:  # child quadrature is the slow path
-                dq = decision_gain_quadrature(t, qf, e)
+                dq = decision_gain_quadrature(t.vertices, qf)[e]
                 worst_quad = max(worst_quad, abs(dq - closed) / closed)
     assert worst_closed <= 1e-10
     assert worst_quad <= 1e-6
@@ -219,7 +219,7 @@ def test_criterion_8_perturbation_sandwich():
             slack = 1e-12 * (1.0 + float(np.abs(gap_q).max()))
             violations += int(np.any(diff < -slack))
             violations += int(np.any(diff > mu * gap_q + slack))
-            edge = select_edge(t, f, cfg)
+            edge = select_edge(t.vertices, f, cfg)
             qvals = [q(t.edge_vector(i)) for i in range(3)]
             violations += int(qvals[edge] < (1.0 - mu) * max(qvals) * (1 - 1e-10))
     assert violations == 0

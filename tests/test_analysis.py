@@ -261,7 +261,7 @@ class TestDeltaNearStudy:
             h = f.hessian(*t.centroid)
             q = QuadForm(h[0, 0] / 2, h[0, 1] / 2, h[1, 1] / 2)
             mu = hessian_oscillation(f, t)
-            edge = select_edge(t, f, cfg)
+            edge = select_edge(t.vertices, f, cfg)
             qvals = [q(t.edge_vector(i)) for i in range(3)]
             assert (1 + mu) * qvals[edge] >= max(qvals) * (1 - 1e-9)
 

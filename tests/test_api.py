@@ -36,6 +36,7 @@ def test_package_all_resolves():
     ("engine", "leaf_error"),
     ("engine", "_global_error_from_caches"),
     ("engine", "ForestNode"),
+    ("engine", "max_leaf_diameter"),
     ("analysis", "_uniform_background"),
 ])
 def test_retired_names_are_gone(name, attr):
@@ -50,6 +51,7 @@ def test_retired_attributes_are_gone():
     assert not hasattr(forest, "error_config")
     assert not hasattr(forest, "is_leaf")
     assert not hasattr(forest, "roots")
+    assert not hasattr(forest, "leaf_triangles")
 
 
 def test_benchmark_tracer_hooks_resolve():

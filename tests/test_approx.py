@@ -21,7 +21,7 @@ from anisomesh.approx import (
     project_l2,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.geometry import Triangle, q_longest_edge_index, reference_triangle
+from anisomesh.geometry import Triangle, bisect, q_longest_edge_index, reference_triangle
 
 from test_geometry import random_pd_form, random_triangle
 
@@ -261,18 +261,17 @@ class TestQuadraticExact:
 
 class TestDecisions:
     def test_gain_reference_values(self):
-        assert decision_gains_convex(REF, DISK)[0] == pytest.approx(1 / 12, rel=1e-13)
-        assert decision_gains_convex(REF, DISK)[1] == pytest.approx(1 / 24, rel=1e-13)
-        assert decision_gains_convex(REF, DISK)[2] == pytest.approx(1 / 24, rel=1e-13)
+        assert decision_gains_convex(REF.vertices, DISK)[0] == pytest.approx(1 / 12, rel=1e-13)
+        assert decision_gains_convex(REF.vertices, DISK)[1] == pytest.approx(1 / 24, rel=1e-13)
+        assert decision_gains_convex(REF.vertices, DISK)[2] == pytest.approx(1 / 24, rel=1e-13)
 
     def test_gain_affine_vanishes(self):
         f = affine_field(1.0, 2.0, -3.0)
-        assert np.abs(decision_gains_convex(REF, f)).max() <= 1e-14
+        assert np.abs(decision_gains_convex(REF.vertices, f)).max() <= 1e-14
 
     def test_l1_affine_vanishes(self):
         f = affine_field(0.5, 1.0, 1.0)
-        for e in range(3):
-            assert decision_l1(REF, f, e) <= 1e-13
+        assert decision_l1(REF.vertices, f).max() <= 1e-13
 
     def test_l1_matches_gain_identity(self):
         # || f - I_T f ||_1 - d_T(e, f) equals the closed-form reduction
@@ -282,8 +281,8 @@ class TestDecisions:
             t = random_triangle(rng)
             qf = QuadraticField("s", q.a20, q.a11, q.a02)
             for e in range(3):
-                dq = decision_gain_quadrature(t, qf, e)
-                dc = decision_gains_convex(t, qf)[e]
+                dq = decision_gain_quadrature(t.vertices, qf)[e]
+                dc = decision_gains_convex(t.vertices, qf)[e]
                 assert dq == pytest.approx(dc, rel=1e-8, abs=1e-14)
 
     def test_argmin_l1_is_q_longest_edge(self):
@@ -296,33 +295,78 @@ class TestDecisions:
             if svals[0] - svals[1] <= 1e-6 * svals[0]:
                 continue
             qf = QuadraticField("s", q.a20, q.a11, q.a02)
-            chosen = int(np.argmin([decision_l1(t, qf, e) for e in range(3)]))
+            chosen = int(np.argmin(decision_l1(t.vertices, qf)))
             assert chosen == q_longest_edge_index(q, t)
 
     def test_lp_split_affine_vanishes(self):
         f = affine_field(0.0, 1.0, -1.0)
-        for e in range(3):
-            assert decision_lp_split(REF, f, 2, e) <= 1e-26
+        assert decision_lp_split(REF.vertices, f, 2).max() <= 1e-26
 
     def test_lp_split_p1_equals_l1(self):
         rng = np.random.default_rng(45)
         for _ in range(20):
             t = random_triangle(rng)
             for e in range(3):
-                a = decision_lp_split(t, DISK, 1, e)
-                b = decision_l1(t, DISK, e)
+                a = decision_lp_split(t.vertices, DISK, 1)[e]
+                b = decision_l1(t.vertices, DISK)[e]
                 assert a == pytest.approx(b, rel=1e-13)
 
     def test_hypotenuse_split_wins_for_disk(self):
-        vals = [decision_lp_split(REF, DISK, 2, e) for e in range(3)]
+        vals = decision_lp_split(REF.vertices, DISK, 2)
         assert vals[0] < vals[1] and vals[0] < vals[2]
 
     def test_lp_split_inf_uses_max(self):
-        e1 = decision_lp_split(REF, DISK, math.inf, 0)
-        from anisomesh.geometry import bisect
+        e1 = decision_lp_split(REF.vertices, DISK, math.inf)[0]
         c1, c2 = map(Triangle, bisect(REF.vertices, 0))
         expect = max(local_error(c1, DISK, math.inf), local_error(c2, DISK, math.inf))
         assert e1 == pytest.approx(expect, rel=1e-14)
+
+
+def reference_split(t, f, p, e, op="interpolation", subdiv=1):
+    """One edge's decision value from its two children, one bisection at a time."""
+    e1, e2 = local_errors(np.stack(bisect(t.vertices, e)), f, p, op,
+                          subdiv=subdiv).tolist()
+    return max(e1, e2) if math.isinf(p) else e1 ** p + e2 ** p
+
+
+class TestBatchedDecisions:
+    """One call scores the three edges of one triangle or of a batch."""
+
+    CASES = [(p, op) for p in (1.0, 2.0, 3.5, math.inf)
+             for op in ("interpolation", "l2-projection")]
+
+    @pytest.mark.parametrize("p, op", CASES)
+    def test_lp_split_matches_per_edge_reference(self, p, op):
+        rng = np.random.default_rng(11)
+        f = get_field("mixed-saddle")
+        for _ in range(5):
+            t = random_triangle(rng)
+            want = [reference_split(t, f, p, e, op) for e in range(3)]
+            assert decision_lp_split(t.vertices, f, p, op).tolist() == want
+
+    def test_l1_matches_per_edge_reference(self):
+        rng = np.random.default_rng(12)
+        f = get_field("expbump")
+        for subdiv in (1, 2):
+            t = random_triangle(rng)
+            want = [reference_split(t, f, 1.0, e, subdiv=subdiv) for e in range(3)]
+            assert decision_l1(t.vertices, f, subdiv=subdiv).tolist() == want
+
+    @pytest.mark.parametrize("decide", [
+        lambda v, f: decision_gains_convex(v, f),
+        lambda v, f: decision_l1(v, f),
+        lambda v, f: decision_gain_quadrature(v, f),
+        lambda v, f: decision_lp_split(v, f, 2.0),
+        lambda v, f: decision_lp_split(v, f, math.inf, "l2-projection"),
+    ], ids=["gains-convex", "l1", "gain-quadrature", "lp-split-2", "lp-split-inf-l2"])
+    def test_batch_matches_rows(self, decide):
+        rng = np.random.default_rng(13)
+        f = get_field("expbump")
+        verts = np.array([random_triangle(rng).vertices for _ in range(70)])
+        batch = decide(verts, f)
+        assert batch.shape == (70, 3)
+        assert decide(verts[0], f).shape == (3,)
+        assert np.array_equal(batch, [decide(v, f) for v in verts])
 
 
 class TestAffineCommutation:
@@ -389,7 +433,7 @@ class TestSandwich:
             t = random_triangle(rng)
             for e in range(3):
                 lo = t.area * q(t.edge_vector(e)) / 12.0
-                gain = decision_gains_convex(t, f)[e]
+                gain = decision_gains_convex(t.vertices, f)[e]
                 assert lo * (1 - 1e-10) <= gain <= (1 + mu) * lo * (1 + 1e-10)
 
 
@@ -431,8 +475,8 @@ class TestQuadratureResolutionStability:
         f = get_field("expbump")
         for _ in range(40):
             t = random_triangle(rng)
-            v1 = np.array([decision_l1(t, f, e, subdiv=1) for e in range(3)])
-            v2 = np.array([decision_l1(t, f, e, subdiv=2) for e in range(3)])
+            v1 = decision_l1(t.vertices, f, subdiv=1)
+            v2 = decision_l1(t.vertices, f, subdiv=2)
             if min(self._min_rel_gap(v1), self._min_rel_gap(v2)) <= 1e-8:
                 continue
             assert np.argmin(v1) == np.argmin(v2)
@@ -443,8 +487,8 @@ class TestQuadratureResolutionStability:
         flips = []
         for _ in range(60):
             t = random_triangle(rng)
-            v1 = np.array([decision_l1(t, f, e, subdiv=1) for e in range(3)])
-            v2 = np.array([decision_l1(t, f, e, subdiv=2) for e in range(3)])
+            v1 = decision_l1(t.vertices, f, subdiv=1)
+            v2 = decision_l1(t.vertices, f, subdiv=2)
             if np.argmin(v1) != np.argmin(v2):
                 flips.append(self._min_rel_gap(v1))
         # every observed flip is a sub-percent near-tie, not a clear choice

@@ -11,6 +11,7 @@ from anisomesh.approx import local_error
 from anisomesh.cli import main, mesh_to_svg
 from anisomesh.engine import GreedyConfig, StopRule, greedy_run, load_mesh
 from anisomesh.fields import ScalarField, get_field
+from anisomesh.geometry import Triangle
 
 
 def run_cli(*args):
@@ -43,7 +44,7 @@ class TestRun:
         from anisomesh.approx import local_error
 
         forest = load_mesh(mesh)
-        for t in forest.leaf_triangles():
+        for t in map(Triangle, forest.leaf_vertex_array()):
             assert local_error(t, get_field("disk"), float("inf")) <= 1e-3
 
     def test_levels_stop(self, tmp_path):
@@ -218,7 +219,8 @@ class TestRender:
                        "--operator", op)
         assert code == 0
         f = get_field("expbump")
-        want = [local_error(t, f, float(p), op) for t in load_mesh(mesh).leaf_triangles()]
+        want = [local_error(t, f, float(p), op)
+                for t in map(Triangle, load_mesh(mesh).leaf_vertex_array())]
         assert np.array_equal(seen[0], want)
 
     def test_error_coloring_non_finite_field_exit_1(self, small_mesh, tmp_path,

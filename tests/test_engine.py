@@ -1,11 +1,13 @@
 """Refinement forest, greedy loop, stop rules and mesh serialization."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anisomesh import approx, engine
 from anisomesh.analysis import random_triangle as random_root
 from anisomesh.approx import local_error
 from anisomesh.engine import (
@@ -18,7 +20,6 @@ from anisomesh.engine import (
     greedy_run,
     initial_mesh,
     load_mesh,
-    max_leaf_diameter,
     mesh_from_text,
     mesh_to_text,
     save_mesh,
@@ -37,6 +38,28 @@ AFFINE = ScalarField("plane", lambda x, y: 1.0 + 2.0 * x - 1.0 * y,
 
 def count_config(n, **kw):
     return GreedyConfig(stop=StopRule("target-count", n), **kw)
+
+
+# one field and config per decision path: convex gains, quadrature L1, and
+# lp-split at p = 2 and p = inf with both operators
+DECISION_CASES = [
+    ("expbump", GreedyConfig()),
+    ("mixed-saddle", GreedyConfig()),
+    ("aniso-10", GreedyConfig(decision="lp-split", p=2.0)),
+    ("expbump", GreedyConfig(decision="lp-split", p=2.0, operator="l2-projection")),
+    ("mixed-saddle", GreedyConfig(decision="lp-split", p=math.inf)),
+    ("mixed-saddle", GreedyConfig(decision="lp-split", p=math.inf,
+                                  operator="l2-projection")),
+]
+DECISION_IDS = ["convex", "l1", "lp2", "lp2-l2proj", "lpinf", "lpinf-l2proj"]
+
+
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 # the reference triangle bisected once, as mesh_to_text writes it (no leaf lines)
@@ -123,6 +146,30 @@ class TestForest:
         with pytest.raises(ValueError):
             forest.bisect_node(0, 1)
 
+    def test_scalar_bisection_returns_ints(self):
+        forest = RefinementForest(initial_mesh("ref-triangle"))
+        children = forest.bisect_node(0, 0)
+        assert children == (1, 2) and all(type(c) is int for c in children)
+
+    def test_batch_bisection_matches_scalar_calls(self):
+        roots = [random_root(np.random.default_rng(s)) for s in range(3)]
+        batch, rows = RefinementForest(roots), RefinementForest(roots)
+        ids, edges = np.array([2, 0]), np.array([1, 2])
+        first, second = batch.bisect_node(ids, edges)
+        assert first.tolist() == [3, 5] and second.tolist() == [4, 6]
+        for i, e in zip(ids.tolist(), edges.tolist()):
+            rows.bisect_node(i, e)
+        assert batch.nodes.tobytes() == rows.nodes.tobytes()
+
+    @pytest.mark.parametrize("ids", [[1, 1], [2, 0]], ids=["repeated", "non-leaf"])
+    def test_batch_bisection_rejects(self, ids):
+        forest = RefinementForest(initial_mesh("unit-square"))
+        forest.bisect_node(0, 0)  # node 0 is no longer a leaf
+        before = forest.nodes.tobytes()
+        with pytest.raises(ValueError):
+            forest.bisect_node(np.array(ids), np.array([0, 0]))
+        assert forest.nodes.tobytes() == before
+
 
 class TestSelectTriangle:
     """The greedy loop bisects the maximal-error leaf, earliest id on ties."""
@@ -147,6 +194,30 @@ class TestSelectTriangle:
 
 
 class TestSelectEdge:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.sampled_from(range(len(DECISION_CASES))))
+    def test_batch_matches_rows(self, seed, case):
+        rng = np.random.default_rng(seed)
+        roots = [random_root(rng) for _ in range(int(rng.integers(1, 4)))]
+        forest = uniform_refine(RefinementForest(roots), DISK, GreedyConfig(),
+                                int(rng.integers(0, 4)))
+        name, cfg = DECISION_CASES[case]
+        f = get_field(name)
+        verts = forest.leaf_vertex_array()
+        assert select_edge(verts, f, cfg).tolist() == \
+            [select_edge(v, f, cfg) for v in verts]
+
+    @pytest.mark.parametrize("name, cfg", DECISION_CASES, ids=DECISION_IDS)
+    def test_one_decision_call_per_batch(self, name, cfg, monkeypatch):
+        verts = uniform_refine(RefinementForest(initial_mesh("unit-square")), DISK,
+                               GreedyConfig(), 3).leaf_vertex_array()
+        calls = collections.Counter()
+        for fn in ("decision_gains_convex", "decision_l1", "decision_lp_split"):
+            monkeypatch.setattr(approx, fn, counted(calls, fn, getattr(approx, fn)))
+        assert select_edge(verts, get_field(name), cfg).shape == (16,)
+        assert sum(calls.values()) == 1
+
     def test_convex_quadratic_picks_q_longest(self):
         rng = np.random.default_rng(3)
         cfg = GreedyConfig()
@@ -157,18 +228,18 @@ class TestSelectEdge:
             if qvals[0] - qvals[1] <= 1e-9 * qvals[0]:
                 continue
             f = QuadraticField("s", q.a20, q.a11, q.a02)
-            assert select_edge(t, f, cfg) == q_longest_edge_index(q, t)
+            assert select_edge(t.vertices, f, cfg) == q_longest_edge_index(q, t)
 
     def test_affine_tie_rule(self):
         # integer-valued affine field: all gains are exactly zero
         flat = ScalarField("flat", lambda x, y: 2.0 * x + 4.0 * y,
                            convexity="convex")
         t = Triangle([(0, 0), (1, 0), (0, 1)])
-        assert select_edge(t, flat, GreedyConfig()) == 0
+        assert select_edge(t.vertices, flat, GreedyConfig()) == 0
 
     def test_lp_split_decision(self):
         cfg = GreedyConfig(decision="lp-split", p=2.0)
-        assert select_edge(initial_mesh("ref-triangle")[0], DISK, cfg) == 0
+        assert select_edge(initial_mesh("ref-triangle")[0].vertices, DISK, cfg) == 0
 
 
 class TestGreedyRun:
@@ -204,9 +275,9 @@ class TestGreedyRun:
         uni = uniform_refine(RefinementForest(initial_mesh("ref-triangle")),
                              DISK, GreedyConfig(), 3)
         # same leaf set; creation order differs (error order vs id order)
-        key = lambda t: t.vertices.tobytes()
-        assert sorted(map(key, forest.leaf_triangles())) == \
-            sorted(map(key, uni.leaf_triangles()))
+        key = lambda v: v.tobytes()
+        assert sorted(map(key, forest.leaf_vertex_array())) == \
+            sorted(map(key, uni.leaf_vertex_array()))
 
     def test_target_below_roots_rejected(self):
         with pytest.raises(ValueError):
@@ -264,6 +335,27 @@ class TestGreedyRun:
 
 
 class TestUniformRefine:
+    @pytest.mark.parametrize("name, cfg", DECISION_CASES, ids=DECISION_IDS)
+    def test_matches_per_leaf_reference(self, name, cfg):
+        f = get_field(name)
+        roots = [random_root(np.random.default_rng(s)) for s in (1, 2)]
+        forest = uniform_refine(RefinementForest(roots), f, cfg, 4)
+        ref = RefinementForest(roots)
+        for _ in range(4):
+            for i in ref.leaf_ids().tolist():
+                ref.bisect_node(i, select_edge(ref.nodes["verts"][i], f, cfg))
+        assert forest.nodes.tobytes() == ref.nodes.tobytes()
+
+    def test_one_call_per_sweep(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(engine, "select_edge",
+                            counted(calls, "select_edge", engine.select_edge))
+        monkeypatch.setattr(RefinementForest, "bisect_node",
+                            counted(calls, "bisect_node", RefinementForest.bisect_node))
+        uniform_refine(RefinementForest(initial_mesh("unit-square")), DISK,
+                       GreedyConfig(), 5)
+        assert calls == {"select_edge": 5, "bisect_node": 5}
+
     def test_node_cap_checked_up_front(self):
         # one leaf bisected 3 times adds 2 * (2**3 - 1) = 14 nodes
         forest = RefinementForest(initial_mesh("ref-triangle"))
@@ -284,7 +376,7 @@ class TestUniformRefine:
         forest = RefinementForest(initial_mesh("ref-triangle"))
         uniform_refine(forest, DISK, GreedyConfig(), 3)
         assert forest.n_leaves == 8
-        for t in forest.leaf_triangles():
+        for t in map(Triangle, forest.leaf_vertex_array()):
             assert t.area == pytest.approx(0.5 / 8, rel=1e-12)
 
     def test_three_level_disjunction_via_engine(self):
@@ -296,7 +388,7 @@ class TestUniformRefine:
             forest = RefinementForest([root])
             uniform_refine(forest, f, GreedyConfig(), 3)
             s0 = sigma(q, root)
-            svals = [sigma(q, t) for t in forest.leaf_triangles()]
+            svals = [sigma(q, t) for t in map(Triangle, forest.leaf_vertex_array())]
             assert len(svals) == 8
             assert max(svals) <= s0 * (1 + 1e-9)
             assert min(svals) <= max(0.69 * s0, 5.0) * (1 + 1e-9)
@@ -322,7 +414,7 @@ class TestGlobalError:
 
     def test_mismatched_cache_recomputes(self):
         forest, _ = greedy_run(DISK, count_config(16, p=2.0))
-        direct = (sum(local_error(t, DISK, 1) for t in forest.leaf_triangles()))
+        direct = sum(local_error(t, DISK, 1) for t in map(Triangle, forest.leaf_vertex_array()))
         assert global_error(forest, DISK, 1) == pytest.approx(direct, rel=1e-12)
 
     def test_diameter_shrinks(self):
@@ -349,6 +441,16 @@ class TestSerialization:
         for a, b in zip(forest.nodes, loaded.nodes):
             assert np.array_equal(a["verts"], b["verts"])
             assert a["parent"] == b["parent"] and a["level"] == b["level"]
+
+    def test_signed_zeros_round_trip(self):
+        roots = [Triangle([(0, 0), (1, 0), (0, 1)]),
+                 Triangle([(-0.0, 1), (-1, 1), (-0.0, 0)])]
+        forest = uniform_refine(RefinementForest(roots), DISK, GreedyConfig(), 2)
+        saved = forest.nodes["verts"]
+        loaded = mesh_from_text(mesh_to_text(forest)).nodes["verts"]
+        assert np.signbit(saved[1]).sum() == 3
+        assert np.array_equal(loaded, saved)
+        assert np.array_equal(np.signbit(loaded), np.signbit(saved))
 
     def test_seventeen_digit_vertices(self):
         t = Triangle([(0, 0), (1, 0), (0.1234567890123456789, 1)])
@@ -436,7 +538,7 @@ class TestForestProperties:
     @given(refined_forest())
     def test_leaves_tile_the_roots(self, case):
         roots, forest = case
-        leaves = forest.leaf_triangles()
+        leaves = list(map(Triangle, forest.leaf_vertex_array()))
         assert len(leaves) == forest.n_leaves
         assert sum(t.area for t in leaves) == \
             pytest.approx(sum(t.area for t in roots), rel=1e-12)
@@ -456,7 +558,3 @@ class TestForestProperties:
             assert any(np.array_equal(np.stack(bisect(nodes["verts"][i], e)), pair["verts"])
                        for e in range(3))
 
-
-def test_max_leaf_diameter():
-    forest = RefinementForest(initial_mesh("unit-square"))
-    assert max_leaf_diameter(forest) == pytest.approx(math.sqrt(2.0))

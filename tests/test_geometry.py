@@ -280,8 +280,25 @@ class TestBisect:
             assert lengths(c2) == pytest.approx(expect2, rel=1e-12)
 
     def test_bad_edge_index(self):
-        with pytest.raises(ValueError):
-            bisect(reference_triangle().vertices, 3)
+        # out of range, not an integer (bool included), or not one index
+        for edge in (3, -1, 1.0, True, np.bool_(False), np.array(1.0),
+                     np.array([1]), [0, 1]):
+            with pytest.raises(ValueError, match="edge index"):
+                bisect(reference_triangle().vertices, edge)
+
+    @pytest.mark.parametrize("edges", [
+        1, np.array([0]), np.array([0, 1, 2]), np.array([[0, 1]]), np.array([0, 3]),
+        np.array([-1, 0]), np.array([0.0, 1.0]), np.array([True, False]),
+    ], ids=["scalar", "short", "long", "2d", "three", "negative", "float", "bool"])
+    def test_bad_edge_index_batch(self, edges):
+        verts = np.stack([reference_triangle().vertices] * 2)
+        with pytest.raises(ValueError, match="edge index"):
+            bisect(verts, edges)
+
+    @pytest.mark.parametrize("edge", [1, np.int64(1), np.uint8(1), np.array(1, np.int32)])
+    def test_integer_edge_index_types(self, edge):
+        v = reference_triangle().vertices
+        assert all(np.array_equal(a, b) for a, b in zip(bisect(v, edge), bisect(v, 1)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 20))
