@@ -182,17 +182,21 @@ def cmd_sigma_study(args) -> int:
 
 
 # three-stop linear color map (blue -> pale yellow -> red)
-_CMAP = ((43, 131, 186), (255, 255, 191), (215, 25, 28))
+_CMAP = np.array([(43, 131, 186), (255, 255, 191), (215, 25, 28)])
+_POLYGON = ('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="%s" '
+           'stroke="#000000" stroke-width="0.5"/>')
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    if t <= 0.5:
-        lo, hi, s = _CMAP[0], _CMAP[1], 2.0 * t
-    else:
-        lo, hi, s = _CMAP[1], _CMAP[2], 2.0 * t - 1.0
-    rgb = [round(a + (b - a) * s) for a, b in zip(lo, hi)]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _color(t) -> list[str]:
+    """Hex colors of the values ``t`` (clipped to [0, 1]) on the color map."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    if np.isnan(t).any():
+        raise ValueError("cannot color a NaN value")
+    upper = (t > 0.5).astype(int)  # which half of the map
+    lo, hi = _CMAP[upper], _CMAP[upper + 1]
+    rgb = np.rint(lo + (hi - lo) * (2.0 * t - upper)[:, None]).astype(int)  # ties to even
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return ["#%06x" % c for c in packed.tolist()]
 
 
 def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
@@ -217,22 +221,20 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 1000 {height}" width="1000" height="{height}">',
     ]
+    fills = ["none"] * len(verts)
     if values is not None:
         values = np.asarray(values, dtype=float)
         if len(values) != len(verts):
             raise ValueError("need one color value per leaf")
         lo, hi = float(values.min()), float(values.max())
         spread = hi - lo
-        norm = (values - lo) / spread if spread > 0 else np.full(len(values), 0.5)
-    for i in range(len(verts)):
-        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in xy[i])
-        fill = _color(float(norm[i])) if values is not None else "none"
-        lines.append(f'<polygon points="{pts}" fill="{fill}" '
-                     f'stroke="#000000" stroke-width="0.5"/>')
+        fills = _color((values - lo) / spread if spread > 0 else np.full(len(values), 0.5))
+    lines += [_POLYGON % (*pts, fill)
+              for pts, fill in zip(xy.reshape(-1, 6).tolist(), fills)]
     if values is not None:
-        for k in range(64):
+        for k, fill in enumerate(_color(np.arange(64) / 63)):
             lines.append(f'<rect x="{200 + 9.375 * k:.3f}" y="1020" '
-                         f'width="9.375" height="30" fill="{_color(k / 63)}"/>')
+                         f'width="9.375" height="30" fill="{fill}"/>')
         label = legend or "value"
         lines.append(f'<text x="195" y="1044" font-size="20" '
                      f'text-anchor="end">{lo:.6g}</text>')

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,21 +126,22 @@ class RefinementForest:
     def __init__(self, roots):
         self._buf = np.empty(0, NODE_DTYPE)
         self._n = 0
-        self._append(np.array([t.vertices for t in roots]).reshape(-1, 3, 2), -1, 0)
-        if not self._n:
+        verts = np.array([t.vertices for t in roots]).reshape(-1, 3, 2)
+        if not len(verts):
             raise ValueError("forest needs at least one root triangle")
+        self._reserve(len(verts))
+        self.nodes["verts"], self.nodes["parent"], self.nodes["level"] = verts, -1, 0
         self.n_roots = self._n
 
-    def _append(self, verts, parent, level) -> int:
-        """Append leaves (..., 3, 2), parent and level broadcast; returns the first id."""
-        first, self._n = self._n, self._n + verts.size // 6
+    def _reserve(self, count: int) -> int:
+        """Append ``count`` leaf rows and return the first id; the caller sets their
+        verts, parent and level."""
+        first, self._n = self._n, self._n + count
         if self._n > len(self._buf):
             grown = np.empty(max(2 * len(self._buf), self._n), NODE_DTYPE)
             grown["child"], grown["error"] = -1, math.nan  # rows are born leaves
             grown[:first] = self._buf[:first]
             self._buf = grown
-        new = self._buf[first:self._n].reshape(verts.shape[:-2])
-        new["verts"], new["parent"], new["level"] = verts, parent, level
         return first
 
     @property
@@ -173,13 +175,15 @@ class RefinementForest:
             raise ValueError(f"node {ids[bad].flat[0]} is already bisected")
         if ids.ndim and len(np.unique(ids)) < len(ids):
             raise ValueError("a node id is given twice")
-        # the pair of children of each node, (..., 2, 3, 2), in node order
-        children = np.concatenate(bisect(rows["verts"], edge_index), axis=-2)
-        first = self._append(children.reshape(ids.shape + (2, 3, 2)), ids[..., None],
-                             (rows["level"] + 1)[..., None])
-        firsts = np.arange(first, self._n, 2).reshape(ids.shape)
+        children = bisect(rows["verts"], edge_index)  # a bad edge index changes nothing
+        first = self._reserve(2 * ids.size)
+        level = rows["level"] + 1
+        for k, verts in enumerate(children):
+            new = self._buf[first + k:self._n:2]  # child k of each node, in node order
+            new["verts"], new["parent"], new["level"] = verts, ids, level
+        firsts = first if not ids.ndim else np.arange(first, self._n, 2)
         self._buf["child"][ids] = firsts
-        return (first, first + 1) if not ids.ndim else (firsts, firsts + 1)
+        return firsts, firsts + 1
 
 
 def initial_mesh(spec) -> list[Triangle]:
@@ -370,75 +374,110 @@ def mesh_from_text(text: str) -> RefinementForest:
     """Parse the plain-text mesh format back into a forest.
 
     The roots come first; the two children of a node are consecutive ``t``
-    lines and its exact bisection, which is replayed to check them; ``leaf``
-    lines list every leaf once, in ascending id order.  Any violation
-    raises MeshFormatError naming the line.
+    lines and its exact bisection, which is replayed, one generation per
+    batched ``bisect`` call, to check them; ``leaf`` lines list every leaf
+    once, in ascending id order.  Any violation raises MeshFormatError
+    naming the first offending line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != MESH_HEADER:
         raise MeshFormatError(f"line 1: expected header {MESH_HEADER!r}")
-    verts: list[tuple[float, float]] = []
-    tris: list[tuple[int, int, int, int, int]] = []  # (line, i, j, k, parent)
-    leaves: list[tuple[int, int]] = []  # (line, id)
+    xy, table, marks = array("d"), array("q"), array("q")
     for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         try:
-            if parts[0] == "v" and len(parts) == 3:
-                verts.append((float(parts[1]), float(parts[2])))
-            elif parts[0] == "t" and len(parts) == 5:
-                tris.append((ln, *(int(s) for s in parts[1:])))
+            if parts[0] == "t" and len(parts) == 5:
+                table.append(ln)
+                table.extend(map(int, parts[1:]))
+            elif parts[0] == "v" and len(parts) == 3:
+                xy.extend(map(float, parts[1:]))
             elif parts[0] == "leaf" and len(parts) == 2:
-                leaves.append((ln, int(parts[1])))
+                marks.extend((ln, int(parts[1])))
             else:
                 raise ValueError("unrecognized directive")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
             raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
-    if not tris:
+    xy = np.frombuffer(xy).reshape(-1, 2)
+    table = np.frombuffer(table, np.int64).reshape(-1, 5)  # line, i, j, k, parent
+    marks = np.frombuffer(marks, np.int64).reshape(-1, 2)  # line, id
+    if not len(table):
         raise MeshFormatError("line 1: mesh contains no triangles")
+    lns, tris, parent = table[:, 0], table[:, 1:4], table[:, 4]
+    n = len(table)
 
+    bad_vertex = ((tris < 0) | (tris >= len(xy))).any(axis=1)
+    bad = bad_vertex | (parent >= np.arange(n)) | (parent < -1)
+    stop = int(bad.argmax()) if bad.any() else n
+    n_roots = int((parent != -1).argmax()) if (parent != -1).any() else n
     roots = []
-    for n, (ln, i, j, k, parent) in enumerate(tris):
-        if not all(0 <= v < len(verts) for v in (i, j, k)):
-            raise MeshFormatError(f"line {ln}: vertex index out of range")
-        if parent >= n or parent < -1:
-            raise MeshFormatError(f"line {ln}: parent {parent} must precede node {n}")
-        if parent == -1 and n == len(roots):
-            try:
-                roots.append(Triangle([verts[i], verts[j], verts[k]]))
-            except ValueError as exc:
-                raise MeshFormatError(f"line {ln}: {exc}") from None
-    forest = RefinementForest(roots)
-
-    # child 0 of a bisection starts at the vertex opposite the bisected edge
-    table = np.array(tris)
-    tri_verts = np.array(verts)[table[:, 1:4]]
-    first = np.arange(len(roots), len(tris), 2)
-    edges = (tri_verts[table[first, 4]] == tri_verts[first, :1]).all(axis=2).argmax(axis=1)
-    for n, edge in zip(first.tolist(), edges.tolist()):
-        ln, parent = tris[n][0], tris[n][4]
-        if parent == -1:
-            raise MeshFormatError(f"line {ln}: roots must come first")
-        if forest.nodes["child"][parent] >= 0:
-            raise MeshFormatError(f"line {ln}: node {parent} already has two children")
-        if n + 1 == len(tris) or tris[n + 1][4] != parent:
-            raise MeshFormatError(
-                f"line {ln}: the two children of node {parent} must be consecutive")
-        forest.bisect_node(parent, edge)
-    bad = np.flatnonzero((forest.nodes["verts"] != tri_verts).any(axis=(1, 2)))
-    if len(bad):
-        ln, *_, parent = tris[bad[0]]
+    for i in range(min(n_roots, stop)):
+        try:
+            roots.append(Triangle(xy[tris[i]]))
+        except ValueError as exc:
+            raise MeshFormatError(f"line {lns[i]}: {exc}") from None
+    if stop < n:
+        if bad_vertex[stop]:
+            raise MeshFormatError(f"line {lns[stop]}: vertex index out of range")
         raise MeshFormatError(
-            f"line {ln}: node {bad[0]} is not the bisection of its parent {parent}")
+            f"line {lns[stop]}: parent {parent[stop]} must precede node {stop}")
+
+    # pair k is nodes c0[k] and c0[k] + 1, both children of node pp[k]
+    c0 = np.arange(n_roots, n, 2)
+    pp = parent[c0]
+    late_root = pp == -1
+    third = np.ones(len(pp), bool)  # an earlier pair has the same parent
+    third[np.unique(pp, return_index=True)[1]] = False
+    apart = np.ones(len(pp), bool)  # c0[k] + 1 is missing or has another parent
+    sib = parent[n_roots + 1::2]
+    apart[:len(sib)] = sib != pp[:len(sib)]
+    faults = late_root | third | apart
+    if faults.any():
+        k = int(faults.argmax())
+        ln, node = lns[c0[k]], pp[k]
+        if late_root[k]:
+            raise MeshFormatError(f"line {ln}: roots must come first")
+        if third[k]:
+            raise MeshFormatError(f"line {ln}: node {node} already has two children")
+        raise MeshFormatError(
+            f"line {ln}: the two children of node {node} must be consecutive")
+
+    stored = xy[tris]
+    forest = RefinementForest(roots)
+    forest._reserve(n - n_roots)
+    nodes = forest.nodes
+    nodes["parent"][n_roots:], nodes["level"][n_roots:] = parent[n_roots:], -1
+    nodes["child"][pp] = c0
+    # child 0 of a bisection starts at the vertex opposite the bisected edge
+    edges = (stored[pp] == stored[c0, :1]).all(axis=2).argmax(axis=1)
+    todo = np.arange(len(pp))
+    # one generation per round: the pairs whose parent is replayed (level >= 0);
+    # a parent precedes its pair, so no round is empty
+    while len(todo):
+        ready = nodes["level"][pp[todo]] >= 0
+        gen, todo = todo[ready], todo[~ready]
+        first, above = c0[gen], pp[gen]
+        level = nodes["level"][above] + 1
+        for k, verts in enumerate(bisect(nodes["verts"][above], edges[gen])):
+            nodes["verts"][first + k], nodes["level"][first + k] = verts, level
+    bad = np.flatnonzero((nodes["verts"] != stored).any(axis=(1, 2)))
+    if len(bad):
+        i = int(bad[0])
+        raise MeshFormatError(
+            f"line {lns[i]}: node {i} is not the bisection of its parent {parent[i]}")
 
     # both lists close with "end", which a missing or an extra marker meets
-    marks = leaves + [(len(lines) + 1, "end")]
-    for (ln, got), want in zip(marks, forest.leaf_ids().tolist() + ["end"]):
-        if got != want:
-            raise MeshFormatError(f"line {ln}: leaf markers disagree with the "
-                                  f"refinement tree: expected {want}, found {got}")
+    want = forest.leaf_ids()
+    m = min(len(marks), len(want))
+    diff = np.flatnonzero(marks[:m, 1] != want[:m])
+    i = int(diff[0]) if len(diff) else m
+    if i < max(len(marks), len(want)):
+        ln = int(marks[i, 0]) if i < len(marks) else len(lines) + 1
+        got = int(marks[i, 1]) if i < len(marks) else "end"
+        expected = int(want[i]) if i < len(want) else "end"
+        raise MeshFormatError(f"line {ln}: leaf markers disagree with the "
+                              f"refinement tree: expected {expected}, found {got}")
     return forest
 
 

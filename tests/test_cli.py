@@ -172,6 +172,88 @@ def small_mesh(tmp_path):
     return path
 
 
+REFERENCE_CMAP = ((43, 131, 186), (255, 255, 191), (215, 25, 28))
+
+
+def reference_color(t):
+    t = min(max(t, 0.0), 1.0)
+    if t <= 0.5:
+        lo, hi, s = REFERENCE_CMAP[0], REFERENCE_CMAP[1], 2.0 * t
+    else:
+        lo, hi, s = REFERENCE_CMAP[1], REFERENCE_CMAP[2], 2.0 * t - 1.0
+    rgb = [round(a + (b - a) * s) for a, b in zip(lo, hi)]
+    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+def reference_mesh_to_svg(forest, values=None, legend=None):
+    """The SVG writer as one formatted coordinate pair and one color per polygon."""
+    verts = forest.leaf_vertex_array()
+    vmin = verts.reshape(-1, 2).min(axis=0)
+    vmax = verts.reshape(-1, 2).max(axis=0)
+    span = float(max(vmax[0] - vmin[0], vmax[1] - vmin[1], 1e-300))
+    scale = 1000.0 / span
+    xy = np.empty_like(verts)
+    xy[..., 0] = (verts[..., 0] - vmin[0]) * scale
+    xy[..., 1] = 1000.0 - (verts[..., 1] - vmin[1]) * scale
+    height = 1080 if values is not None else 1000
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 1000 {height}" width="1000" height="{height}">',
+    ]
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        lo, hi = float(values.min()), float(values.max())
+        spread = hi - lo
+        norm = (values - lo) / spread if spread > 0 else np.full(len(values), 0.5)
+    for i in range(len(verts)):
+        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in xy[i])
+        fill = reference_color(float(norm[i])) if values is not None else "none"
+        lines.append(f'<polygon points="{pts}" fill="{fill}" '
+                     f'stroke="#000000" stroke-width="0.5"/>')
+    if values is not None:
+        for k in range(64):
+            lines.append(f'<rect x="{200 + 9.375 * k:.3f}" y="1020" '
+                         f'width="9.375" height="30" fill="{reference_color(k / 63)}"/>')
+        label = legend or "value"
+        lines.append(f'<text x="195" y="1044" font-size="20" '
+                     f'text-anchor="end">{lo:.6g}</text>')
+        lines.append(f'<text x="805" y="1044" font-size="20">{hi:.6g}</text>')
+        lines.append(f'<text x="500" y="1072" font-size="20" '
+                     f'text-anchor="middle">{label}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+class TestSvgWriter:
+    @pytest.fixture(scope="class")
+    def forest(self):
+        return greedy_run(get_field("expbump"), GreedyConfig(
+            stop=StopRule("target-count", 300), initial="unit-square"))[0]
+
+    @pytest.mark.parametrize("case", ["none", "spread", "constant"])
+    def test_matches_per_polygon_reference(self, forest, case):
+        rng = np.random.default_rng(5)
+        # values hit the color map's ends and its midpoint exactly
+        values = {"none": None,
+                  "spread": np.concatenate([[0.0, 0.5, 1.0, -2.5],
+                                            rng.normal(size=forest.n_leaves - 4)]),
+                  "constant": np.full(forest.n_leaves, 0.25)}[case]
+        assert mesh_to_svg(forest, values, "v") == \
+            reference_mesh_to_svg(forest, values, "v")
+
+    def test_infinite_value_raises_like_reference(self, forest):
+        # an infinite maximum gives the infinite value a NaN position on the map
+        values = np.r_[np.inf, np.zeros(forest.n_leaves - 1)]
+        for writer in (mesh_to_svg, reference_mesh_to_svg):
+            with pytest.raises(ValueError):
+                writer(forest, values)
+
+    def test_color_map_matches_reference(self):
+        t = np.concatenate([np.linspace(-0.5, 1.5, 4001), [0.25, 0.5, 0.75, -0.0]])
+        assert cli._color(t) == [reference_color(x) for x in t.tolist()]
+
+
 class TestRender:
     def test_polygon_count(self, small_mesh, tmp_path):
         svg = tmp_path / "mesh.svg"

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,11 +68,18 @@ BISECTED = ("aniso-mesh v1\nv 0 0\nv 1 0\nv 0 1\nv 0.5 0.5\n"
             "t 0 1 2 -1\nt 0 1 3 0\nt 0 3 2 0\n")
 
 
+# a root with -0.0 coordinates, which the mesh text keeps apart from 0.0
+SIGNED_ZERO_ROOT = Triangle([(-0.0, 1), (-1, 1), (-0.0, 0)])
+
+
 @st.composite
 def refined_forest(draw):
-    """Random roots refined by a random greedy or uniform run: (roots, forest)."""
+    """Random roots, some with -0.0 coordinates, refined by a random greedy
+    or uniform run: (roots, forest)."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31 - 1)))
     roots = [random_root(rng) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        roots.insert(draw(st.integers(0, len(roots))), SIGNED_ZERO_ROOT)
     f = get_field(draw(st.sampled_from(["disk", "aniso-10", "expbump", "mixed-saddle"])))
     if draw(st.booleans()):
         n = len(roots) + draw(st.integers(0, 40))
@@ -508,6 +516,11 @@ class TestSerialization:
         with pytest.raises(MeshFormatError, match="line 8: the two children of node 0"):
             mesh_from_text(text)
 
+    def test_roots_must_come_first(self):
+        text = BISECTED + "t 0 1 2 -1\nt 0 1 2 -1\nleaf 1\nleaf 2\nleaf 3\nleaf 4\n"
+        with pytest.raises(MeshFormatError, match="line 9: roots must come first"):
+            mesh_from_text(text)
+
     def test_third_child_rejected(self):
         text = BISECTED + "t 0 1 3 0\nleaf 1\nleaf 2\nleaf 3\n"
         with pytest.raises(MeshFormatError, match="line 9: node 0 already has two"):
@@ -521,6 +534,148 @@ class TestSerialization:
     def test_leaf_lines_list_every_leaf_once_ascending(self, leaves, line, found):
         with pytest.raises(MeshFormatError, match=f"line {line}: leaf markers .*{found}"):
             mesh_from_text(BISECTED + leaves)
+
+
+def reference_mesh_from_text(text):
+    """The loader as one scalar ``bisect_node`` replay per child pair."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != engine.MESH_HEADER:
+        raise MeshFormatError(f"line 1: expected header {engine.MESH_HEADER!r}")
+    verts, tris, leaves = [], [], []
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v" and len(parts) == 3:
+                verts.append((float(parts[1]), float(parts[2])))
+            elif parts[0] == "t" and len(parts) == 5:
+                tris.append((ln, *(int(s) for s in parts[1:])))
+            elif parts[0] == "leaf" and len(parts) == 2:
+                leaves.append((ln, int(parts[1])))
+            else:
+                raise ValueError("unrecognized directive")
+        except ValueError as exc:
+            raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
+    if not tris:
+        raise MeshFormatError("line 1: mesh contains no triangles")
+    roots = []
+    for n, (ln, i, j, k, parent) in enumerate(tris):
+        if not all(0 <= v < len(verts) for v in (i, j, k)):
+            raise MeshFormatError(f"line {ln}: vertex index out of range")
+        if parent >= n or parent < -1:
+            raise MeshFormatError(f"line {ln}: parent {parent} must precede node {n}")
+        if parent == -1 and n == len(roots):
+            try:
+                roots.append(Triangle([verts[i], verts[j], verts[k]]))
+            except ValueError as exc:
+                raise MeshFormatError(f"line {ln}: {exc}") from None
+    forest = RefinementForest(roots)
+    table = np.array(tris)
+    tri_verts = np.array(verts)[table[:, 1:4]]
+    first = np.arange(len(roots), len(tris), 2)
+    edges = (tri_verts[table[first, 4]] == tri_verts[first, :1]).all(axis=2).argmax(axis=1)
+    for n, edge in zip(first.tolist(), edges.tolist()):
+        ln, parent = tris[n][0], tris[n][4]
+        if parent == -1:
+            raise MeshFormatError(f"line {ln}: roots must come first")
+        if forest.nodes["child"][parent] >= 0:
+            raise MeshFormatError(f"line {ln}: node {parent} already has two children")
+        if n + 1 == len(tris) or tris[n + 1][4] != parent:
+            raise MeshFormatError(
+                f"line {ln}: the two children of node {parent} must be consecutive")
+        forest.bisect_node(parent, edge)
+    bad = np.flatnonzero((forest.nodes["verts"] != tri_verts).any(axis=(1, 2)))
+    if len(bad):
+        ln, *_, parent = tris[bad[0]]
+        raise MeshFormatError(
+            f"line {ln}: node {bad[0]} is not the bisection of its parent {parent}")
+    marks = leaves + [(len(lines) + 1, "end")]
+    for (ln, got), want in zip(marks, forest.leaf_ids().tolist() + ["end"]):
+        if got != want:
+            raise MeshFormatError(f"line {ln}: leaf markers disagree with the "
+                                  f"refinement tree: expected {want}, found {got}")
+    return forest
+
+
+@st.composite
+def corrupted_mesh_text(draw):
+    """The text of a random forest with one line deleted, duplicated or
+    swapped, one vertex coordinate moved by one ulp, or one ``t`` or
+    ``leaf`` field set to 2**64 or -5: (kind, text)."""
+    _, forest = draw(refined_forest())
+    lines = mesh_to_text(forest).splitlines()
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "ulp", "field"]))
+    i = draw(st.integers(1, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(1, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "ulp":
+        i = draw(st.integers(1, sum(line.startswith("v ") for line in lines)))
+        parts = lines[i].split()
+        c = draw(st.integers(1, 2))
+        parts[c] = repr(float(np.nextafter(float(parts[c]),
+                                           draw(st.sampled_from([-np.inf, np.inf])))))
+        lines[i] = " ".join(parts)
+    else:
+        i = draw(st.integers(len(lines) - len(forest.nodes) - forest.n_leaves,
+                             len(lines) - 1))
+        parts = lines[i].split()
+        parts[draw(st.integers(1, len(parts) - 1))] = str(draw(st.sampled_from([2 ** 64, -5])))
+        lines[i] = " ".join(parts)
+    return kind, "\n".join(lines) + "\n"
+
+
+class TestLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(refined_forest())
+    def test_matches_per_pair_reference(self, case):
+        _, forest = case
+        text = mesh_to_text(forest)
+        assert mesh_from_text(text).nodes.tobytes() == \
+            reference_mesh_from_text(text).nodes.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_mesh_text())
+    def test_corrupted_text_loads_the_same_or_names_a_line(self, case):
+        _, text = case
+        try:
+            want = reference_mesh_from_text(text).nodes.tobytes()
+        except MeshFormatError as exc:
+            want = str(exc)
+        try:
+            got = mesh_from_text(text).nodes.tobytes()
+        except MeshFormatError as exc:
+            assert re.match(r"line \d+: ", str(exc))
+            got = str(exc)
+        if str(2 ** 64) in text:  # rejected where it is parsed, whatever the reference says
+            assert isinstance(got, str) and isinstance(want, str)
+        else:
+            assert got == want
+
+    def test_one_bisect_call_per_generation(self, monkeypatch):
+        forest, _ = greedy_run(get_field("expbump"), count_config(200))
+        text = mesh_to_text(forest)
+        calls = collections.Counter()
+        monkeypatch.setattr(engine, "bisect", counted(calls, "bisect", engine.bisect))
+        monkeypatch.setattr(RefinementForest, "bisect_node",
+                            counted(calls, "bisect_node", RefinementForest.bisect_node))
+        mesh_from_text(text)
+        assert calls["bisect_node"] == 0
+        assert calls["bisect"] == forest.nodes["level"].max() == 10
+
+    @pytest.mark.parametrize("row, line", [(5, "t 0 1 2 %d"), (6, "t 0 1 %d 0"),
+                                           (9, "leaf %d")])
+    def test_int_beyond_64_bits_names_its_line(self, row, line):
+        lines = (BISECTED + "leaf 1\nleaf 2\n").splitlines()
+        lines[row] = line % 2 ** 64
+        with pytest.raises(MeshFormatError, match=f"line {row + 1}: "):
+            mesh_from_text("\n".join(lines) + "\n")
 
 
 class TestForestProperties:
