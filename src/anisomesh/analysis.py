@@ -99,21 +99,25 @@ def _leaf_stats(form: QuadForm, verts: np.ndarray, level: int,
 
 
 def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
-                threshold: float = SIGMA_THRESHOLD,
-                config: GreedyConfig | None = None) -> list[SigmaStats]:
+                threshold: float = SIGMA_THRESHOLD) -> list[SigmaStats]:
     """Track sigma_q while uniformly refining every triangle.
 
     One reported level is three bisection sweeps (the leaf count grows by
     8 per level).  The field must be quadratic with positive-definite
     form; the refinement uses the same L1 decision as the greedy engine.
+    Raises RunawayRefinementError before refining when the sweeps would
+    exceed the default node cap.
     """
     if not isinstance(f, QuadraticField) or not f.form.is_positive_definite:
         raise ValueError("sigma study needs a quadratic field with PD form")
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    if not math.isfinite(threshold):
+        raise ValueError(f"sigma threshold must be finite, got {threshold}")
     roots = engine.initial_mesh(roots if roots is not None else "ref-triangle")
-    config = config or GreedyConfig(initial=tuple(roots))
+    config = GreedyConfig()
     forest = RefinementForest(roots)
+    engine._check_levels_fit(forest.n_roots, forest.n_roots, 3 * levels, config.node_cap)
     stats = [_leaf_stats(f.form, forest.leaf_vertex_array(), 0, threshold)]
     for level in range(1, levels + 1):
         engine.uniform_refine(forest, f, config, 3)

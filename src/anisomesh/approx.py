@@ -79,7 +79,7 @@ class QuadratureRule:
     exact for polynomials up to ``degree`` on any triangle.
     """
 
-    __slots__ = ("nodes", "weights", "degree", "_key")
+    __slots__ = ("nodes", "weights", "degree")
 
     def __init__(self, nodes, weights, degree: int):
         nodes = np.array(nodes, dtype=float)
@@ -93,8 +93,6 @@ class QuadratureRule:
         self.nodes = nodes
         self.weights = weights
         self.degree = int(degree)
-        # equal rules share cached node sets
-        self._key = (self.degree, nodes.tobytes(), weights.tobytes())
 
     def points_on(self, t: Triangle) -> np.ndarray:
         """Cartesian node coordinates on a triangle, shape (n, 2)."""
@@ -139,8 +137,6 @@ EDGE_MIDPOINT_RULE = QuadratureRule(
     degree=2,
 )
 
-_NODE_CACHE: dict = {}
-
 # the vertices after and before vertex i: edge i runs between them
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
@@ -150,15 +146,7 @@ _CHUNK = 64
 
 
 def _subdivided(rule: QuadratureRule, subdiv: int):
-    """Barycentric nodes/weights of `rule` on 4**subdiv congruent subtriangles.
-
-    The |f - I_T f| integrand is only piecewise smooth (a curve of kinks for
-    sign-changing residuals), so error integrals subdivide once by default.
-    """
-    key = (rule._key, subdiv)
-    hit = _NODE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Barycentric nodes/weights of `rule` on 4**subdiv congruent subtriangles."""
     corners = [np.eye(3)]
     for _ in range(subdiv):
         refined = []
@@ -173,26 +161,21 @@ def _subdivided(rule: QuadratureRule, subdiv: int):
         corners = refined
     n_sub = len(corners)
     bary = np.vstack([rule.nodes @ s for s in corners])
-    weights = np.tile(rule.weights / n_sub, n_sub)
-    _NODE_CACHE[key] = (bary, weights)
-    return bary, weights
+    return bary, np.tile(rule.weights / n_sub, n_sub)
 
 
-def _error_nodes(rule: QuadratureRule, subdiv: int, p: float):
-    """Barycentric nodes and quadrature weights of the local error.
-
-    The subdivided quadrature nodes come first, then for p = inf the
-    barycentric lattice of order 16, and last the three vertices, which
-    give the interpolation its vertex values.
-    """
-    key = (rule._key, subdiv, math.isinf(p))
-    if key not in _NODE_CACHE:
-        bary, weights = _subdivided(rule, subdiv)
-        lattice = [(i / 16, j / 16, (16 - i - j) / 16)
-                   for i in range(17) for j in range(17 - i)]
-        _NODE_CACHE[key] = (np.vstack([bary, *([lattice] if key[2] else []), np.eye(3)]),
-                            weights)
-    return _NODE_CACHE[key]
+# The error quadrature: DEFAULT_RULE on the four subtriangles of one
+# subdivision, because the |f - I_T f| integrand is only piecewise smooth
+# (a curve of kinks for sign-changing residuals).
+_BARY, _WEIGHTS = _subdivided(DEFAULT_RULE, 1)
+# Barycentric nodes of the local error: the quadrature nodes, for p = inf
+# also the lattice of order 16, and last the three vertices, which give the
+# interpolation its vertex values.
+_LATTICE = [(i / 16, j / 16, (16 - i - j) / 16) for i in range(17) for j in range(17 - i)]
+_ERROR_NODES = np.vstack([_BARY, np.eye(3)])
+_ERROR_NODES_INF = np.vstack([_BARY, _LATTICE, np.eye(3)])
+for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF):
+    _a.setflags(write=False)
 
 
 def _check_shapes(v: np.ndarray, what: str):
@@ -244,26 +227,22 @@ def _project(v: np.ndarray, h: np.ndarray, xy: np.ndarray, fx: np.ndarray,
         raise ValueError("project_l2: singular Gram matrix") from exc
 
 
-def project_l2(t: Triangle, f, rule: QuadratureRule = DEFAULT_RULE,
-               subdiv: int = 1) -> AffinePoly:
+def project_l2(t: Triangle, f) -> AffinePoly:
     """L2(T)-orthogonal projection of ``f`` onto affine functions.
 
-    ``rule`` must be exact to degree >= 2 so the Gram matrix is exact; the
-    load integrals use the same rule on 4**subdiv congruent subtriangles.
+    The Gram matrix and the load integrals use the error quadrature.
     """
-    if rule.degree < 2:
-        raise ValueError("projection needs a rule exact to degree >= 2")
     v = t.vertices[None]
     h = np.sqrt(_check_shapes(v, "project_l2")[1])[:, None]
-    bary, w = _subdivided(rule, subdiv)
-    xy = bary @ v
-    alpha = _project(v, h, xy, np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float), w)[1][0]
+    xy = _BARY @ v
+    alpha = _project(v, h, xy, np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float),
+                     _WEIGHTS)[1][0]
     (cx, cy), h = t.centroid, float(h[0, 0])
     return AffinePoly(alpha[0] - alpha[1] * cx / h - alpha[2] * cy / h,
                       alpha[1] / h, alpha[2] / h)
 
 
-def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray) -> np.ndarray:
     """``local_errors`` of one chunk of at most _CHUNK triangles."""
     area, diam2 = _check_shapes(v, "local_error")
     xy = nodes @ v
@@ -274,14 +253,14 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, w: np.ndarray) -> 
         res = fx - np.matmul(nodes, fx[:, -3:, None])[..., 0]
     else:
         h = np.sqrt(diam2)[:, None]
-        d, a = _project(v, h, xy, fx, w)
+        d, a = _project(v, h, xy, fx, _WEIGHTS)
         res = fx - (a[:, :1] + a[:, 1:2] * d[..., 0] / h + a[:, 2:3] * d[..., 1] / h)
     res = np.abs(res)
     if math.isinf(p):
         errs = res.max(axis=1).tolist()
     else:
         # the root is taken per scalar: numpy's array power can differ in the last bit
-        sums = area * (w * res[:, :len(w)] ** p).sum(axis=1)
+        sums = area * (_WEIGHTS * res[:, :len(_WEIGHTS)] ** p).sum(axis=1)
         errs = [s ** (1.0 / p) for s in sums.tolist()]
     # NaN and inf field values propagate into the errors
     if not all(map(math.isfinite, errs)):
@@ -291,14 +270,13 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, w: np.ndarray) -> 
     return np.array(errs)
 
 
-def local_errors(verts, f, p, op: str = "interpolation",
-                 rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> np.ndarray:
+def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     """Local Lp errors ``||f - A_T f||_{Lp(T)}`` of a batch of triangles.
 
     ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
-    quadrature on 4**subdiv congruent subtriangles; p = inf takes the
-    maximum over the quadrature nodes and a barycentric lattice of order
-    16.  Raises ValueError on flat triangles and on non-finite field values.
+    DEFAULT_RULE on 4 congruent subtriangles; p = inf takes the maximum
+    over those nodes, a barycentric lattice of order 16 and the vertices.
+    Raises ValueError on flat triangles and on non-finite field values.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
@@ -308,17 +286,16 @@ def local_errors(verts, f, p, op: str = "interpolation",
     verts = np.asarray(verts, dtype=float)
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
-    nodes, w = _error_nodes(rule, subdiv, p)
+    nodes = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES
     if len(verts) <= _CHUNK:
-        return _chunk_errors(verts, f, p, op, nodes, w)
-    return np.concatenate([_chunk_errors(verts[s:s + _CHUNK], f, p, op, nodes, w)
+        return _chunk_errors(verts, f, p, op, nodes)
+    return np.concatenate([_chunk_errors(verts[s:s + _CHUNK], f, p, op, nodes)
                            for s in range(0, len(verts), _CHUNK)])
 
 
-def local_error(t: Triangle, f, p, op: str = "interpolation",
-                rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> float:
+def local_error(t: Triangle, f, p, op: str = "interpolation") -> float:
     """Local Lp error ``||f - A_T f||_{Lp(T)}`` of one triangle (see local_errors)."""
-    return float(local_errors(t.vertices[None], f, p, op, rule, subdiv)[0])
+    return float(local_errors(t.vertices[None], f, p, op)[0])
 
 
 def lp_sum(errs, p) -> float:
@@ -346,13 +323,12 @@ def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
     return abs(float(decision_gains_convex(t.vertices, qf).sum()))
 
 
-def _children_mass(verts, f, p: float, op: str, rule: QuadratureRule,
-                   subdiv: int) -> np.ndarray:
+def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     """Child errors of each bisection to the p-th power, summed (max for p = inf)."""
     v = np.asarray(verts, dtype=float)
     parents = np.repeat(v.reshape(-1, 3, 2), 3, axis=0)
     children = np.stack(bisect(parents, np.tile(np.arange(3), len(parents) // 3)), axis=1)
-    errs = local_errors(children.reshape(-1, 3, 2), f, p, op, rule, subdiv)
+    errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
     if math.isinf(p):
         mass = errs.reshape(-1, 2).max(axis=1)
     else:
@@ -361,13 +337,12 @@ def _children_mass(verts, f, p: float, op: str, rule: QuadratureRule,
     return mass.reshape(v.shape[:-2] + (3,))
 
 
-def decision_l1(verts, f, rule: QuadratureRule = DEFAULT_RULE,
-                subdiv: int = 1) -> np.ndarray:
+def decision_l1(verts, f) -> np.ndarray:
     """L1 interpolation error summed over the two children of each bisection.
 
     ``decision_lp_split`` at p = 1 with the interpolation operator.
     """
-    return _children_mass(verts, f, 1.0, "interpolation", rule, subdiv)
+    return _children_mass(verts, f, 1.0, "interpolation")
 
 
 def decision_gains_convex(verts, f) -> np.ndarray:
@@ -388,22 +363,20 @@ def decision_gains_convex(verts, f) -> np.ndarray:
     return (area / 3.0)[..., None] * gaps
 
 
-def decision_gain_quadrature(verts, f, rule: QuadratureRule = DEFAULT_RULE,
-                             subdiv: int = 1) -> np.ndarray:
+def decision_gain_quadrature(verts, f) -> np.ndarray:
     """The same error reductions measured by child quadrature.
 
     ``||f - I_T f||_{L1(T)} - d_T(e, f)``; agrees with the closed form for
     convex fields up to quadrature accuracy.
     """
     v = np.asarray(verts, dtype=float)
-    whole = local_errors(v.reshape(-1, 3, 2), f, 1, "interpolation", rule, subdiv)
-    return whole.reshape(v.shape[:-2] + (1,)) - decision_l1(v, f, rule, subdiv)
+    whole = local_errors(v.reshape(-1, 3, 2), f, 1, "interpolation")
+    return whole.reshape(v.shape[:-2] + (1,)) - decision_l1(v, f)
 
 
-def decision_lp_split(verts, f, p, op: str = "interpolation",
-                      rule: QuadratureRule = DEFAULT_RULE, subdiv: int = 1) -> np.ndarray:
+def decision_lp_split(verts, f, p, op: str = "interpolation") -> np.ndarray:
     """Error mass after bisection: sum of child errors to the p-th power.
 
     For p = inf, the maximum of the two child errors.
     """
-    return _children_mass(verts, f, float(p), op, rule, subdiv)
+    return _children_mass(verts, f, float(p), op)

@@ -75,15 +75,14 @@ def _parse_field(label: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_run_flags(sp, with_decision=True):
+def _add_run_flags(sp):
     sp.add_argument("--field", type=_parse_field, required=True,
                     help="catalog field label")
     sp.add_argument("--p", type=_parse_p, default=2.0,
                     help="Lp exponent (accepts 'inf'; default 2)")
     sp.add_argument("--operator", choices=approx.OPERATORS,
                     default="interpolation")
-    if with_decision:
-        sp.add_argument("--decision", choices=engine.DECISIONS, default="l1-interp")
+    sp.add_argument("--decision", choices=engine.DECISIONS, default="l1-interp")
     sp.add_argument("--initial", choices=engine.INITIAL_MESHES,
                     default="ref-triangle")
     sp.add_argument("--node-cap", type=int, default=2 ** 22)
@@ -141,8 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args, stop: StopRule) -> GreedyConfig:
     return GreedyConfig(p=args.p, operator=args.operator,
-                        decision=getattr(args, "decision", "l1-interp"),
-                        stop=stop, initial=args.initial,
+                        decision=args.decision, stop=stop, initial=args.initial,
                         node_cap=args.node_cap)
 
 

@@ -342,10 +342,6 @@ def global_error(forest: RefinementForest, f, p, op: str = "interpolation") -> f
     return approx.lp_sum(approx.local_errors(forest.leaf_vertex_array(), f, p, op), p)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def mesh_to_text(forest: RefinementForest) -> str:
     """Serialize a forest to the plain-text mesh format.
 
@@ -357,12 +353,13 @@ def mesh_to_text(forest: RefinementForest) -> str:
     _, first, inverse = np.unique(xy.view("V16"), return_index=True, return_inverse=True)
     order = np.argsort(first)
     # a vertex's number is the rank of its first use
-    tris = np.argsort(order)[inverse.reshape(-1)].reshape(-1, 3).tolist()
-    vert_lines = [f"v {_fmt(x)} {_fmt(y)}" for x, y in xy[first[order]].tolist()]
-    node_lines = [f"t {i} {j} {k} {parent}"
-                  for (i, j, k), parent in zip(tris, nodes["parent"].tolist())]
-    leaf_lines = [f"leaf {i}" for i in forest.leaf_ids().tolist()]
-    return "\n".join([MESH_HEADER, *vert_lines, *node_lines, *leaf_lines]) + "\n"
+    tris = np.argsort(order)[inverse.reshape(-1)].reshape(-1, 3)
+    table = np.column_stack([tris, nodes["parent"]])
+    leaves = forest.leaf_ids()
+    return "".join([MESH_HEADER + "\n",
+                    ("v %.17g %.17g\n" * len(order)) % tuple(xy[first[order]].ravel().tolist()),
+                    ("t %d %d %d %d\n" * len(table)) % tuple(table.ravel().tolist()),
+                    ("leaf %d\n" * len(leaves)) % tuple(leaves.tolist())])
 
 
 def save_mesh(forest: RefinementForest, path) -> None:

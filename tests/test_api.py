@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ def test_package_all_resolves():
     ("approx", "_operator_node_values"),
     ("approx", "_projection_local"),
     ("approx", "_check_shape"),
+    ("approx", "_NODE_CACHE"),
+    ("approx", "_error_nodes"),
     ("engine", "select_triangle"),
     ("engine", "leaf_error"),
     ("engine", "_global_error_from_caches"),
@@ -47,11 +50,24 @@ def test_retired_names_are_gone(name, attr):
 
 def test_retired_attributes_are_gone():
     assert not hasattr(anisomesh.Triangle, "edge_endpoints")
+    assert not hasattr(anisomesh.approx.DEFAULT_RULE, "_key")
     forest = anisomesh.RefinementForest(anisomesh.engine.initial_mesh("ref-triangle"))
     assert not hasattr(forest, "error_config")
     assert not hasattr(forest, "is_leaf")
     assert not hasattr(forest, "roots")
     assert not hasattr(forest, "leaf_triangles")
+
+
+@pytest.mark.parametrize("name", ["local_errors", "local_error", "decision_l1",
+                                  "decision_lp_split", "decision_gain_quadrature",
+                                  "project_l2"])
+def test_error_quadrature_is_not_an_option(name):
+    params = inspect.signature(getattr(anisomesh.approx, name)).parameters
+    assert "rule" not in params and "subdiv" not in params
+
+
+def test_sigma_study_takes_no_config():
+    assert "config" not in inspect.signature(anisomesh.sigma_study).parameters
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -322,10 +322,9 @@ class TestDecisions:
         assert e1 == pytest.approx(expect, rel=1e-14)
 
 
-def reference_split(t, f, p, e, op="interpolation", subdiv=1):
+def reference_split(t, f, p, e, op="interpolation"):
     """One edge's decision value from its two children, one bisection at a time."""
-    e1, e2 = local_errors(np.stack(bisect(t.vertices, e)), f, p, op,
-                          subdiv=subdiv).tolist()
+    e1, e2 = local_errors(np.stack(bisect(t.vertices, e)), f, p, op).tolist()
     return max(e1, e2) if math.isinf(p) else e1 ** p + e2 ** p
 
 
@@ -347,10 +346,9 @@ class TestBatchedDecisions:
     def test_l1_matches_per_edge_reference(self):
         rng = np.random.default_rng(12)
         f = get_field("expbump")
-        for subdiv in (1, 2):
-            t = random_triangle(rng)
-            want = [reference_split(t, f, 1.0, e, subdiv=subdiv) for e in range(3)]
-            assert decision_l1(t.vertices, f, subdiv=subdiv).tolist() == want
+        t = random_triangle(rng)
+        want = [reference_split(t, f, 1.0, e) for e in range(3)]
+        assert decision_l1(t.vertices, f).tolist() == want
 
     @pytest.mark.parametrize("decide", [
         lambda v, f: decision_gains_convex(v, f),
@@ -466,6 +464,13 @@ class TestQuadratureResolutionStability:
     """
 
     @staticmethod
+    def _l1_subdiv2(t, f):
+        """decision_l1 values at subdivision 2, from the per-triangle reference."""
+        return np.array([sum(reference_local_error(Triangle(c), f, 1.0, "interpolation",
+                                                   subdiv=2) for c in bisect(t.vertices, e))
+                         for e in range(3)])
+
+    @staticmethod
     def _min_rel_gap(v):
         top2 = np.sort(v)[:2]
         return (top2[1] - top2[0]) / max(top2[1], 1e-300)
@@ -475,8 +480,8 @@ class TestQuadratureResolutionStability:
         f = get_field("expbump")
         for _ in range(40):
             t = random_triangle(rng)
-            v1 = decision_l1(t.vertices, f, subdiv=1)
-            v2 = decision_l1(t.vertices, f, subdiv=2)
+            v1 = decision_l1(t.vertices, f)
+            v2 = self._l1_subdiv2(t, f)
             if min(self._min_rel_gap(v1), self._min_rel_gap(v2)) <= 1e-8:
                 continue
             assert np.argmin(v1) == np.argmin(v2)
@@ -487,8 +492,8 @@ class TestQuadratureResolutionStability:
         flips = []
         for _ in range(60):
             t = random_triangle(rng)
-            v1 = decision_l1(t.vertices, f, subdiv=1)
-            v2 = decision_l1(t.vertices, f, subdiv=2)
+            v1 = decision_l1(t.vertices, f)
+            v2 = self._l1_subdiv2(t, f)
             if np.argmin(v1) != np.argmin(v2):
                 flips.append(self._min_rel_gap(v1))
         # every observed flip is a sub-percent near-tie, not a clear choice

@@ -9,7 +9,8 @@ import pytest
 from anisomesh import cli
 from anisomesh.approx import local_error
 from anisomesh.cli import main, mesh_to_svg
-from anisomesh.engine import GreedyConfig, StopRule, greedy_run, load_mesh
+from anisomesh.engine import (GreedyConfig, RefinementForest, StopRule, greedy_run,
+                             load_mesh)
 from anisomesh.fields import ScalarField, get_field
 from anisomesh.geometry import Triangle
 
@@ -162,6 +163,29 @@ class TestSigmaStudy:
                        "--csv-out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "quadratic" in capsys.readouterr().err
+
+    def test_levels_over_node_cap_exit_3_before_refining(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        real = RefinementForest.bisect_node
+        monkeypatch.setattr(RefinementForest, "bisect_node",
+                            lambda *args: calls.append(args) or real(*args))
+        csv = tmp_path / "s.csv"
+        code = run_cli("sigma-study", "--field", "aniso-10", "--levels", "40",
+                       "--csv-out", str(csv))
+        assert code == 3
+        assert "exceeds the node cap" in capsys.readouterr().err
+        assert not csv.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_1(self, tmp_path, capsys, threshold):
+        csv = tmp_path / "s.csv"
+        code = run_cli("sigma-study", "--field", "aniso-10", "--levels", "1",
+                       f"--threshold={threshold}", "--csv-out", str(csv))
+        assert code == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not csv.exists()
 
 
 @pytest.fixture()

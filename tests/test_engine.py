@@ -3,6 +3,7 @@
 import collections
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -678,7 +679,26 @@ class TestLoader:
             mesh_from_text("\n".join(lines) + "\n")
 
 
+def reference_mesh_to_text(forest):
+    """The mesh writer as one f-string per line; vertices keyed by their bits."""
+    number = {}
+    node_lines = []
+    for verts, parent in zip(forest.nodes["verts"].tolist(), forest.nodes["parent"].tolist()):
+        i, j, k = (number.setdefault(struct.pack("<2d", x, y), len(number)) for x, y in verts)
+        node_lines.append(f"t {i} {j} {k} {parent}")
+    vert_lines = [f"v {format(x, '.17g')} {format(y, '.17g')}"
+                  for x, y in (struct.unpack("<2d", b) for b in number)]
+    leaf_lines = [f"leaf {i}" for i in forest.leaf_ids().tolist()]
+    return "\n".join([engine.MESH_HEADER, *vert_lines, *node_lines, *leaf_lines]) + "\n"
+
+
 class TestForestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(refined_forest())
+    def test_mesh_text_matches_per_line_reference(self, case):
+        _, forest = case
+        assert mesh_to_text(forest) == reference_mesh_to_text(forest)
+
     @settings(max_examples=40, deadline=None)
     @given(refined_forest())
     def test_mesh_text_round_trip(self, case):
