@@ -117,7 +117,8 @@ def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
     roots = engine.initial_mesh(roots if roots is not None else "ref-triangle")
     config = GreedyConfig()
     forest = RefinementForest(roots)
-    engine._check_levels_fit(forest.n_roots, forest.n_roots, 3 * levels, config.node_cap)
+    engine._check_levels_fit(forest.n_roots, forest.n_roots, levels, config.node_cap,
+                             sweeps_per_level=3)
     stats = [_leaf_stats(f.form, forest.leaf_vertex_array(), 0, threshold)]
     for level in range(1, levels + 1):
         engine.uniform_refine(forest, f, config, 3)

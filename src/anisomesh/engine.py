@@ -228,32 +228,64 @@ def select_edge(verts, f, config: GreedyConfig):
     return int(edges) if edges.ndim == 0 else edges
 
 
-def _trace_record(forest, p, form, step) -> TraceRecord:
-    nodes = forest.nodes
-    leaves = nodes[nodes["child"] < 0]
-    verts = leaves["verts"]
-    if form is not None:
-        s = sigma_batch(form, verts)
+class _NodeMeasures:
+    """Trace columns of one run, one entry per forest node: ``diam2``, the
+    squared diameter, and ``sigma`` (left unset without a positive-definite
+    form).  Each node is measured once, by the first ``fill`` after it is
+    created."""
+
+    def __init__(self, form):
+        self.form = form
+        self.diam2 = self.sigma = np.empty(0)
+        self.n = 0
+
+    def fill(self, verts) -> None:
+        """Measure the nodes ``verts[self.n:]`` created since the last fill."""
+        first, self.n = self.n, len(verts)
+        if first == self.n:
+            return
+        if self.n > len(self.diam2):
+            grown = np.empty((2, max(2 * len(self.diam2), self.n)))
+            grown[:, :first] = self.diam2[:first], self.sigma[:first]
+            self.diam2, self.sigma = grown
+        new = verts[first:]
+        e = edge_vectors_of(new)
+        self.diam2[first:self.n] = (e * e).sum(axis=2).max(axis=1)
+        if self.form is not None:
+            self.sigma[first:self.n] = sigma_batch(self.form, new)
+
+
+def _trace_record(forest, p, measures, step) -> TraceRecord:
+    # the leaves' column values in id order, reduced as a full re-measure of
+    # the leaves would: the same bytes, since each value depends on its row only
+    measures.fill(forest.nodes["verts"])
+    leaves = forest.leaf_ids()
+    if measures.form is not None:
+        s = measures.sigma[leaves]
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
-    e = edge_vectors_of(verts)
-    return TraceRecord(step, forest.n_leaves, approx.lp_sum(leaves["error"], p),
-                       float(np.sqrt((e * e).sum(axis=2).max())), smean, smax)
+    return TraceRecord(step, forest.n_leaves,
+                       approx.lp_sum(forest.nodes["error"][leaves], p),
+                       float(np.sqrt(measures.diam2[leaves].max())), smean, smax)
 
 
 def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
 
-def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int) -> None:
-    """Fail fast unless bisecting ``n_leaves`` leaves ``levels`` times fits the cap."""
-    # past the cap's bit length, 2**levels alone exceeds the cap
-    added = 2 * n_leaves * (2 ** min(levels, int(node_cap).bit_length()) - 1)
+def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
+                      sweeps_per_level: int = 1) -> None:
+    """Fail fast unless bisecting ``n_leaves`` leaves ``levels * sweeps_per_level``
+    times fits the cap."""
+    sweeps = levels * sweeps_per_level
+    # past the cap's bit length, 2**sweeps alone exceeds the cap
+    added = 2 * n_leaves * (2 ** min(sweeps, int(node_cap).bit_length()) - 1)
     if n_nodes + added > node_cap:
+        by = f"{levels} levels" if sweeps_per_level == 1 else \
+            f"{levels} levels ({sweeps} bisection sweeps)"
         raise RunawayRefinementError(
-            f"refining {n_leaves} leaves by {levels} levels exceeds the node cap "
-            f"{node_cap}")
+            f"refining {n_leaves} leaves by {by} exceeds the node cap {node_cap}")
 
 
 def greedy_run(f, config: GreedyConfig, record_at=None):
@@ -263,19 +295,27 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     every step while the mesh has at most 1024 leaves, at powers of two
     beyond that, at every leaf count in ``record_at``, and at the final
     step.  Raises RunawayRefinementError at the node cap, and before
-    refining when a generation-levels run cannot fit under it.
+    refining when a target-count or generation-levels run cannot fit
+    under it.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
-    if stop.kind == "target-count" and stop.value < forest.n_roots:
-        raise ValueError(
-            f"target-count {stop.value} below the {forest.n_roots} initial triangles")
+    if stop.kind == "target-count":
+        if stop.value < forest.n_roots:
+            raise ValueError(
+                f"target-count {stop.value} below the {forest.n_roots} initial triangles")
+        # every bisection adds one leaf and two nodes
+        needed = 2 * int(stop.value) - forest.n_roots
+        if needed > config.node_cap:
+            raise RunawayRefinementError(
+                f"target-count {int(stop.value)} needs {needed} nodes, which exceeds "
+                f"the node cap {config.node_cap}")
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
     form = getattr(f, "form", None)
-    if form is not None and not form.is_positive_definite:
-        form = None
+    measures = _NodeMeasures(form if form is not None and form.is_positive_definite
+                             else None)
 
     # Entries (-error, id) are exactly the leaves not parked at their
     # generation level; equal errors pop the earliest id.
@@ -288,7 +328,7 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
 
     for i in range(forest.n_roots):
         push(i)
-    trace = [_trace_record(forest, config.p, form, 0)]
+    trace = [_trace_record(forest, config.p, measures, 0)]
     step = 0
     traced_last = True
     while True:
@@ -314,9 +354,9 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         n = forest.n_leaves
         traced_last = n <= 1024 or _is_pow2(n) or n in record_at
         if traced_last:
-            trace.append(_trace_record(forest, config.p, form, step))
+            trace.append(_trace_record(forest, config.p, measures, step))
     if not traced_last:
-        trace.append(_trace_record(forest, config.p, form, step))
+        trace.append(_trace_record(forest, config.p, measures, step))
     return forest, trace
 
 

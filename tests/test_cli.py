@@ -1,11 +1,13 @@
 """CLI subcommands: runs, studies, rendering, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import anisomesh
 from anisomesh import cli
 from anisomesh.approx import local_error
 from anisomesh.cli import main, mesh_to_svg
@@ -75,6 +77,21 @@ class TestRun:
                        "--trace-out", str(tmp_path / "t.csv"))
         assert code == 3
         assert "node cap" in capsys.readouterr().err
+
+    def test_target_n_over_node_cap_exit_3_before_refining(self, tmp_path, capsys,
+                                                          monkeypatch):
+        calls = []
+        real = RefinementForest.bisect_node
+        monkeypatch.setattr(RefinementForest, "bisect_node",
+                            lambda *args: calls.append(args) or real(*args))
+        code = run_cli("run", "--field", "disk", "--target-n", "3000",
+                       "--node-cap", "5000",
+                       "--mesh-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert "node cap 5000" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "m.txt").exists()
 
     def test_levels_over_node_cap_exit_3(self, tmp_path, capsys):
         code = run_cli("run", "--field", "disk", "--levels", "40",
@@ -174,7 +191,9 @@ class TestSigmaStudy:
         code = run_cli("sigma-study", "--field", "aniso-10", "--levels", "40",
                        "--csv-out", str(csv))
         assert code == 3
-        assert "exceeds the node cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeds the node cap" in err
+        assert "40 levels (120 bisection sweeps)" in err
         assert not csv.exists()
         assert calls == []
 
@@ -380,10 +399,14 @@ def test_mesh_to_svg_direct():
 
 
 def test_module_entry_point(tmp_path):
+    # the child process imports the package the tests import
+    src = os.path.dirname(os.path.dirname(anisomesh.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "anisomesh", "run", "--field", "disk",
          "--target-n", "4", "--mesh-out", str(tmp_path / "m.txt"),
          "--trace-out", str(tmp_path / "t.csv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "N=4" in result.stdout

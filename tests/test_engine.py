@@ -29,7 +29,8 @@ from anisomesh.engine import (
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.geometry import QuadForm, Triangle, bisect, q_longest_edge_index, sigma
+from anisomesh.geometry import (QuadForm, Triangle, bisect, edge_vectors_of,
+                                q_longest_edge_index, sigma, sigma_batch)
 
 from test_geometry import random_pd_form, random_triangle
 
@@ -296,6 +297,16 @@ class TestGreedyRun:
         with pytest.raises(RunawayRefinementError):
             greedy_run(DISK, count_config(64, node_cap=16))
 
+    def test_target_count_node_cap_checked_up_front(self):
+        # 40 leaves from two roots need 2 * 40 - 2 = 78 nodes
+        assert len(greedy_run(DISK, count_config(40, initial="unit-square",
+                                                 node_cap=78))[0].nodes) == 78
+        calls = []
+        counting = ScalarField("counting", lambda x, y: calls.append(1) or x * x)
+        with pytest.raises(RunawayRefinementError, match="needs 78 nodes.*node cap 77"):
+            greedy_run(counting, count_config(40, initial="unit-square", node_cap=77))
+        assert calls == []  # failed before any error was computed
+
     def test_generation_levels_node_cap_checked_up_front(self):
         # two roots to level 3 need 2 * (2**4 - 1) = 30 nodes
         cfg = GreedyConfig(stop=StopRule("generation-levels", 3),
@@ -341,6 +352,102 @@ class TestGreedyRun:
         _, trace = greedy_run(DISK, count_config(20))
         for a, b in zip(trace, trace[1:]):
             assert b.n_leaves == a.n_leaves + 1  # one bisection per step
+
+
+def reference_trace_record(forest, p, form, step):
+    """A trace record that re-measures every leaf (sigma only given ``form``)."""
+    nodes = forest.nodes
+    leaves = nodes[nodes["child"] < 0]
+    verts = leaves["verts"]
+    if form is not None:
+        s = sigma_batch(form, verts)
+        smean, smax = float(s.mean()), float(s.max())
+    else:
+        smean = smax = math.nan
+    e = edge_vectors_of(verts)
+    return engine.TraceRecord(step, forest.n_leaves, approx.lp_sum(leaves["error"], p),
+                              float(np.sqrt((e * e).sum(axis=2).max())), smean, smax)
+
+
+def record_bytes(rec):
+    """A trace record as bytes: float64 fields compare bit for bit."""
+    return struct.pack("<2q4d", rec.step, rec.n_leaves, rec.global_error,
+                       rec.max_diam, rec.sigma_mean, rec.sigma_max)
+
+
+def checked_greedy_run(f, config, record_at=None):
+    """``greedy_run`` with each trace record required to equal, as bytes, the
+    reference record of the same forest state; returns the trace."""
+    form = getattr(f, "form", None)
+    if form is not None and not form.is_positive_definite:
+        form = None
+    real = engine._trace_record
+
+    def record(forest, p, measures, step):
+        rec = real(forest, p, measures, step)
+        assert record_bytes(rec) == record_bytes(reference_trace_record(forest, p, form, step))
+        return rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_trace_record", record)
+        return greedy_run(f, config, record_at=record_at)[1]
+
+
+@st.composite
+def traced_config(draw):
+    """(field, config, record_at) over fields with and without a definite form,
+    p, both operators, both decisions and all three stop rules."""
+    f = get_field(draw(st.sampled_from(["disk", "aniso-10", "aniso-100",
+                                        "mixed-saddle", "expbump"])))
+    p = draw(st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+    operator = draw(st.sampled_from(approx.OPERATORS))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31 - 1)))
+    initial = draw(st.sampled_from(["ref-triangle", "unit-square",
+                                    tuple(random_root(rng) for _ in range(3))]))
+    n_roots = len(initial_mesh(initial))
+    kind = draw(st.sampled_from(engine.STOP_KINDS))
+    if kind == "target-count":
+        value = n_roots + draw(st.integers(0, 60))
+    elif kind == "generation-levels":
+        value = draw(st.integers(0, 5))
+    else:  # a tolerance at or below the roots' error; the node cap may end the run
+        e0 = global_error(RefinementForest(initial_mesh(initial)), f, p, operator)
+        value = max(e0 * draw(st.sampled_from([1.0, 0.3, 0.05])), 1e-300)
+    config = GreedyConfig(p=p, operator=operator,
+                          decision=draw(st.sampled_from(engine.DECISIONS)),
+                          stop=StopRule(kind, value), initial=initial, node_cap=400)
+    return f, config, draw(st.frozensets(st.integers(1, 3000), max_size=4))
+
+
+class TestTraceRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(traced_config())
+    def test_records_match_full_remeasure(self, case):
+        f, config, record_at = case
+        try:
+            trace = checked_greedy_run(f, config, record_at)
+        except RunawayRefinementError:  # the records made so far were checked
+            return
+        assert [r.step for r in trace] == list(range(len(trace)))
+
+    def test_records_past_1024_leaves_match_full_remeasure(self):
+        # between records past 1024 leaves, one fill measures many new nodes
+        trace = checked_greedy_run(get_field("aniso-10"), count_config(1500),
+                                   record_at=[1100, 1337])
+        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1100, 1337, 1500]
+
+    def test_each_node_measured_once(self, monkeypatch):
+        rows = collections.Counter()
+        edges, sigmas = engine.edge_vectors_of, engine.sigma_batch
+        monkeypatch.setattr(engine, "edge_vectors_of",
+                            lambda verts: rows.update(diam2=len(verts)) or edges(verts))
+        monkeypatch.setattr(engine, "sigma_batch", lambda form, verts:
+                            rows.update(sigma=len(verts)) or sigmas(form, verts))
+        forest, trace = greedy_run(get_field("aniso-10"),
+                                   count_config(1100, initial="unit-square"), record_at=[1050])
+        # records at 2..1024 leaves, at 1050 and at the final 1100
+        assert [r.n_leaves for r in trace] == [*range(2, 1025), 1050, 1100]
+        assert rows == {"diam2": len(forest.nodes), "sigma": len(forest.nodes)}
 
 
 class TestUniformRefine:
