@@ -17,7 +17,8 @@ import numpy as np
 from . import approx, engine
 from .engine import GreedyConfig, RefinementForest, StopRule
 from .fields import QuadraticField, ScalarField
-from .geometry import QuadForm, Triangle, bisect, cross2, edge_vectors_of, sigma, sigma_batch
+from .geometry import (NEXT, PREV, QuadForm, Triangle, areas_of, bisect, edge_vectors_of,
+                       sigma, sigma_batch)
 
 __all__ = [
     "R0",
@@ -146,7 +147,7 @@ def hessian_tau_norm(f: ScalarField, domain, tau: float, depth: int = 9) -> floa
     for _ in range(depth):
         e = edge_vectors_of(verts)
         verts = np.concatenate(bisect(verts, np.argmax((e * e).sum(axis=2), axis=1)))
-    areas = 0.5 * cross2(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
+    areas = areas_of(edge_vectors_of(verts))
     rule = approx.DEFAULT_RULE
     xy = rule.nodes @ verts  # (n_tri, n_nodes, 2) via batched matmul
     h = f.hessian(xy[..., 0], xy[..., 1])
@@ -202,15 +203,11 @@ def random_triangle(rng: np.random.Generator) -> Triangle:
     """Random triangle with unit-square vertices, area >= 0.01, rho <= 100."""
     while True:
         v = rng.uniform(0.0, 1.0, (3, 2))
-        area2 = cross2(v[1] - v[0], v[2] - v[0])
-        if area2 < 0:
-            v = v[[0, 2, 1]]
-            area2 = -area2
-        area = 0.5 * area2
-        if area < 0.01:
-            continue
         e = edge_vectors_of(v)
-        if (e * e).sum(axis=1).max() / area > 100.0:
+        area = areas_of(e)
+        if area < 0:  # the reversed order has the same edge lengths
+            v, area = v[[0, 2, 1]], -area
+        if area < 0.01 or (e * e).sum(axis=1).max() / area > 100.0:
             continue
         return Triangle(v)
 
@@ -247,8 +244,9 @@ def hessian_oscillation(f: ScalarField, t: Triangle) -> float:
     ``H_lo <= d2f(x) <= (1 + mu) H_lo`` for the sampled lower envelope; the
     field must be strictly convex on the triangle.
     """
-    bary = np.vstack([np.eye(3), approx.EDGE_MIDPOINT_RULE.nodes,
-                      approx.DEFAULT_RULE.nodes, [[1 / 3, 1 / 3, 1 / 3]]])
+    corners = np.eye(3)
+    mids = 0.5 * (corners[NEXT] + corners[PREV])
+    bary = np.vstack([corners, mids, approx.DEFAULT_RULE.nodes, [[1 / 3, 1 / 3, 1 / 3]]])
     xy = bary @ t.vertices
     h = f.hessian(xy[:, 0], xy[:, 1])
     hb = h[-1]  # centroid
@@ -264,6 +262,12 @@ def hessian_oscillation(f: ScalarField, t: Triangle) -> float:
     return hi / lo - 1.0
 
 
+# The header lines of the CSV writers below
+SIGMA_HEADER = "level,count,mean_sigma,max_sigma,fraction_above,mean_sigma_pow_r0"
+CONVERGENCE_HEADER = "n,error,product,target,ratio"
+TRACE_HEADER = "step,n_leaves,global_error,max_diam,sigma_mean,sigma_max"
+
+
 def _row(values) -> str:
     return ",".join(repr(float(v)) if isinstance(v, float) else str(v)
                     for v in values)
@@ -271,7 +275,7 @@ def _row(values) -> str:
 
 def sigma_csv(stats) -> str:
     """CSV with one row per refinement level, in level order."""
-    lines = ["level,count,mean_sigma,max_sigma,fraction_above,mean_sigma_pow_r0"]
+    lines = [SIGMA_HEADER]
     for s in stats:
         lines.append(_row([s.level, s.count, s.mean, s.max,
                            s.fraction_above, s.mean_pow_r0]))
@@ -280,7 +284,7 @@ def sigma_csv(stats) -> str:
 
 def convergence_csv(points) -> str:
     """CSV with one row per checkpoint, in checkpoint order."""
-    lines = ["n,error,product,target,ratio"]
+    lines = [CONVERGENCE_HEADER]
     for c in points:
         lines.append(_row([c.n, c.error, c.product, c.target, c.ratio]))
     return "\n".join(lines) + "\n"
@@ -288,7 +292,7 @@ def convergence_csv(points) -> str:
 
 def trace_csv(trace) -> str:
     """CSV with one row per trace record of a greedy run."""
-    lines = ["step,n_leaves,global_error,max_diam,sigma_mean,sigma_max"]
+    lines = [TRACE_HEADER]
     for r in trace:
         lines.append(_row([r.step, r.n_leaves, r.global_error, r.max_diam,
                            r.sigma_mean, r.sigma_max]))

@@ -15,6 +15,9 @@ triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
 reduction has the closed form ``|T|/3 * (midpoint convexity gap)``, which
 the refinement engine uses whenever the field is convexity-tagged;
 otherwise decisions fall back to quadrature over the children.
+
+Areas, edge vectors, edge midpoints and the edge labels come from
+``geometry`` (``edge_vectors_of``, ``areas_of``, ``NEXT``/``PREV``).
 """
 from __future__ import annotations
 
@@ -22,14 +25,13 @@ import math
 
 import numpy as np
 
-from .geometry import Triangle, bisect
+from .geometry import NEXT, PREV, Triangle, areas_of, bisect, edge_vectors_of
 from .fields import QuadraticField
 
 __all__ = [
     "AffinePoly",
     "QuadratureRule",
     "DEFAULT_RULE",
-    "EDGE_MIDPOINT_RULE",
     "OPERATORS",
     "interpolate",
     "project_l2",
@@ -130,16 +132,6 @@ DEFAULT_RULE = _symmetric_rule(
     degree=8,
 )
 
-# Edge-midpoint rule: exact to degree 2, used for the closed-form L1 error.
-EDGE_MIDPOINT_RULE = QuadratureRule(
-    [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)],
-    [1 / 3, 1 / 3, 1 / 3],
-    degree=2,
-)
-
-# the vertices after and before vertex i: edge i runs between them
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
 # Triangles per evaluation chunk in local_errors: bounds the (chunk, nodes)
 # temporaries, so memory stays flat however many triangles are scored.
 _CHUNK = 64
@@ -179,13 +171,9 @@ for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF):
 
 
 def _check_shapes(v: np.ndarray, what: str):
-    """Areas and squared diameters of a vertex batch (n, 3, 2).
-
-    Rejects flat triangles.  The areas are bit-identical to Triangle.area.
-    """
-    e = v[:, [1, 2, 0]] - v  # edges c, a, b
-    cb = e[:, 0] * e[:, 2, ::-1]
-    area = 0.5 * (cb[:, 1] - cb[:, 0])
+    """Areas and squared diameters of a vertex batch (n, 3, 2); rejects flat ones."""
+    e = edge_vectors_of(v)
+    area = areas_of(e)
     ee = e * e
     diam2 = (ee[..., 0] + ee[..., 1]).max(axis=1)
     flat = area < FLAT_RTOL * diam2
@@ -353,14 +341,12 @@ def decision_gains_convex(verts, f) -> np.ndarray:
     ``|T| q(e) / 12``.
     """
     v = np.asarray(verts, dtype=float)
-    mids = 0.5 * (v[..., _NEXT, :] + v[..., _PREV, :])  # midpoint of edge i
+    mids = 0.5 * (v.take(NEXT, axis=-2) + v.take(PREV, axis=-2))  # midpoint of edge i
     xs = np.concatenate([v[..., 0], mids[..., 0]], axis=-1)
     ys = np.concatenate([v[..., 1], mids[..., 1]], axis=-1)
     vals = np.asarray(f(xs, ys), dtype=float)
-    gaps = 0.5 * (vals[..., _NEXT] + vals[..., _PREV]) - vals[..., 3:]
-    d = v[..., 1:, :] - v[..., :1, :]  # as Triangle.area computes it, bit for bit
-    area = 0.5 * (d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0])
-    return (area / 3.0)[..., None] * gaps
+    gaps = 0.5 * (vals.take(NEXT, axis=-1) + vals.take(PREV, axis=-1)) - vals[..., 3:]
+    return (areas_of(edge_vectors_of(v)) / 3.0)[..., None] * gaps
 
 
 def decision_gain_quadrature(verts, f) -> np.ndarray:

@@ -19,11 +19,6 @@ from .engine import GreedyConfig, MeshFormatError, RunawayRefinementError, StopR
 from .fields import QuadraticField, get_field
 from .geometry import QuadForm, sigma_batch
 
-TRACE_SCHEMA = "trace CSV: step,n_leaves,global_error,max_diam,sigma_mean,sigma_max"
-CONV_SCHEMA = "convergence CSV: n,error,product,target,ratio"
-SIGMA_SCHEMA = ("sigma CSV: level,count,mean_sigma,max_sigma,"
-                "fraction_above,mean_sigma_pow_r0")
-
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -78,14 +73,14 @@ def _parse_field(label: str):
 def _add_run_flags(sp):
     sp.add_argument("--field", type=_parse_field, required=True,
                     help="catalog field label")
-    sp.add_argument("--p", type=_parse_p, default=2.0,
+    sp.add_argument("--p", type=_parse_p, default=GreedyConfig.p,
                     help="Lp exponent (accepts 'inf'; default 2)")
     sp.add_argument("--operator", choices=approx.OPERATORS,
-                    default="interpolation")
-    sp.add_argument("--decision", choices=engine.DECISIONS, default="l1-interp")
+                    default=GreedyConfig.operator)
+    sp.add_argument("--decision", choices=engine.DECISIONS, default=GreedyConfig.decision)
     sp.add_argument("--initial", choices=engine.INITIAL_MESHES,
-                    default="ref-triangle")
-    sp.add_argument("--node-cap", type=int, default=2 ** 22)
+                    default=GreedyConfig.initial)
+    sp.add_argument("--node-cap", type=int, default=GreedyConfig.node_cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="greedy refinement to a stop rule",
-                         epilog=TRACE_SCHEMA)
+                         epilog=f"trace CSV: {analysis.TRACE_HEADER}")
     _add_run_flags(run)
     stop = run.add_mutually_exclusive_group(required=True)
     stop.add_argument("--target-n", type=int, help="stop at this leaf count")
@@ -105,21 +100,21 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mesh-out", required=True, help="mesh text output path")
     run.add_argument("--trace-out", required=True, help="trace CSV output path")
 
-    conv = sub.add_parser("converge", help="N*error study against the "
-                          "hessian tau-norm", epilog=CONV_SCHEMA)
+    conv = sub.add_parser("converge", help="N*error study against the hessian tau-norm",
+                          epilog=f"convergence CSV: {analysis.CONVERGENCE_HEADER}")
     _add_run_flags(conv)
     conv.add_argument("--checkpoints", type=_parse_checkpoints,
                       default=[64, 256, 1024])
     conv.add_argument("--csv-out", required=True)
 
-    sig = sub.add_parser("sigma-study", help="sigma_q washout under uniform "
-                         "refinement (quadratic fields)", epilog=SIGMA_SCHEMA)
+    sig = sub.add_parser("sigma-study", epilog=f"sigma CSV: {analysis.SIGMA_HEADER}",
+                         help="sigma_q washout under uniform refinement (quadratic fields)")
     sig.add_argument("--field", type=_parse_field, required=True)
     sig.add_argument("--levels", type=int, default=5,
                      help="3-bisection levels (leaf count x8 per level)")
     sig.add_argument("--threshold", type=float, default=analysis.SIGMA_THRESHOLD)
     sig.add_argument("--initial", choices=engine.INITIAL_MESHES,
-                     default="ref-triangle")
+                     default=GreedyConfig.initial)
     sig.add_argument("--csv-out", required=True)
 
     ren = sub.add_parser("render", help="render a mesh file to SVG")
@@ -132,9 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--field", type=_parse_field,
                      help="catalog field for error coloring "
                      "(or sigma coloring when quadratic)")
-    ren.add_argument("--p", type=_parse_p, default=2.0)
+    ren.add_argument("--p", type=_parse_p, default=GreedyConfig.p)
     ren.add_argument("--operator", choices=approx.OPERATORS,
-                     default="interpolation")
+                     default=GreedyConfig.operator)
     return parser
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "q_longest_edge_index",
     "q_sorted_edge_indices",
     "edge_vectors_of",
+    "areas_of",
     "sigma_batch",
 ]
 
@@ -38,12 +39,22 @@ TIE_RTOL = 1e-12
 # |det q| below DEGENERATE_RTOL * scale**2 is treated as degenerate.
 DEGENERATE_RTOL = 1e-14
 
+# The edge labels: edge i runs from vertex NEXT[i] = i+1 to PREV[i] = i+2.
+NEXT, PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-def cross2(u, v):
-    """z-component of the cross product of planar vectors (vectorized)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+def edge_vectors_of(verts) -> np.ndarray:
+    """Edge vectors of one vertex array (3, 2) or of a batch (..., 3, 2).
+
+    Row ``i`` of each triangle is edge ``i`` of the a, b, c convention.
+    """
+    verts = np.asarray(verts, dtype=float)
+    return verts.take(PREV, axis=-2) - verts.take(NEXT, axis=-2)
+
+
+def areas_of(e: np.ndarray) -> np.ndarray:
+    """Signed areas ``c x (-b) / 2`` from edge_vectors_of (..., 3, 2); > 0 if CCW."""
+    return 0.5 * (e[..., 2, 1] * e[..., 1, 0] - e[..., 2, 0] * e[..., 1, 1])
 
 
 class Triangle:
@@ -56,21 +67,20 @@ class Triangle:
         counter-clockwise order (strictly positive signed area).
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "_area")
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
         if v.shape != (3, 2):
             raise ValueError(f"expected 3 vertices in the plane, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("triangle vertices must be finite")
-        area2 = cross2(v[1] - v[0], v[2] - v[0])
-        if area2 <= 0.0:
-            raise ValueError(
-                f"triangle must have strictly positive signed area, got {area2 / 2.0}"
-            )
+        area = areas_of(edge_vectors_of(v))
+        if area <= 0.0:
+            raise ValueError(f"triangle must have strictly positive signed area, got {area}")
         v.setflags(write=False)
         self._v = v
+        self._area = float(area)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -79,8 +89,7 @@ class Triangle:
 
     @property
     def area(self) -> float:
-        v = self._v
-        return 0.5 * float(cross2(v[1] - v[0], v[2] - v[0]))
+        return self._area
 
     @property
     def diameter(self) -> float:
@@ -94,8 +103,7 @@ class Triangle:
 
     def edge_vector(self, i: int) -> np.ndarray:
         """Edge vector ``i`` (opposite vertex ``z_i``)."""
-        v = self._v
-        return v[(i + 2) % 3] - v[(i + 1) % 3]
+        return edge_vectors_of(self._v)[i]
 
     def __repr__(self):
         pts = ", ".join(f"({x:g}, {y:g})" for x, y in self._v)
@@ -105,7 +113,8 @@ class Triangle:
         return isinstance(other, Triangle) and np.array_equal(self._v, other._v)
 
     def __hash__(self):
-        return hash(self._v.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self._v + 0.0).tobytes())
 
 
 def reference_triangle() -> Triangle:
@@ -189,15 +198,6 @@ def _require_positive_definite(q: QuadForm, what: str) -> None:
         raise ValueError(f"{what} requires a positive-definite form, got {q.classify()}")
 
 
-def edge_vectors_of(verts: np.ndarray) -> np.ndarray:
-    """Edge vectors for one vertex array (3, 2) or a batch (n, 3, 2).
-
-    Row/entry ``i`` is edge ``i`` of the a, b, c convention.
-    """
-    verts = np.asarray(verts, dtype=float)
-    return verts[..., [2, 0, 1], :] - verts[..., [1, 2, 0], :]
-
-
 def q_metric(q: QuadForm, v) -> float:
     """Metric length ``|v|_q = sqrt(|q(v)|)`` for a definite form."""
     if not q.is_definite:
@@ -245,19 +245,15 @@ def sigma(q: QuadForm, t: Triangle) -> float:
     ``(q(b') + q(c')) / (4 |T| sqrt(det q))`` where b', c' are the two
     q-shortest edges.  Positive-definite forms only.
     """
-    _require_positive_definite(q, "sigma")
-    vals = q(edge_vectors_of(t.vertices))
-    return float((vals.sum() - vals.max()) / (4.0 * t.area * np.sqrt(q.det)))
+    return float(sigma_batch(q, t.vertices[None])[0])
 
 
 def sigma_batch(q: QuadForm, verts: np.ndarray) -> np.ndarray:
     """Vectorized ``sigma`` over a batch of vertex arrays (n, 3, 2)."""
     _require_positive_definite(q, "sigma")
-    verts = np.asarray(verts, dtype=float)
     e = edge_vectors_of(verts)
     vals = q(e)
-    areas = 0.5 * cross2(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-    return (vals.sum(axis=1) - vals.max(axis=1)) / (4.0 * areas * np.sqrt(q.det))
+    return (vals.sum(axis=1) - vals.max(axis=1)) / (4.0 * areas_of(e) * np.sqrt(q.det))
 
 
 def q_sorted_edge_indices(q: QuadForm, t: Triangle) -> list[int]:
@@ -286,7 +282,7 @@ def q_longest_edge_index(q: QuadForm, t: Triangle) -> int:
     return q_sorted_edge_indices(q, t)[0]
 
 
-_CYCLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # row i: vertices i, i+1, i+2
+_CYCLE = np.column_stack([np.arange(3), NEXT, PREV])  # row i: vertices i, i+1, i+2
 
 
 def bisect(verts, edge_index):
@@ -322,8 +318,8 @@ def psi(q: QuadForm, t: Triangle) -> Triangle:
     _require_positive_definite(q, "psi")
     ia, _, ic = q_sorted_edge_indices(q, t)
     child_a, child_b = bisect(t.vertices, ia)
-    # child_a keeps full edge (ia+2)%3, child_b keeps full edge (ia+1)%3
-    return Triangle(child_a if ic == (ia + 2) % 3 else child_b)
+    # child_a keeps full edge PREV[ia], child_b keeps full edge NEXT[ia]
+    return Triangle(child_a if ic == PREV[ia] else child_b)
 
 
 def delta(q: QuadForm, t1: Triangle, t2: Triangle) -> float:

@@ -29,6 +29,10 @@ def test_package_all_resolves():
     ("geometry", "q_eval"),
     ("geometry", "edges"),
     ("geometry", "rho_batch"),
+    ("geometry", "cross2"),
+    ("approx", "_NEXT"),
+    ("approx", "_PREV"),
+    ("approx", "EDGE_MIDPOINT_RULE"),
     ("approx", "decision_gain_convex"),
     ("approx", "_operator_node_values"),
     ("approx", "_projection_local"),

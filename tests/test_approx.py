@@ -8,7 +8,6 @@ import pytest
 
 from anisomesh.approx import (
     DEFAULT_RULE,
-    EDGE_MIDPOINT_RULE,
     AffinePoly,
     decision_gain_quadrature,
     decision_gains_convex,
@@ -46,7 +45,7 @@ def composed_field(f, mat, shift):
 
 
 class TestQuadratureRules:
-    @pytest.mark.parametrize("rule", [DEFAULT_RULE, EDGE_MIDPOINT_RULE])
+    @pytest.mark.parametrize("rule", [DEFAULT_RULE])
     def test_exact_to_declared_degree(self, rule):
         # reference-triangle moments: int x^i y^j = i! j! / (i+j+2)!
         for i in range(rule.degree + 1):

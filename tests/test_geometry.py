@@ -77,6 +77,13 @@ class TestTriangle:
         assert t.area == pytest.approx(0.5)
         assert t.diameter == pytest.approx(math.sqrt(2.0))
 
+    def test_signed_zero_hash_matches_eq(self):
+        t = Triangle([(0, 0), (1, 0), (0, 1)])
+        u = Triangle([(-0.0, 0), (1, -0.0), (0, 1)])
+        assert t == u
+        assert hash(t) == hash(u)
+        assert len({t, u}) == 1
+
 
 class TestEdges:
     def test_reference(self):
