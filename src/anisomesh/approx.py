@@ -281,9 +281,16 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
                            for s in range(0, len(verts), _CHUNK)])
 
 
-def local_error(t: Triangle, f, p, op: str = "interpolation") -> float:
-    """Local Lp error ``||f - A_T f||_{Lp(T)}`` of one triangle (see local_errors)."""
-    return float(local_errors(t.vertices[None], f, p, op)[0])
+def local_error(t, f, p, op: str = "interpolation"):
+    """Local Lp error ``||f - A_T f||_{Lp(T)}`` (see local_errors).
+
+    A float for one triangle (a Triangle or its (3, 2) vertices), the
+    ``local_errors`` array for a batch (n, 3, 2).
+    """
+    v = np.asarray(t.vertices if isinstance(t, Triangle) else t, dtype=float)
+    if v.ndim == 2:
+        return float(local_errors(v[None], f, p, op)[0])
+    return local_errors(v, f, p, op)
 
 
 def lp_sum(errs, p) -> float:

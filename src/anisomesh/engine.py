@@ -4,8 +4,10 @@ The forest is an append-only store of triangles: the initial triangulation
 forms the roots, every bisection adds two children, and the leaves are the
 current triangulation.  The greedy loop repeatedly bisects the leaf with
 the largest local Lp error, choosing the edge through a decision function;
-leaves tie by earliest creation.  Meshes serialize to a plain-text format
-with 17-significant-digit decimals so runs round-trip bit-exactly.
+leaves tie by earliest creation.  A leaf's error and edge depend on that
+leaf only, so the loop replays this order in batches of leaves.  Meshes
+serialize to a plain-text format with 17-significant-digit decimals so
+runs round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -42,6 +44,10 @@ MESH_HEADER = "aniso-mesh v1"
 STOP_KINDS = ("target-count", "error-threshold", "generation-levels")
 DECISIONS = ("l1-interp", "lp-split")
 INITIAL_MESHES = ("ref-triangle", "unit-square")
+
+# Leaves per greedy batch at most: bounds the batch's temporaries (a few
+# hundred kB), so memory stays flat however many leaves a run makes.
+_MAX_BATCH = 1024
 
 
 class RunawayRefinementError(RuntimeError):
@@ -152,9 +158,6 @@ class RefinementForest:
     def n_leaves(self) -> int:
         return (self._n + self.n_roots) // 2
 
-    def triangle(self, node_id: int) -> Triangle:
-        return Triangle(self.nodes["verts"][node_id])
-
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.nodes["child"] < 0)
 
@@ -173,7 +176,7 @@ class RefinementForest:
         bad = rows["child"] >= 0
         if np.count_nonzero(bad):
             raise ValueError(f"node {ids[bad].flat[0]} is already bisected")
-        if ids.ndim and len(np.unique(ids)) < len(ids):
+        if ids.ndim and (np.diff(np.sort(ids)) == 0).any():
             raise ValueError("a node id is given twice")
         children = bisect(rows["verts"], edge_index)  # a bad edge index changes nothing
         first = self._reserve(2 * ids.size)
@@ -184,6 +187,13 @@ class RefinementForest:
         firsts = first if not ids.ndim else np.arange(first, self._n, 2)
         self._buf["child"][ids] = firsts
         return firsts, firsts + 1
+
+    def _truncate(self, n: int) -> None:
+        """Undo the bisections that created the rows from ``n`` on."""
+        rows = self._buf[n:self._n]
+        self._buf["child"][rows["parent"][::2]] = -1
+        rows["child"], rows["error"] = -1, math.nan
+        self._n = n
 
 
 def initial_mesh(spec) -> list[Triangle]:
@@ -256,16 +266,19 @@ class _NodeMeasures:
 
 
 def _trace_record(forest, p, measures, step) -> TraceRecord:
-    # the leaves' column values in id order, reduced as a full re-measure of
-    # the leaves would: the same bytes, since each value depends on its row only
-    measures.fill(forest.nodes["verts"])
-    leaves = forest.leaf_ids()
+    # the mesh after ``step`` bisections: rows are made in step order, so its
+    # leaves are the first n_roots + 2 step rows not split among them; their
+    # filled column values, in id order, are reduced as a full re-measure of
+    # those leaves would: the same bytes, since each value depends on its row only
+    n = forest.n_roots + 2 * step
+    child = forest.nodes["child"][:n]
+    leaves = np.flatnonzero((child < 0) | (child >= n))
     if measures.form is not None:
         s = measures.sigma[leaves]
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
-    return TraceRecord(step, forest.n_leaves,
+    return TraceRecord(step, forest.n_roots + step,
                        approx.lp_sum(forest.nodes["error"][leaves], p),
                        float(np.sqrt(measures.diam2[leaves].max())), smean, smax)
 
@@ -297,6 +310,12 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     step.  Raises RunawayRefinementError at the node cap, and before
     refining when a target-count or generation-levels run cannot fit
     under it.
+
+    Each iteration bisects and scores the ``k`` leaves of largest error in
+    one batch and keeps the longest prefix of steps that the one-leaf loop
+    takes in the same order, rolling back the rest; ``k`` doubles, up to
+    1024, while every step is kept and falls to the number kept.  Forest,
+    trace and errors are those of the one-leaf loop, bit for bit.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
@@ -316,47 +335,81 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     form = getattr(f, "form", None)
     measures = _NodeMeasures(form if form is not None and form.is_positive_definite
                              else None)
+    p, op, limit = config.p, config.operator, int(stop.value)
 
-    # Entries (-error, id) are exactly the leaves not parked at their
-    # generation level; equal errors pop the earliest id.
+    errors = approx.local_error(forest.nodes["verts"], f, p, op)
+    forest.nodes["error"] = errors
+    # Entries (-error, id) of the leaves not parked at their generation
+    # level; equal errors pop the earliest id.
     heap: list[tuple[float, int]] = []
-
-    def push(node_id: int) -> None:
-        err = approx.local_error(forest.triangle(node_id), f, config.p, config.operator)
-        forest.nodes["error"][node_id] = err
-        heapq.heappush(heap, (-err, node_id))
-
-    for i in range(forest.n_roots):
-        push(i)
-    trace = [_trace_record(forest, config.p, measures, 0)]
-    step = 0
+    for entry in zip((-errors).tolist(), range(forest.n_roots)):
+        heapq.heappush(heap, entry)
+    measures.fill(forest.nodes["verts"])
+    trace = [_trace_record(forest, p, measures, 0)]
+    step, k = 0, 1
     traced_last = True
     while True:
+        room = (config.node_cap - len(forest.nodes)) // 2
+        size = min(k, max(room, 1))  # with no room, one pop tells whether a step is due
         if stop.kind == "target-count":
-            if forest.n_leaves >= int(stop.value):
+            size = min(size, limit - forest.n_leaves)
+        pops = []  # the next steps' entries, largest error first
+        while heap and len(pops) < size:
+            if stop.kind == "error-threshold" and -heap[0][0] <= stop.value:
                 break
-        elif stop.kind == "error-threshold":
-            if -heap[0][0] <= stop.value:
-                break
-        else:  # generation-levels: park leaves that reached the level
-            while heap and forest.nodes["level"][heap[0][1]] >= int(stop.value):
-                heapq.heappop(heap)
-            if not heap:
-                break
-        if len(forest.nodes) + 2 > config.node_cap:
+            entry = heapq.heappop(heap)
+            if stop.kind != "generation-levels" or forest.nodes["level"][entry[1]] < limit:
+                pops.append(entry)  # else the leaf reached the level: parked for good
+        if not pops:
+            break
+        if not room:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
-        _, node_id = heapq.heappop(heap)
-        edge = select_edge(forest.nodes["verts"][node_id], f, config)
-        for child in forest.bisect_node(node_id, edge):
-            push(child)
-        step += 1
-        n = forest.n_leaves
-        traced_last = n <= 1024 or _is_pow2(n) or n in record_at
-        if traced_last:
-            trace.append(_trace_record(forest, config.p, measures, step))
+        n_before = len(forest.nodes)
+        try:
+            ids = np.array([i for _, i in pops])
+            first, second = forest.bisect_node(
+                ids, select_edge(forest.nodes["verts"][ids], f, config))
+            e0, e1 = (approx.local_error(forest.nodes["verts"][c], f, p, op)
+                      for c in (first, second))
+        except ValueError:
+            # a leaf the one-leaf loop would not reach may fail: retry one
+            # leaf, which fails exactly where that loop does
+            if len(pops) == 1:
+                raise
+            forest._truncate(n_before)
+            for entry in pops:
+                heapq.heappush(heap, entry)
+            k = 1
+            continue
+        forest.nodes["error"][first], forest.nodes["error"][second] = e0, e1
+        made = np.maximum(e0, e1)
+        if stop.kind == "generation-levels":  # children at the level never pop
+            made[forest.nodes["level"][first] >= limit] = -math.inf
+        # step j keeps the order unless an earlier step made a child with a
+        # larger error (an equal one has a larger id); step 0 always keeps it
+        before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
+        m = int(np.argmax(before > -np.array([e for e, _ in pops]))) or len(pops)
+        if m < len(pops):
+            forest._truncate(n_before + 2 * m)
+            for entry in pops[m:]:
+                heapq.heappush(heap, entry)
+            k = m
+        else:
+            k = min(2 * k, _MAX_BATCH)
+        for err, child in ((e0, first), (e1, second)):
+            for entry in zip((-err[:m]).tolist(), child[:m].tolist()):
+                heapq.heappush(heap, entry)
+        due = [s for s in range(step + 1, step + m + 1)
+               if (n := forest.n_roots + s) <= 1024 or _is_pow2(n) or n in record_at]
+        step += m
+        traced_last = bool(due) and due[-1] == step
+        if due:
+            measures.fill(forest.nodes["verts"])
+        trace += [_trace_record(forest, p, measures, s) for s in due]
     if not traced_last:
-        trace.append(_trace_record(forest, config.p, measures, step))
+        measures.fill(forest.nodes["verts"])
+        trace.append(_trace_record(forest, p, measures, step))
     return forest, trace
 
 

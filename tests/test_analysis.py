@@ -132,16 +132,16 @@ class TestSigmaStudy:
             anc = leaf
             for _ in range(3):
                 anc = forest.nodes["parent"][anc]
-            s_anc = sigma(q, forest.triangle(anc))
-            assert sigma(q, forest.triangle(leaf)) <= s_anc * (1 + 1e-9)
+            s_anc = sigma(q, Triangle(forest.nodes["verts"][anc]))
+            assert sigma(q, Triangle(forest.nodes["verts"][leaf])) <= s_anc * (1 + 1e-9)
         # each 3-up ancestor has a descendant meeting the disjunction
         for anc in {a for a in range(len(forest.nodes))
                     if forest.nodes["level"][a] == 3}:
-            s_anc = sigma(q, forest.triangle(anc))
+            s_anc = sigma(q, Triangle(forest.nodes["verts"][anc]))
             desc = [anc]
             for _ in range(3):
                 desc = [forest.nodes["child"][d] + k for d in desc for k in (0, 1)]
-            svals = [sigma(q, forest.triangle(d)) for d in desc]
+            svals = [sigma(q, Triangle(forest.nodes["verts"][d])) for d in desc]
             assert min(svals) <= max(0.69 * s_anc, 5.0) * (1 + 1e-9)
 
     def test_rejects_non_pd(self):
@@ -209,6 +209,26 @@ class TestEquivalenceProbe:
     def test_bracket_regression(self):
         lo, hi = equivalence_constant_probe(samples=1000, seed=0)
         assert 0.01 < lo < hi < 100.0
+
+    @pytest.mark.parametrize("samples, seed, op", [(1, 5, "interpolation"),
+                                                   (70, 0, "interpolation"),
+                                                   (70, 3, "l2-projection")])
+    def test_matches_per_sample_loop(self, samples, seed, op):
+        # one local_error call per sample and exponent, each on its own field
+        from anisomesh.approx import local_error
+
+        rng = np.random.default_rng(seed)
+        ratios = []
+        for _ in range(samples):
+            q = random_pd_form(rng)
+            t = random_triangle(rng)
+            qf = QuadraticField("probe", q.a20, q.a11, q.a02)
+            s = sigma(q, t)
+            for p in (1.0, 2.0, math.inf):
+                denom = s * math.sqrt(q.det) * t.area ** (1.0 / tau_from_p(p))
+                ratios.append(local_error(t, qf, p, op) / denom)
+        got = equivalence_constant_probe(samples, seed, op)
+        assert np.array(got).tobytes() == np.array([min(ratios), max(ratios)]).tobytes()
 
     def test_affine_invariance_of_ratio(self):
         # the probe ratio is invariant under affine maps of the triangle

@@ -74,14 +74,33 @@ def test_sigma_study_takes_no_config():
     assert "config" not in inspect.signature(anisomesh.sigma_study).parameters
 
 
-def test_benchmark_tracer_hooks_resolve():
-    # the benchmark's tracer rebinds package functions by name and raises
-    # KeyError when one is gone; it lives outside the test paths
+def benchmark_tracer():
+    """The benchmark's tracer module, which lives outside the test paths."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # the benchmark's tracer rebinds package functions by name and raises
+    # KeyError when one is gone
     before = anisomesh.engine.select_edge
-    with tracer.Tracer().installed():
+    with benchmark_tracer().Tracer().installed():
         assert anisomesh.engine.select_edge is not before
     assert anisomesh.engine.select_edge is before
+
+
+def test_benchmark_trace_counts_hold_for_a_greedy_run():
+    # the benchmark's traced run requires both children of every
+    # ``bisect_node`` call to be scored through ``approx.local_error``
+    tracer = benchmark_tracer().Tracer()
+    config = anisomesh.GreedyConfig(stop=anisomesh.StopRule("target-count", 64),
+                                    initial="unit-square")
+    with tracer.installed(), tracer.root("op.refine"):
+        anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
+    counts = tracer.root_counts["op.refine"]
+    assert counts["engine.bisect_node.calls"] >= 1
+    assert counts["approx.local_error.calls"] >= 2 * counts["engine.bisect_node.calls"]
+    assert counts["engine.heap.pops"] > 0

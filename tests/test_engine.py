@@ -138,16 +138,17 @@ class TestForest:
 
     def test_children_partition_parent(self):
         forest, _ = greedy_run(DISK, count_config(64))
+        verts = forest.nodes["verts"]
         for i in np.flatnonzero(forest.nodes["child"] >= 0):
             c = forest.nodes["child"][i]
-            a = forest.triangle(c).area + forest.triangle(c + 1).area
-            assert a == pytest.approx(forest.triangle(i).area, rel=1e-10)
+            a = Triangle(verts[c]).area + Triangle(verts[c + 1]).area
+            assert a == pytest.approx(Triangle(verts[i]).area, rel=1e-10)
 
     def test_cache_coherence(self):
         cfg = count_config(50, p=2.0)
         forest, _ = greedy_run(DISK, cfg)
         for i in forest.leaf_ids():
-            recomputed = local_error(forest.triangle(i), DISK, cfg.p, cfg.operator)
+            recomputed = local_error(Triangle(forest.nodes["verts"][i]), DISK, cfg.p, cfg.operator)
             assert abs(forest.nodes["error"][i] - recomputed) <= 1e-12 * max(recomputed, 1e-300)
 
     def test_double_bisection_rejected(self):
@@ -355,8 +356,11 @@ class TestGreedyRun:
 
 
 def reference_trace_record(forest, p, form, step):
-    """A trace record that re-measures every leaf (sigma only given ``form``)."""
-    nodes = forest.nodes
+    """A trace record that re-measures every leaf (sigma only given ``form``)
+    of the mesh after ``step`` bisections: the first rows of the forest, with
+    the bisections made after that step undone."""
+    nodes = forest.nodes[:forest.n_roots + 2 * step].copy()
+    nodes["child"][nodes["child"] >= len(nodes)] = -1
     leaves = nodes[nodes["child"] < 0]
     verts = leaves["verts"]
     if form is not None:
@@ -365,7 +369,7 @@ def reference_trace_record(forest, p, form, step):
     else:
         smean = smax = math.nan
     e = edge_vectors_of(verts)
-    return engine.TraceRecord(step, forest.n_leaves, approx.lp_sum(leaves["error"], p),
+    return engine.TraceRecord(step, len(leaves), approx.lp_sum(leaves["error"], p),
                               float(np.sqrt((e * e).sum(axis=2).max())), smean, smax)
 
 
@@ -377,7 +381,7 @@ def record_bytes(rec):
 
 def checked_greedy_run(f, config, record_at=None):
     """``greedy_run`` with each trace record required to equal, as bytes, the
-    reference record of the same forest state; returns the trace."""
+    reference record of the mesh after its step; returns the trace."""
     form = getattr(f, "form", None)
     if form is not None and not form.is_positive_definite:
         form = None
