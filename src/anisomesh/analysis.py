@@ -17,8 +17,8 @@ import numpy as np
 from . import approx, engine
 from .engine import GreedyConfig, RefinementForest, StopRule
 from .fields import QuadraticField, ScalarField
-from .geometry import (NEXT, PREV, QuadForm, Triangle, areas_of, bisect, edge_vectors_of,
-                       sigma, sigma_batch)
+from .geometry import (QuadForm, Triangle, areas_of, bisect, edge_vectors_of, sigma,
+                       sigma_batch)
 
 __all__ = [
     "R0",
@@ -33,7 +33,6 @@ __all__ = [
     "equivalence_constant_probe",
     "random_pd_form",
     "random_triangle",
-    "hessian_oscillation",
     "sigma_csv",
     "convergence_csv",
     "trace_csv",
@@ -249,32 +248,6 @@ def equivalence_constant_probe(samples: int = 1000, seed: int = 0,
         ratios += [e / (s * t.area ** (1.0 / tau_from_p(p)))
                    for e, s, t in zip(errs, scales, tris)]
     return min(ratios), max(ratios)
-
-
-def hessian_oscillation(f: ScalarField, t: Triangle) -> float:
-    """Relative spread of d2f over a triangle, measured at sample points.
-
-    Returns the smallest mu such that the hessians at the sample points
-    (vertices, edge midpoints, quadrature nodes) satisfy
-    ``H_lo <= d2f(x) <= (1 + mu) H_lo`` for the sampled lower envelope; the
-    field must be strictly convex on the triangle.
-    """
-    corners = np.eye(3)
-    mids = 0.5 * (corners[NEXT] + corners[PREV])
-    bary = np.vstack([corners, mids, approx.DEFAULT_RULE.nodes, [[1 / 3, 1 / 3, 1 / 3]]])
-    xy = bary @ t.vertices
-    h = f.hessian(xy[:, 0], xy[:, 1])
-    hb = h[-1]  # centroid
-    w, r = np.linalg.eigh(hb)
-    if w[0] <= 0:
-        raise ValueError("hessian not positive definite at the centroid")
-    b = (r / np.sqrt(w)) @ r.T  # hb^(-1/2)
-    m = b @ h @ b
-    eigs = np.linalg.eigvalsh(m)
-    lo, hi = float(eigs.min()), float(eigs.max())
-    if lo <= 0:
-        raise ValueError("hessian not positive definite on the triangle")
-    return hi / lo - 1.0
 
 
 # The header lines of the CSV writers below

@@ -41,7 +41,6 @@ __all__ = [
     "local_error_quadratic_exact",
     "decision_l1",
     "decision_gains_convex",
-    "decision_gain_quadrature",
     "decision_lp_split",
 ]
 
@@ -354,17 +353,6 @@ def decision_gains_convex(verts, f) -> np.ndarray:
     vals = np.asarray(f(xs, ys), dtype=float)
     gaps = 0.5 * (vals.take(NEXT, axis=-1) + vals.take(PREV, axis=-1)) - vals[..., 3:]
     return (areas_of(edge_vectors_of(v)) / 3.0)[..., None] * gaps
-
-
-def decision_gain_quadrature(verts, f) -> np.ndarray:
-    """The same error reductions measured by child quadrature.
-
-    ``||f - I_T f||_{L1(T)} - d_T(e, f)``; agrees with the closed form for
-    convex fields up to quadrature accuracy.
-    """
-    v = np.asarray(verts, dtype=float)
-    whole = local_errors(v.reshape(-1, 3, 2), f, 1, "interpolation")
-    return whole.reshape(v.shape[:-2] + (1,)) - decision_l1(v, f)
 
 
 def decision_lp_split(verts, f, p, op: str = "interpolation") -> np.ndarray:

@@ -266,6 +266,13 @@ def cmd_render(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for name in ("mesh_out", "trace_out", "csv_out", "svg_out"):
+        path = getattr(args, name, None)
+        # checked before any work, and named as given rather than by its temp file
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"error: cannot write {path!r}: its directory does not exist",
+                  file=sys.stderr)
+            return 1
     handler = {
         "run": cmd_run,
         "converge": cmd_converge,

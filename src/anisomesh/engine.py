@@ -5,7 +5,8 @@ forms the roots, every bisection adds two children, and the leaves are the
 current triangulation.  The greedy loop repeatedly bisects the leaf with
 the largest local Lp error, choosing the edge through a decision function;
 leaves tie by earliest creation.  A leaf's error and edge depend on that
-leaf only, so the loop replays this order in batches of leaves.  Meshes
+leaf only, so the loop replays this order in batches of leaves; the trace
+is read from the finished forest, whose rows are in step order.  Meshes
 serialize to a plain-text format with 17-significant-digit decimals so
 runs round-trip bit-exactly.
 """
@@ -45,8 +46,8 @@ STOP_KINDS = ("target-count", "error-threshold", "generation-levels")
 DECISIONS = ("l1-interp", "lp-split")
 INITIAL_MESHES = ("ref-triangle", "unit-square")
 
-# Leaves per greedy batch at most: bounds the batch's temporaries (a few
-# hundred kB), so memory stays flat however many leaves a run makes.
+# Leaves per greedy batch, and rows per measuring slice, at most: bounds the
+# temporaries (a few hundred kB), so memory stays flat however large a run.
 _MAX_BATCH = 1024
 
 
@@ -238,53 +239,23 @@ def select_edge(verts, f, config: GreedyConfig):
     return int(edges) if edges.ndim == 0 else edges
 
 
-class _NodeMeasures:
-    """Trace columns of one run, one entry per forest node: ``diam2``, the
-    squared diameter, and ``sigma`` (left unset without a positive-definite
-    form).  Each node is measured once, by the first ``fill`` after it is
-    created."""
-
-    def __init__(self, form):
-        self.form = form
-        self.diam2 = self.sigma = np.empty(0)
-        self.n = 0
-
-    def fill(self, verts) -> None:
-        """Measure the nodes ``verts[self.n:]`` created since the last fill."""
-        first, self.n = self.n, len(verts)
-        if first == self.n:
-            return
-        if self.n > len(self.diam2):
-            grown = np.empty((2, max(2 * len(self.diam2), self.n)))
-            grown[:, :first] = self.diam2[:first], self.sigma[:first]
-            self.diam2, self.sigma = grown
-        new = verts[first:]
-        e = edge_vectors_of(new)
-        self.diam2[first:self.n] = (e * e).sum(axis=2).max(axis=1)
-        if self.form is not None:
-            self.sigma[first:self.n] = sigma_batch(self.form, new)
-
-
-def _trace_record(forest, p, measures, step) -> TraceRecord:
+def _trace_record(forest, p, columns, step) -> TraceRecord:
     # the mesh after ``step`` bisections: rows are made in step order, so its
     # leaves are the first n_roots + 2 step rows not split among them; their
-    # filled column values, in id order, are reduced as a full re-measure of
-    # those leaves would: the same bytes, since each value depends on its row only
+    # column values, in id order, are reduced as a re-measure of those leaves
+    # would be: the same bytes, since each value depends on its row only
+    diam2, sigma = columns
     n = forest.n_roots + 2 * step
     child = forest.nodes["child"][:n]
     leaves = np.flatnonzero((child < 0) | (child >= n))
-    if measures.form is not None:
-        s = measures.sigma[leaves]
+    if sigma is not None:
+        s = sigma[leaves]
         smean, smax = float(s.mean()), float(s.max())
     else:
         smean = smax = math.nan
     return TraceRecord(step, forest.n_roots + step,
                        approx.lp_sum(forest.nodes["error"][leaves], p),
-                       float(np.sqrt(measures.diam2[leaves].max())), smean, smax)
-
-
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
+                       float(np.sqrt(diam2[leaves].max())), smean, smax)
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -316,6 +287,10 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     takes in the same order, rolling back the rest; ``k`` doubles, up to
     1024, while every step is kept and falls to the number kept.  Forest,
     trace and errors are those of the one-leaf loop, bit for bit.
+
+    The loop keeps no trace state: rows are made in step order and a kept
+    row never changes, so the records are read from the finished forest,
+    after every node is measured once.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
@@ -332,9 +307,6 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
-    form = getattr(f, "form", None)
-    measures = _NodeMeasures(form if form is not None and form.is_positive_definite
-                             else None)
     p, op, limit = config.p, config.operator, int(stop.value)
 
     errors = approx.local_error(forest.nodes["verts"], f, p, op)
@@ -344,10 +316,7 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     heap: list[tuple[float, int]] = []
     for entry in zip((-errors).tolist(), range(forest.n_roots)):
         heapq.heappush(heap, entry)
-    measures.fill(forest.nodes["verts"])
-    trace = [_trace_record(forest, p, measures, 0)]
-    step, k = 0, 1
-    traced_last = True
+    k = 1
     while True:
         room = (config.node_cap - len(forest.nodes)) // 2
         size = min(k, max(room, 1))  # with no room, one pop tells whether a step is due
@@ -400,16 +369,25 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         for err, child in ((e0, first), (e1, second)):
             for entry in zip((-err[:m]).tolist(), child[:m].tolist()):
                 heapq.heappush(heap, entry)
-        due = [s for s in range(step + 1, step + m + 1)
-               if (n := forest.n_roots + s) <= 1024 or _is_pow2(n) or n in record_at]
-        step += m
-        traced_last = bool(due) and due[-1] == step
-        if due:
-            measures.fill(forest.nodes["verts"])
-        trace += [_trace_record(forest, p, measures, s) for s in due]
-    if not traced_last:
-        measures.fill(forest.nodes["verts"])
-        trace.append(_trace_record(forest, p, measures, step))
+
+    # each node measured once, in slices that bound the temporaries
+    verts = forest.nodes["verts"]
+    form = getattr(f, "form", None)
+    diam2 = np.empty(len(verts))
+    sigma = np.empty(len(verts)) if form is not None and form.is_positive_definite else None
+    for i in range(0, len(verts), _MAX_BATCH):
+        rows = verts[i:i + _MAX_BATCH]
+        e = edge_vectors_of(rows)
+        diam2[i:i + _MAX_BATCH] = (e * e).sum(axis=2).max(axis=1)
+        if sigma is not None:
+            sigma[i:i + _MAX_BATCH] = sigma_batch(form, rows)
+    # leaf counts with a record: the first and the last, every count up to
+    # 1024, the powers of two and record_at
+    n_last = forest.n_leaves
+    due = {forest.n_roots, n_last, *range(1025), *record_at,
+           *(2 ** j for j in range(11, n_last.bit_length()))}
+    trace = [_trace_record(forest, p, (diam2, sigma), n - forest.n_roots)
+             for n in sorted(due) if forest.n_roots <= n <= n_last]
     return forest, trace
 
 

@@ -21,7 +21,6 @@ from anisomesh.analysis import (
 )
 from anisomesh.approx import (
     DEFAULT_RULE,
-    decision_gain_quadrature,
     decision_gains_convex,
     decision_l1,
     interpolate,
@@ -85,7 +84,7 @@ def test_criterion_2_exact_gain_formula(samples):
             worst_closed = max(worst_closed,
                                abs(gains[e] - closed) / (12.0 * closed))
             if k < 300:  # child quadrature is the slow path
-                dq = decision_gain_quadrature(t.vertices, qf)[e]
+                dq = local_error(t, qf, 1) - decision_l1(t.vertices, qf)[e]
                 worst_quad = max(worst_quad, abs(dq - closed) / closed)
     assert worst_closed <= 1e-10
     assert worst_quad <= 1e-6

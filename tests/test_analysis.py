@@ -12,7 +12,6 @@ from anisomesh.analysis import (
     convergence_study,
     equivalence_constant_probe,
     gamma_factor,
-    hessian_oscillation,
     hessian_tau_norm,
     random_pd_form,
     random_triangle,
@@ -30,7 +29,8 @@ from anisomesh.engine import (
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.geometry import QuadForm, Triangle, sigma, reference_triangle
+from anisomesh.approx import DEFAULT_RULE
+from anisomesh.geometry import NEXT, PREV, QuadForm, Triangle, sigma, reference_triangle
 
 
 def test_tau_from_p():
@@ -260,6 +260,32 @@ class TestEquivalenceProbe:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             equivalence_constant_probe(samples=0)
+
+
+def hessian_oscillation(f: ScalarField, t: Triangle) -> float:
+    """Relative spread of d2f over a triangle, measured at sample points.
+
+    Returns the smallest mu such that the hessians at the sample points
+    (vertices, edge midpoints, quadrature nodes) satisfy
+    ``H_lo <= d2f(x) <= (1 + mu) H_lo`` for the sampled lower envelope; the
+    field must be strictly convex on the triangle.
+    """
+    corners = np.eye(3)
+    mids = 0.5 * (corners[NEXT] + corners[PREV])
+    bary = np.vstack([corners, mids, DEFAULT_RULE.nodes, [[1 / 3, 1 / 3, 1 / 3]]])
+    xy = bary @ t.vertices
+    h = f.hessian(xy[:, 0], xy[:, 1])
+    hb = h[-1]  # centroid
+    w, r = np.linalg.eigh(hb)
+    if w[0] <= 0:
+        raise ValueError("hessian not positive definite at the centroid")
+    b = (r / np.sqrt(w)) @ r.T  # hb^(-1/2)
+    m = b @ h @ b
+    eigs = np.linalg.eigvalsh(m)
+    lo, hi = float(eigs.min()), float(eigs.max())
+    if lo <= 0:
+        raise ValueError("hessian not positive definite on the triangle")
+    return hi / lo - 1.0
 
 
 class TestDeltaNearStudy:

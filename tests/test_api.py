@@ -39,12 +39,14 @@ def test_package_all_resolves():
     ("approx", "_check_shape"),
     ("approx", "_NODE_CACHE"),
     ("approx", "_error_nodes"),
+    ("approx", "decision_gain_quadrature"),
     ("engine", "select_triangle"),
     ("engine", "leaf_error"),
     ("engine", "_global_error_from_caches"),
     ("engine", "ForestNode"),
     ("engine", "max_leaf_diameter"),
     ("analysis", "_uniform_background"),
+    ("analysis", "hessian_oscillation"),
 ])
 def test_retired_names_are_gone(name, attr):
     module = importlib.import_module(f"anisomesh.{name}")
@@ -63,8 +65,7 @@ def test_retired_attributes_are_gone():
 
 
 @pytest.mark.parametrize("name", ["local_errors", "local_error", "decision_l1",
-                                  "decision_lp_split", "decision_gain_quadrature",
-                                  "project_l2"])
+                                  "decision_lp_split", "project_l2"])
 def test_error_quadrature_is_not_an_option(name):
     params = inspect.signature(getattr(anisomesh.approx, name)).parameters
     assert "rule" not in params and "subdiv" not in params
@@ -99,8 +100,10 @@ def test_benchmark_trace_counts_hold_for_a_greedy_run():
     config = anisomesh.GreedyConfig(stop=anisomesh.StopRule("target-count", 64),
                                     initial="unit-square")
     with tracer.installed(), tracer.root("op.refine"):
-        anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
+        _, trace = anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
     counts = tracer.root_counts["op.refine"]
+    # ``engine.trace.records`` counts one ``_trace_record`` call per record
+    assert counts["engine.trace.calls"] == len(trace)
     assert counts["engine.bisect_node.calls"] >= 1
     assert counts["approx.local_error.calls"] >= 2 * counts["engine.bisect_node.calls"]
     assert counts["engine.heap.pops"] > 0

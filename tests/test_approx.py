@@ -9,7 +9,6 @@ import pytest
 from anisomesh.approx import (
     DEFAULT_RULE,
     AffinePoly,
-    decision_gain_quadrature,
     decision_gains_convex,
     decision_l1,
     decision_lp_split,
@@ -280,7 +279,7 @@ class TestDecisions:
             t = random_triangle(rng)
             qf = QuadraticField("s", q.a20, q.a11, q.a02)
             for e in range(3):
-                dq = decision_gain_quadrature(t.vertices, qf)[e]
+                dq = local_error(t, qf, 1) - decision_l1(t.vertices, qf)[e]
                 dc = decision_gains_convex(t.vertices, qf)[e]
                 assert dq == pytest.approx(dc, rel=1e-8, abs=1e-14)
 
@@ -352,10 +351,9 @@ class TestBatchedDecisions:
     @pytest.mark.parametrize("decide", [
         lambda v, f: decision_gains_convex(v, f),
         lambda v, f: decision_l1(v, f),
-        lambda v, f: decision_gain_quadrature(v, f),
         lambda v, f: decision_lp_split(v, f, 2.0),
         lambda v, f: decision_lp_split(v, f, math.inf, "l2-projection"),
-    ], ids=["gains-convex", "l1", "gain-quadrature", "lp-split-2", "lp-split-inf-l2"])
+    ], ids=["gains-convex", "l1", "lp-split-2", "lp-split-inf-l2"])
     def test_batch_matches_rows(self, decide):
         rng = np.random.default_rng(13)
         f = get_field("expbump")

@@ -398,6 +398,27 @@ def test_mesh_to_svg_direct():
         mesh_to_svg(forest, values=[1.0])
 
 
+@pytest.mark.parametrize("command, out", [
+    (["run", "--field", "disk", "--target-n", "64", "--mesh-out", "{ok}"], "--trace-out"),
+    (["run", "--field", "disk", "--target-n", "64", "--trace-out", "{ok}"], "--mesh-out"),
+    (["converge", "--field", "disk"], "--csv-out"),
+    (["sigma-study", "--field", "disk"], "--csv-out"),
+    (["render", "{ok}"], "--svg-out"),
+], ids=["trace-out", "mesh-out", "converge", "sigma-study", "render"])
+def test_output_in_missing_directory_fails_first(tmp_path, capsys, monkeypatch, command, out):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for owner, name in [(cli.engine, "greedy_run"), (cli.engine, "load_mesh"),
+                        (cli.analysis, "convergence_study"), (cli.analysis, "sigma_study")]:
+        monkeypatch.setattr(owner, name, ran)
+    missing = str(tmp_path / "missing" / "out.txt")
+    args = [a.replace("{ok}", str(tmp_path / "ok.txt")) for a in command]
+    assert run_cli(*args, out, missing) == 1
+    assert f"cannot write {missing!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point(tmp_path):
     # the child process imports the package the tests import
     src = os.path.dirname(os.path.dirname(anisomesh.__file__))

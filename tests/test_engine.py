@@ -430,12 +430,13 @@ class TestTraceRecords:
         f, config, record_at = case
         try:
             trace = checked_greedy_run(f, config, record_at)
-        except RunawayRefinementError:  # the records made so far were checked
+        except RunawayRefinementError:  # a run stopped at the node cap has no trace
             return
         assert [r.step for r in trace] == list(range(len(trace)))
 
     def test_records_past_1024_leaves_match_full_remeasure(self):
-        # between records past 1024 leaves, one fill measures many new nodes
+        # past 1024 leaves, records skip many steps: each reads only the rows
+        # of its own step from the finished forest
         trace = checked_greedy_run(get_field("aniso-10"), count_config(1500),
                                    record_at=[1100, 1337])
         assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1100, 1337, 1500]
@@ -452,6 +453,21 @@ class TestTraceRecords:
         # records at 2..1024 leaves, at 1050 and at the final 1100
         assert [r.n_leaves for r in trace] == [*range(2, 1025), 1050, 1100]
         assert rows == {"diam2": len(forest.nodes), "sigma": len(forest.nodes)}
+
+    def test_measuring_is_bounded(self, monkeypatch):
+        rows = collections.defaultdict(list)
+        edges, sigmas = engine.edge_vectors_of, engine.sigma_batch
+        monkeypatch.setattr(engine, "edge_vectors_of",
+                            lambda verts: rows["diam2"].append(len(verts)) or edges(verts))
+        monkeypatch.setattr(engine, "sigma_batch", lambda form, verts:
+                            rows["sigma"].append(len(verts)) or sigmas(form, verts))
+        # the records at 2048 and 4096 leaves are thousands of steps apart,
+        # yet no call measures more rows than one slice
+        forest, trace = greedy_run(get_field("aniso-10"), count_config(5000))
+        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [2048, 4096, 5000]
+        for kind in ("diam2", "sigma"):
+            assert max(rows[kind]) <= engine._MAX_BATCH
+            assert sum(rows[kind]) == len(forest.nodes)
 
 
 class TestUniformRefine:
