@@ -19,7 +19,7 @@ from .geometry import (
     rho,
     sigma,
 )
-from .fields import QuadraticField, ScalarField, builtin_catalog, get_field, hessian_fd
+from .fields import QuadraticField, ScalarField, builtin_catalog, get_field
 from .approx import (
     AffinePoly,
     DEFAULT_RULE,
@@ -29,7 +29,6 @@ from .approx import (
     interpolate,
     local_error,
     local_errors,
-    local_error_quadratic_exact,
     project_l2,
 )
 from .engine import (

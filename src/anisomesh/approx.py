@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from .geometry import NEXT, PREV, Triangle, areas_of, bisect, edge_vectors_of
-from .fields import QuadraticField
 
 __all__ = [
     "AffinePoly",
@@ -38,7 +37,6 @@ __all__ = [
     "local_errors",
     "local_error",
     "lp_sum",
-    "local_error_quadratic_exact",
     "decision_l1",
     "decision_gains_convex",
     "decision_lp_split",
@@ -94,10 +92,6 @@ class QuadratureRule:
         self.nodes = nodes
         self.weights = weights
         self.degree = int(degree)
-
-    def points_on(self, t: Triangle) -> np.ndarray:
-        """Cartesian node coordinates on a triangle, shape (n, 2)."""
-        return self.nodes @ t.vertices
 
 
 def _symmetric_rule(groups, degree):
@@ -298,23 +292,6 @@ def lp_sum(errs, p) -> float:
     if math.isinf(p):
         return float(errs.max())
     return float((errs ** p).sum() ** (1.0 / p))
-
-
-def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
-    """Exact ``||q - I_T q||_{L1(T)}`` for a convex (or concave) quadratic.
-
-    Convexity makes ``I_T q - q`` one-signed, so the L1 norm is the plain
-    integral of a quadratic, the sum of the ``decision_gains_convex`` gains;
-    equals ``|T| * |q(a) + q(b) + q(c)| / 12`` in terms of the form.
-    """
-    if not isinstance(qf, QuadraticField):
-        raise TypeError("expects a QuadraticField")
-    lo, hi = np.linalg.eigvalsh(qf.form.matrix)
-    tol = 1e-12 * max(qf.form.scale, 1e-300)
-    if lo < -tol and hi > tol:
-        raise ValueError("exact L1 error needs a semidefinite homogeneous part")
-    _check_shapes(t.vertices[None], "local_error_quadratic_exact")
-    return abs(float(decision_gains_convex(t.vertices, qf).sum()))
 
 
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:

@@ -49,6 +49,7 @@ INITIAL_MESHES = ("ref-triangle", "unit-square")
 # Leaves per greedy batch, and rows per measuring slice, at most: bounds the
 # temporaries (a few hundred kB), so memory stays flat however large a run.
 _MAX_BATCH = 1024
+_SLICE = 16 * _MAX_BATCH  # lines of mesh text formatted at once, at most
 
 
 class RunawayRefinementError(RuntimeError):
@@ -413,29 +414,125 @@ def global_error(forest: RefinementForest, f, p, op: str = "interpolation") -> f
     return approx.lp_sum(approx.local_errors(forest.leaf_vertex_array(), f, p, op), p)
 
 
+def _mesh_text_slices(forest: RefinementForest):
+    """The mesh text in pieces of at most ``_SLICE`` lines."""
+    xy = np.ascontiguousarray(forest.nodes["verts"]).reshape(-1, 2)
+    # equal bits sort together, and the stable sort starts each run at its first use
+    x, y = xy.view(np.uint64).T
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    new = np.concatenate(([True], (x[1:] != x[:-1]) | (y[1:] != y[:-1])))
+    first = order[new]
+    # a vertex's number is the rank of its first use
+    tris = np.empty_like(order)
+    tris[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    sections = (("v %.17g %.17g\n", xy[np.sort(first)]),
+                ("t %d %d %d %d\n", np.c_[tris.reshape(-1, 3), forest.nodes["parent"]]),
+                ("leaf %d\n", forest.leaf_ids()[:, None]))
+    del xy, x, y, order, new, first, tris  # the numbering's arrays die before the text grows
+    yield MESH_HEADER + "\n"
+    for line, rows in sections:
+        for part in np.split(rows, range(_SLICE, len(rows), _SLICE)):
+            yield (line * len(part)) % tuple(part.ravel().tolist())
+
+
 def mesh_to_text(forest: RefinementForest) -> str:
     """Serialize a forest to the plain-text mesh format.
 
     Vertices are numbered by first use; equal bits share one (0.0 and -0.0 do not).
     """
-    nodes = forest.nodes
-    xy = np.ascontiguousarray(nodes["verts"]).reshape(-1, 2)
-    # one 16-byte key per vertex: equal keys are equal bits
-    _, first, inverse = np.unique(xy.view("V16"), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    # a vertex's number is the rank of its first use
-    tris = np.argsort(order)[inverse.reshape(-1)].reshape(-1, 3)
-    table = np.column_stack([tris, nodes["parent"]])
-    leaves = forest.leaf_ids()
-    return "".join([MESH_HEADER + "\n",
-                    ("v %.17g %.17g\n" * len(order)) % tuple(xy[first[order]].ravel().tolist()),
-                    ("t %d %d %d %d\n" * len(table)) % tuple(table.ravel().tolist()),
-                    ("leaf %d\n" * len(leaves)) % tuple(leaves.tolist())])
+    return "".join(_mesh_text_slices(forest))
 
 
 def save_mesh(forest: RefinementForest, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(mesh_to_text(forest))
+        fh.writelines(_mesh_text_slices(forest))
+
+
+# The strict line grammar, parsed in bulk: a directive, then its fields, each
+# one space and a token: -?[0-9]+ for `t` and `leaf` (the int64 parse saturates,
+# so a value of 10**18 or more in size sends its piece line by line), [0-9.e+-]
+# for `v` (parsed by Python's `float`).
+_DIRECTIVES = {"v": 2, "t": 4, "leaf": 1}  # fields of each directive
+_PIECE = 2 * _MAX_BATCH  # lines per bulk parse, at most
+
+
+def _read_lines(text: str):
+    """The ``v``, ``t`` and ``leaf`` rows of a mesh text, line number first, and its
+    line count.  Runs of lines in the strict grammar are parsed in bulk; other lines,
+    and pieces whose bulk parse fails, are read alone by the rules of ``str.split``,
+    ``int`` and ``float``; the first line at fault raises."""
+    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
+        text = "\n".join(text.splitlines())  # every line break a newline
+    text = text if text.endswith("\n") else text + "\n"
+    b = np.frombuffer(text.encode("ascii", "replace"), np.uint8)  # one byte per character
+    ends = np.flatnonzero(b == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if text[:ends[0]].strip() != MESH_HEADER:
+        raise MeshFormatError(f"line 1: expected header {MESH_HEADER!r}")
+    kind = np.full(len(ends), -1, np.int8)  # a directive's index, or -1: read alone
+    for k, word in enumerate(_DIRECTIVES):  # a line's newline ends any match
+        kind[np.logical_and.reduce([b.take(starts + j, mode="clip") == c
+                                    for j, c in enumerate(word.encode() + b" ")])] = k
+    out = [np.empty((m, n + 1), int if k else float) for k, (m, n) in  # room for every line
+           enumerate(zip(np.bincount(kind + 1, minlength=4)[1:], _DIRECTIVES.values()))]
+    done, loose = [0, 0, 0], (array("d"), array("q"), array("q"))  # rows in out; lines read alone
+
+    def read_alone(i):
+        raw, ln = text[starts[i]:ends[i]], i + 1
+        fields = raw.split()
+        if fields and i:  # not a blank line, nor the header
+            try:
+                if _DIRECTIVES.get(fields[0]) != len(fields) - 1:
+                    raise ValueError("unrecognized directive")
+                k = list(_DIRECTIVES).index(fields[0])
+                loose[k].append(ln)
+                loose[k].extend(map(int if k else float, fields[1:]))
+            except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
+                raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
+
+    bounds = np.concatenate(([0], np.flatnonzero(kind[1:] != kind[:-1]) + 1, [len(kind)])).tolist()
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        k = kind[r0]
+        if k < 0:
+            for i in range(r0, r1):
+                read_alone(i)
+            continue
+        word, n_fields = list(_DIRECTIVES.items())[k]
+        for i in range(r0, r1, _PIECE):  # a piece of lines i..j-1
+            j = min(i + _PIECE, r1)
+            rel = starts[i:j] - starts[i]
+            piece = b[starts[i]:ends[j - 1] + 1].copy()
+            for c in range(len(word)):  # the directive's letters read as line breaks
+                piece[rel + c] = 10
+            digit, minus, space = piece - 48 < 10, piece == 45, piece == 32
+            token = digit | minus | (k == 0) & ((piece == 46) | (piece == 101) | (piece == 43))
+            wrong = ~(token | space | (piece == 10))
+            wrong[:-1] |= space[:-1] & ~token[1:]  # a space starts a token
+            if k:  # a minus only starts an int token, before a digit
+                wrong[1:-1] |= minus[1:-1] & ~(space[:-2] & digit[2:])
+            bad = np.add.reduceat(space, rel, dtype=np.int32) != n_fields
+            bad[np.searchsorted(rel, np.flatnonzero(wrong), "right") - 1] = True
+            for r in np.flatnonzero(bad).tolist():
+                piece[rel[r]:ends[i + r] - starts[i]] = 10
+            try:
+                if k:  # blanks alone parse as one 0: keep the values of the lines kept
+                    rows = np.fromstring(piece.tobytes(), np.int64, sep=" ")
+                    rows = rows[:n_fields * np.count_nonzero(~bad)].reshape(-1, n_fields)
+                    if (rows >= 10 ** 18).any() or (rows <= -10 ** 18).any():
+                        raise ValueError("an int of 10**18 or more in size")
+                else:
+                    rows = np.array(piece.tobytes().decode().split(), float).reshape(-1, 2)
+            except ValueError:  # read alone, the first line at fault names itself
+                bad[:], rows = True, np.empty((0, n_fields), int if k else float)
+            for r in np.flatnonzero(bad).tolist():
+                read_alone(i + r)
+            good = np.flatnonzero(~bad)
+            out[k][done[k]:done[k] + len(good)] = np.column_stack((good + i + 1, rows))
+            done[k] += len(good)
+    out = [np.concatenate((r[:m], np.array(a).reshape(-1, n + 1))) if a else r[:m]
+           for r, m, a, n in zip(out, done, loose, _DIRECTIVES.values())]
+    return (*(r if not a else r[np.argsort(r[:, 0])] for r, a in zip(out, loose)), len(ends))
 
 
 def mesh_from_text(text: str) -> RefinementForest:
@@ -447,29 +544,8 @@ def mesh_from_text(text: str) -> RefinementForest:
     once, in ascending id order.  Any violation raises MeshFormatError
     naming the first offending line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MESH_HEADER:
-        raise MeshFormatError(f"line 1: expected header {MESH_HEADER!r}")
-    xy, table, marks = array("d"), array("q"), array("q")
-    for ln, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "t" and len(parts) == 5:
-                table.append(ln)
-                table.extend(map(int, parts[1:]))
-            elif parts[0] == "v" and len(parts) == 3:
-                xy.extend(map(float, parts[1:]))
-            elif parts[0] == "leaf" and len(parts) == 2:
-                marks.extend((ln, int(parts[1])))
-            else:
-                raise ValueError("unrecognized directive")
-        except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
-            raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
-    xy = np.frombuffer(xy).reshape(-1, 2)
-    table = np.frombuffer(table, np.int64).reshape(-1, 5)  # line, i, j, k, parent
-    marks = np.frombuffer(marks, np.int64).reshape(-1, 2)  # line, id
+    xy, table, marks, n_lines = _read_lines(text)
+    xy = xy[:, 1:]
     if not len(table):
         raise MeshFormatError("line 1: mesh contains no triangles")
     lns, tris, parent = table[:, 0], table[:, 1:4], table[:, 4]
@@ -541,7 +617,7 @@ def mesh_from_text(text: str) -> RefinementForest:
     diff = np.flatnonzero(marks[:m, 1] != want[:m])
     i = int(diff[0]) if len(diff) else m
     if i < max(len(marks), len(want)):
-        ln = int(marks[i, 0]) if i < len(marks) else len(lines) + 1
+        ln = int(marks[i, 0]) if i < len(marks) else n_lines + 1
         got = int(marks[i, 1]) if i < len(marks) else "end"
         expected = int(want[i]) if i < len(want) else "end"
         raise MeshFormatError(f"line {ln}: leaf markers disagree with the "

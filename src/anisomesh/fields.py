@@ -20,7 +20,6 @@ __all__ = [
     "QuadraticField",
     "builtin_catalog",
     "get_field",
-    "hessian_fd",
 ]
 
 CONVEXITY_TAGS = ("strictly-convex", "convex", "general")
@@ -173,19 +172,3 @@ def get_field(label: str) -> ScalarField:
     known = ", ".join(f.label for f in builtin_catalog())
     raise ValueError(f"unknown field {label!r}; available: {known}")
 
-
-def hessian_fd(f: ScalarField, point, h: float = 1e-4) -> np.ndarray:
-    """Central second differences of ``f`` at one point.
-
-    Test oracle for the analytic hessians; ``h`` must leave a margin of 2h
-    inside the region where ``f`` is defined (catalog fields are global).
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x, y = float(point[0]), float(point[1])
-    f00 = float(f(x, y))
-    fxx = (float(f(x + h, y)) - 2.0 * f00 + float(f(x - h, y))) / (h * h)
-    fyy = (float(f(x, y + h)) - 2.0 * f00 + float(f(x, y - h))) / (h * h)
-    fxy = (float(f(x + h, y + h)) - float(f(x + h, y - h))
-           - float(f(x - h, y + h)) + float(f(x - h, y - h))) / (4.0 * h * h)
-    return np.array([[fxx, fxy], [fxy, fyy]])

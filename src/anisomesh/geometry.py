@@ -178,11 +178,6 @@ class QuadForm:
     def is_positive_definite(self) -> bool:
         return self.classify() == "positive-definite"
 
-    def compose_linear(self, L) -> "QuadForm":
-        """The form ``q o L`` with matrix ``L^T Q L``."""
-        L = np.asarray(L, dtype=float)
-        return QuadForm.from_matrix(L.T @ self.matrix @ L)
-
     def __repr__(self):
         return f"QuadForm(a20={self.a20:g}, a11={self.a11:g}, a02={self.a02:g})"
 

@@ -276,7 +276,7 @@ def test_criterion_9_operator_axioms():
         for _ in range(30):
             t = random_triangle(rng)
             pi = project_l2(t, f)
-            xy = DEFAULT_RULE.points_on(t)
+            xy = DEFAULT_RULE.nodes @ t.vertices
             w = t.area * DEFAULT_RULE.weights
             res = f(xy[:, 0], xy[:, 1]) - pi(xy[:, 0], xy[:, 1])
             for phi in (np.ones(len(xy)), xy[:, 0], xy[:, 1]):

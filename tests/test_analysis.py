@@ -32,6 +32,8 @@ from anisomesh.fields import QuadraticField, ScalarField, get_field
 from anisomesh.approx import DEFAULT_RULE
 from anisomesh.geometry import NEXT, PREV, QuadForm, Triangle, sigma, reference_triangle
 
+from test_geometry import compose_linear
+
 
 def test_tau_from_p():
     assert tau_from_p(1) == pytest.approx(0.5)
@@ -244,7 +246,7 @@ class TestEquivalenceProbe:
             if np.linalg.det(mat) < 0:
                 mat = mat[::-1]
             image = Triangle(t.vertices @ mat.T)
-            qc = q.compose_linear(mat)
+            qc = compose_linear(q, mat)
 
             def ratio(form, tri):
                 qf = QuadraticField("s", form.a20, form.a11, form.a02)

@@ -40,6 +40,8 @@ def test_package_all_resolves():
     ("approx", "_NODE_CACHE"),
     ("approx", "_error_nodes"),
     ("approx", "decision_gain_quadrature"),
+    ("approx", "local_error_quadratic_exact"),
+    ("fields", "hessian_fd"),
     ("engine", "select_triangle"),
     ("engine", "leaf_error"),
     ("engine", "_global_error_from_caches"),
@@ -57,6 +59,8 @@ def test_retired_names_are_gone(name, attr):
 def test_retired_attributes_are_gone():
     assert not hasattr(anisomesh.Triangle, "edge_endpoints")
     assert not hasattr(anisomesh.approx.DEFAULT_RULE, "_key")
+    assert not hasattr(anisomesh.approx.QuadratureRule, "points_on")
+    assert not hasattr(anisomesh.QuadForm, "compose_linear")
     forest = anisomesh.RefinementForest(anisomesh.engine.initial_mesh("ref-triangle"))
     assert not hasattr(forest, "error_config")
     assert not hasattr(forest, "is_leaf")

@@ -14,7 +14,6 @@ from anisomesh.approx import (
     decision_lp_split,
     interpolate,
     local_error,
-    local_error_quadratic_exact,
     local_errors,
     project_l2,
 )
@@ -25,6 +24,22 @@ from test_geometry import random_pd_form, random_triangle
 
 DISK = QuadraticField("disk", 1.0, 0.0, 1.0)
 REF = reference_triangle()
+
+
+def local_error_quadratic_exact(t: Triangle, qf: QuadraticField) -> float:
+    """Exact ``||q - I_T q||_{L1(T)}`` for a convex (or concave) quadratic.
+
+    Convexity makes ``I_T q - q`` one-signed, so the L1 norm is the plain
+    integral of a quadratic, the sum of the ``decision_gains_convex`` gains;
+    equals ``|T| * |q(a) + q(b) + q(c)| / 12`` in terms of the form.
+    """
+    if not isinstance(qf, QuadraticField):
+        raise TypeError("expects a QuadraticField")
+    lo, hi = np.linalg.eigvalsh(qf.form.matrix)
+    tol = 1e-12 * max(qf.form.scale, 1e-300)
+    if lo < -tol and hi > tol:
+        raise ValueError("exact L1 error needs a semidefinite homogeneous part")
+    return abs(float(decision_gains_convex(t.vertices, qf).sum()))
 
 
 def affine_field(c0, c1, c2):
@@ -49,7 +64,7 @@ class TestQuadratureRules:
         # reference-triangle moments: int x^i y^j = i! j! / (i+j+2)!
         for i in range(rule.degree + 1):
             for j in range(rule.degree + 1 - i):
-                xy = rule.points_on(REF)
+                xy = rule.nodes @ REF.vertices
                 approx = 0.5 * float(
                     (rule.weights * xy[:, 0] ** i * xy[:, 1] ** j).sum())
                 exact = factorial(i) * factorial(j) / factorial(i + j + 2)
@@ -103,7 +118,7 @@ class TestProjectL2:
         for f in fields:
             for t in [REF] + [random_triangle(rng) for _ in range(10)]:
                 pi = project_l2(t, f)
-                xy = DEFAULT_RULE.points_on(t)
+                xy = DEFAULT_RULE.nodes @ t.vertices
                 w = t.area * DEFAULT_RULE.weights
                 res = f(xy[:, 0], xy[:, 1]) - pi(xy[:, 0], xy[:, 1])
                 for phi in (np.ones(len(xy)), xy[:, 0], xy[:, 1]):

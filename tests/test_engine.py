@@ -4,6 +4,7 @@ import collections
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -759,7 +760,64 @@ def corrupted_mesh_text(draw):
     return kind, "\n".join(lines) + "\n"
 
 
+# tokens that replace one field: each is outside the bulk grammar, or at its
+# edge, in at least one directive; WIDE ones are ints beyond 64 bits
+WIDE = [str(2 ** 63), "1" + "0" * 19]
+ODD_TOKENS = ["1_0", "+5", "-", "0x1", "1e999", "nan", "2**63", str(-2 ** 63), "9" * 18,
+              "1" + "0" * 18, "-0", "007", "١", *WIDE]
+
+
+@st.composite
+def token_mutated_mesh_text(draw):
+    """The text of a random forest with one token or one separator changed,
+    or one line moved among the others: (line number of an int beyond 64 bits
+    or None, text)."""
+    _, forest = draw(refined_forest())
+    lines = mesh_to_text(forest).splitlines()
+    kind = draw(st.sampled_from(["token", "plus", "underscore", "tab", "double space",
+                                 "trailing space", "crlf", "crlf all", "blank", "move"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    parts = lines[i].split(" ")
+    j = draw(st.integers(1, len(parts) - 1))
+    if kind == "token":
+        parts[j] = draw(st.sampled_from(ODD_TOKENS))
+    elif kind == "plus":  # the same value, unless the field is negative
+        parts[j] = "+" + parts[j]
+    elif kind == "underscore":  # the same value where the token has two digits in a row
+        parts[j] = re.sub(r"(\d)(\d)", r"\1_\2", parts[j], count=1)
+    elif kind in ("tab", "double space"):
+        parts[j - 1] += "\t" if kind == "tab" else " "
+    elif kind in ("trailing space", "crlf"):
+        parts[-1] += " " if kind == "trailing space" else "\r"
+    wide = kind == "token" and parts[0] in ("t", "leaf") and parts[j] in WIDE
+    lines[i] = " ".join(parts)
+    if kind == "blank":
+        lines.insert(i, "")
+    elif kind == "move":
+        lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(i))
+    return i + 1 if wide else None, ("\r\n" if kind == "crlf all" else "\n").join(lines) + "\n"
+
+
 class TestLoader:
+    @settings(max_examples=300, deadline=None)
+    @given(token_mutated_mesh_text(), st.sampled_from([1, 2, 3, 7, engine._PIECE]))
+    def test_token_changes_load_as_the_per_line_reference(self, case, piece):
+        # small pieces put piece edges next to the changed line
+        wide, text = case
+        with mock.patch.object(engine, "_PIECE", piece):
+            try:
+                got = mesh_from_text(text).nodes.tobytes()
+            except MeshFormatError as exc:
+                got = str(exc)
+        if wide:  # rejected where it is parsed; the reference keeps no 64-bit ints
+            assert isinstance(got, str) and got.startswith(f"line {wide}: ")
+            return
+        try:
+            want = reference_mesh_from_text(text).nodes.tobytes()
+        except MeshFormatError as exc:
+            want = str(exc)
+        assert got == want
+
     @settings(max_examples=60, deadline=None)
     @given(refined_forest())
     def test_matches_per_pair_reference(self, case):

@@ -27,6 +27,12 @@ IDENTITY = QuadForm(1.0, 0.0, 1.0)
 SADDLE = QuadForm(1.0, 0.0, -1.0)
 
 
+def compose_linear(q: QuadForm, mat) -> QuadForm:
+    """The form ``q o L`` with matrix ``L^T Q L``."""
+    mat = np.asarray(mat, dtype=float)
+    return QuadForm.from_matrix(mat.T @ q.matrix @ mat)
+
+
 def random_pd_form(rng):
     theta = rng.uniform(0.0, math.pi)
     d = 10.0 ** rng.uniform(-2.0, 2.0, 2)
@@ -246,7 +252,7 @@ class TestInvariance:
             if np.linalg.det(phi) < 0:
                 phi = phi[::-1]  # keep phi(t) counter-clockwise
             qt = Triangle(t.vertices @ phi.T)
-            qc = q.compose_linear(phi)
+            qc = compose_linear(q, phi)
             assert rho(qc, t) == pytest.approx(rho(q, qt), rel=1e-10)
             assert sigma(qc, t) == pytest.approx(sigma(q, qt), rel=1e-10)
 

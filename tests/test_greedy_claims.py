@@ -1,0 +1,88 @@
+"""The paper's central claims, checked on the greedy loop itself.
+
+PAPER.md: "as the algorithm progresses, the triangles tend to adopt an
+optimal aspect ratio which is dictated by the local hessian of f".
+Criterion 5 checks the shape washout for uniform refinement only; these
+tests check it, and the even spread of leaf errors it implies, on
+``greedy_run`` from ``ref-triangle`` for the constant-hessian field
+``aniso-100`` (q = x^2 + 100 y^2), at p = 1 and p = 2 with the L1 decision
+and at p = inf with ``lp-split``.  The meshes after N bisection steps are
+read from the finished forest (its rows are made in step order).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from anisomesh.analysis import equivalence_constant_probe, tau_from_p
+from anisomesh.engine import GreedyConfig, StopRule, greedy_run
+from anisomesh.fields import get_field
+from anisomesh.geometry import areas_of, edge_vectors_of, sigma_batch
+
+FIELD = get_field("aniso-100")
+CHECKPOINTS = (256, 1024, 4096, 16384)
+RUNS = [(1.0, "l1-interp"), (2.0, "l1-interp"), (math.inf, "lp-split")]
+RUN_IDS = ["p1-l1", "p2-l1", "pinf-lp-split"]
+
+
+@pytest.fixture(scope="module", params=RUNS, ids=RUN_IDS)
+def run(request):
+    """(p, the finished forest) of one greedy run to the last checkpoint."""
+    p, decision = request.param
+    forest, _ = greedy_run(FIELD, GreedyConfig(
+        p=p, decision=decision, stop=StopRule("target-count", CHECKPOINTS[-1])))
+    return p, forest
+
+
+@pytest.fixture(scope="module")
+def bracket():
+    return equivalence_constant_probe(samples=1000, seed=0)
+
+
+def leaves_at(forest, n_leaves):
+    """Ids of the leaves of the mesh with ``n_leaves`` leaves."""
+    n = forest.n_roots + 2 * (n_leaves - forest.n_roots)
+    child = forest.nodes["child"][:n]
+    return np.flatnonzero((child < 0) | (child >= n))
+
+
+def test_shapes_adapt(run):
+    """Between checkpoints 256 ... 16384 neither the share of leaves with
+    sigma_q >= 5 nor the mean sigma_q of the leaves increases."""
+    _, forest = run
+    share = mean = math.inf
+    for n in CHECKPOINTS:
+        s = sigma_batch(FIELD.form, forest.nodes["verts"][leaves_at(forest, n)])
+        assert np.mean(s >= 5) <= share, n
+        assert s.mean() <= mean, n
+        share, mean = np.mean(s >= 5), s.mean()
+
+
+def test_leaf_errors_spread_at_most_c_times_two_to_one_over_tau(run, bracket):
+    """max/min of the leaf errors stays under C 2^(1 + 1/p), C = hi/lo.
+
+    Derivation.  Write 1/tau = 1/p + 1 and S = sqrt(det q).
+    1. The probe brackets K(T) = e_T / (sigma_q(T) S |T|^(1/tau)) in
+       [lo, hi] (affine invariant, so one bracket serves every triangle).
+    2. For a convex q, I_T q >= q and, on a child T of P, I_T q <= I_P q,
+       so 0 <= I_T q - q <= I_P q - q there and e_T <= e_P: the largest
+       leaf error M_N never grows.  A leaf T's parent P was the largest
+       when it was split, so e_P >= M_N.
+    3. |T| = |P| / 2, so by 1.
+       e_T / e_P >= (lo / hi) (sigma_q(T) / sigma_q(P)) 2^(-1/tau).
+    4. With 2., max/min = M_N / min e_T <= (hi/lo) 2^(1/tau) max(sigma_q(P) / sigma_q(T)).
+    A child of an adapted triangle has its parent's shape (the claim
+    tested above), sigma_q(P) / sigma_q(T) -> 1, which leaves C 2^(1 + 1/p).
+    The test also checks the ingredient of step 1 on every node of the run.
+    """
+    lo, hi = bracket
+    p, forest = run
+    nodes = forest.nodes
+    inv_tau = 1.0 / tau_from_p(p)
+    k = nodes["error"] / (sigma_batch(FIELD.form, nodes["verts"]) * math.sqrt(FIELD.form.det)
+                          * areas_of(edge_vectors_of(nodes["verts"])) ** inv_tau)
+    assert lo <= k.min() and k.max() <= hi
+    for n in CHECKPOINTS:
+        errors = nodes["error"][leaves_at(forest, n)]
+        assert errors.max() / errors.min() <= hi / lo * 2 ** inv_tau, n
