@@ -309,67 +309,63 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
     p, op, limit = config.p, config.operator, int(stop.value)
+    levels = limit if stop.kind == "generation-levels" else math.inf
 
     errors = approx.local_error(forest.nodes["verts"], f, p, op)
     forest.nodes["error"] = errors
-    # Entries (-error, id) of the leaves not parked at their generation
-    # level; equal errors pop the earliest id.
+    # Entries (-error, id) of the leaves below the generation limit, which alone
+    # can be bisected; equal errors pop the earliest id.
     heap: list[tuple[float, int]] = []
-    for entry in zip((-errors).tolist(), range(forest.n_roots)):
-        heapq.heappush(heap, entry)
+    for entry in zip((-errors).tolist(), range(forest.n_roots if levels > 0 else 0)):
+        heapq.heappush(heap, entry)  # roots are at level 0
+
+    def due():  # whether the heap top is bisected next
+        return heap and (stop.kind != "error-threshold" or -heap[0][0] > stop.value)
+
     k = 1
     while True:
-        room = (config.node_cap - len(forest.nodes)) // 2
-        size = min(k, max(room, 1))  # with no room, one pop tells whether a step is due
-        if stop.kind == "target-count":
-            size = min(size, limit - forest.n_leaves)
-        pops = []  # the next steps' entries, largest error first
-        while heap and len(pops) < size:
-            if stop.kind == "error-threshold" and -heap[0][0] <= stop.value:
-                break
-            entry = heapq.heappop(heap)
-            if stop.kind != "generation-levels" or forest.nodes["level"][entry[1]] < limit:
-                pops.append(entry)  # else the leaf reached the level: parked for good
-        if not pops:
+        size = min(k, limit - forest.n_leaves) if stop.kind == "target-count" else k
+        if size < 1 or not due():
             break
+        room = (config.node_cap - len(forest.nodes)) // 2
         if not room:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
+        pops = []  # the next steps' entries, largest error first
+        while len(pops) < min(size, room) and due():
+            pops.append(heapq.heappop(heap))
         n_before = len(forest.nodes)
+        ids = np.array([i for _, i in pops])
         try:
-            ids = np.array([i for _, i in pops])
             first, second = forest.bisect_node(
                 ids, select_edge(forest.nodes["verts"][ids], f, config))
             e0, e1 = (approx.local_error(forest.nodes["verts"][c], f, p, op)
                       for c in (first, second))
         except ValueError:
-            # a leaf the one-leaf loop would not reach may fail: retry one
-            # leaf, which fails exactly where that loop does
+            # a leaf the one-leaf loop would not reach may fail: keep no step and
+            # retry one leaf, which fails exactly where that loop does
             if len(pops) == 1:
                 raise
-            forest._truncate(n_before)
-            for entry in pops:
-                heapq.heappush(heap, entry)
-            k = 1
-            continue
-        forest.nodes["error"][first], forest.nodes["error"][second] = e0, e1
-        made = np.maximum(e0, e1)
-        if stop.kind == "generation-levels":  # children at the level never pop
-            made[forest.nodes["level"][first] >= limit] = -math.inf
-        # step j keeps the order unless an earlier step made a child with a
-        # larger error (an equal one has a larger id); step 0 always keeps it
-        before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
-        m = int(np.argmax(before > -np.array([e for e, _ in pops]))) or len(pops)
-        if m < len(pops):
+            m = 0
+        else:
+            forest.nodes["error"][first], forest.nodes["error"][second] = e0, e1
+            live = forest.nodes["level"][first] < levels  # children that enter the heap
+            made = np.where(live, np.maximum(e0, e1), -math.inf)
+            # step j keeps the order unless an earlier step made a child with a
+            # larger error (an equal one has a larger id); step 0 always keeps it
+            before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
+            m = int(np.argmax(before > -np.array([e for e, _ in pops]))) or len(pops)
+            live[m:] = False
+            for err, child in ((e0, first), (e1, second)):
+                for entry in zip((-err[live]).tolist(), child[live].tolist()):
+                    heapq.heappush(heap, entry)
+        if m < len(pops):  # roll back the steps not kept
             forest._truncate(n_before + 2 * m)
             for entry in pops[m:]:
                 heapq.heappush(heap, entry)
-            k = m
+            k = max(m, 1)
         else:
             k = min(2 * k, _MAX_BATCH)
-        for err, child in ((e0, first), (e1, second)):
-            for entry in zip((-err[:m]).tolist(), child[:m].tolist()):
-                heapq.heappush(heap, entry)
 
     # each node measured once, in slices that bound the temporaries
     verts = forest.nodes["verts"]
@@ -459,9 +455,10 @@ _PIECE = 2 * _MAX_BATCH  # lines per bulk parse, at most
 
 def _read_lines(text: str):
     """The ``v``, ``t`` and ``leaf`` rows of a mesh text, line number first, and its
-    line count.  Runs of lines in the strict grammar are parsed in bulk; other lines,
-    and pieces whose bulk parse fails, are read alone by the rules of ``str.split``,
-    ``int`` and ``float``; the first line at fault raises."""
+    line count.  A run of one directive's lines is cut into pieces; a piece is parsed
+    in bulk when its every line is in the strict grammar and the parse is exact.  Other
+    pieces, and the lines of no directive, are read line by line by the rules of
+    ``str.split``, ``int`` and ``float``; the first line at fault raises."""
     if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
         text = "\n".join(text.splitlines())  # every line break a newline
     text = text if text.endswith("\n") else text + "\n"
@@ -511,25 +508,20 @@ def _read_lines(text: str):
             wrong[:-1] |= space[:-1] & ~token[1:]  # a space starts a token
             if k:  # a minus only starts an int token, before a digit
                 wrong[1:-1] |= minus[1:-1] & ~(space[:-2] & digit[2:])
-            bad = np.add.reduceat(space, rel, dtype=np.int32) != n_fields
-            bad[np.searchsorted(rel, np.flatnonzero(wrong), "right") - 1] = True
-            for r in np.flatnonzero(bad).tolist():
-                piece[rel[r]:ends[i + r] - starts[i]] = 10
-            try:
-                if k:  # blanks alone parse as one 0: keep the values of the lines kept
-                    rows = np.fromstring(piece.tobytes(), np.int64, sep=" ")
-                    rows = rows[:n_fields * np.count_nonzero(~bad)].reshape(-1, n_fields)
-                    if (rows >= 10 ** 18).any() or (rows <= -10 ** 18).any():
-                        raise ValueError("an int of 10**18 or more in size")
-                else:
-                    rows = np.array(piece.tobytes().decode().split(), float).reshape(-1, 2)
-            except ValueError:  # read alone, the first line at fault names itself
-                bad[:], rows = True, np.empty((0, n_fields), int if k else float)
-            for r in np.flatnonzero(bad).tolist():
-                read_alone(i + r)
-            good = np.flatnonzero(~bad)
-            out[k][done[k]:done[k] + len(good)] = np.column_stack((good + i + 1, rows))
-            done[k] += len(good)
+            rows = None  # the piece's values, when every line parses exactly in bulk
+            if not wrong.any() and (np.add.reduceat(space, rel, dtype=np.int32) == n_fields).all():
+                raw = piece.tobytes()
+                try:
+                    rows = (np.fromstring(raw, np.int64, sep=" ") if k else
+                            np.array(raw.decode().split(), float)).reshape(j - i, n_fields)
+                except ValueError:
+                    pass
+            if rows is None or k and ((rows >= 10 ** 18) | (rows <= -10 ** 18)).any():
+                for r in range(i, j):  # the first line at fault names itself
+                    read_alone(r)
+                continue
+            out[k][done[k]:done[k] + j - i] = np.column_stack((np.arange(i + 1, j + 1), rows))
+            done[k] += j - i
     out = [np.concatenate((r[:m], np.array(a).reshape(-1, n + 1))) if a else r[:m]
            for r, m, a, n in zip(out, done, loose, _DIRECTIVES.values())]
     return (*(r if not a else r[np.argsort(r[:, 0])] for r, a in zip(out, loose)), len(ends))
@@ -587,7 +579,7 @@ def mesh_from_text(text: str) -> RefinementForest:
         raise MeshFormatError(
             f"line {ln}: the two children of node {node} must be consecutive")
 
-    stored = xy[tris]
+    stored = xy.take(tris, axis=0)
     forest = RefinementForest(roots)
     forest._reserve(n - n_roots)
     nodes = forest.nodes

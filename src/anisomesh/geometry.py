@@ -291,9 +291,8 @@ def bisect(verts, edge_index):
     """
     v = np.asarray(verts, dtype=float)
     e = np.asarray(edge_index)
-    # one index is compared as a Python int, at a fraction of the ufuncs' cost
     if (e.shape != v.shape[:-2] or e.dtype.kind not in "iu"
-            or not (0 <= e.item() <= 2 if e.ndim == 0 else ((e >= 0) & (e <= 2)).all())):
+            or not ((e >= 0) & (e <= 2)).all()):
         raise ValueError(f"edge index must be 0, 1 or 2 per triangle, got {edge_index}")
     order = _CYCLE[e]
     w = v[np.arange(len(v))[:, None], order] if v.ndim == 3 else v[order]

@@ -185,6 +185,33 @@ def test_failure_on_a_leaf_the_one_leaf_loop_never_splits(monkeypatch):
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
 
 
+class RecordingHeap:
+    """Stand-in for ``engine.heapq`` that records the ids pushed."""
+
+    def __init__(self):
+        self.pushed = []
+
+    def heappush(self, heap, entry):
+        self.pushed.append(entry[1])
+        heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        return heapq.heappop(heap)
+
+
+@pytest.mark.parametrize("levels", [0, 6])
+def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels):
+    # roots and children are filtered where they are pushed: nothing is
+    # popped only to be dropped
+    recorder = RecordingHeap()
+    monkeypatch.setattr(engine, "heapq", recorder)
+    config = GreedyConfig(stop=StopRule("generation-levels", levels), initial="unit-square")
+    forest = assert_same_run(get_field("aniso-100"), config)
+    assert forest.n_leaves == 2 * 2 ** levels
+    assert set(np.flatnonzero(forest.nodes["child"] >= 0).tolist()) <= set(recorder.pushed)
+    assert (forest.nodes["level"][np.array(recorder.pushed, int)] < levels).all()
+
+
 def test_few_batched_calls_per_run(monkeypatch):
     calls = collections.Counter()
     monkeypatch.setattr(engine, "select_edge",
