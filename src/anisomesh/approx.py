@@ -295,16 +295,25 @@ def lp_sum(errs, p) -> float:
 
 
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
-    """Child errors of each bisection to the p-th power, summed (max for p = inf)."""
+    """Child errors of each bisection to the p-th power, summed (max for p = inf).
+
+    Takes _CHUNK parents at a time, so the repeated parents and their children
+    stay a bounded temporary however large the batch.
+    """
     v = np.asarray(verts, dtype=float)
-    parents = np.repeat(v.reshape(-1, 3, 2), 3, axis=0)
-    children = np.stack(bisect(parents, np.tile(np.arange(3), len(parents) // 3)), axis=1)
-    errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
-    if math.isinf(p):
-        mass = errs.reshape(-1, 2).max(axis=1)
-    else:
-        # the power is taken per scalar: numpy's array power can differ in the last bit
-        mass = np.array([e ** p for e in errs.tolist()]).reshape(-1, 2).sum(axis=1)
+    flat = v.reshape(-1, 3, 2)
+    edges = np.tile(np.arange(3), _CHUNK)
+    mass = np.empty((len(flat), 3))
+    for s in range(0, len(flat), _CHUNK):
+        parents = np.repeat(flat[s:s + _CHUNK], 3, axis=0)
+        children = np.stack(bisect(parents, edges[:len(parents)]), axis=1)
+        errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
+        if math.isinf(p):
+            mass[s:s + _CHUNK] = errs.reshape(-1, 3, 2).max(axis=2)
+        else:
+            # the power is taken per scalar: numpy's array power can differ in the last bit
+            powers = np.array([e ** p for e in errs.tolist()])
+            mass[s:s + _CHUNK] = powers.reshape(-1, 3, 2).sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 
 

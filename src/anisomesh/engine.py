@@ -5,13 +5,16 @@ forms the roots, every bisection adds two children, and the leaves are the
 current triangulation.  The greedy loop repeatedly bisects the leaf with
 the largest local Lp error, choosing the edge through a decision function;
 leaves tie by earliest creation.  A leaf's error and edge depend on that
-leaf only, so the loop replays this order in batches of leaves; the trace
-is read from the finished forest, whose rows are in step order.  Meshes
+leaf only, so the loop replays this order in batches of leaves, which it
+picks by partial sort of the forest's error column, not from a heap; the
+trace is read from the finished forest, whose rows are in step order.  Meshes
 serialize to a plain-text format with 17-significant-digit decimals so
 runs round-trip bit-exactly.
 """
 from __future__ import annotations
 
+# unused: bound so that perfbench's tracer, which rebinds ``engine.heapq``
+# to count heap operations, still installs; the greedy loop keeps no heap
 import heapq
 import math
 from array import array
@@ -46,9 +49,14 @@ STOP_KINDS = ("target-count", "error-threshold", "generation-levels")
 DECISIONS = ("l1-interp", "lp-split")
 INITIAL_MESHES = ("ref-triangle", "unit-square")
 
-# Leaves per greedy batch, and rows per measuring slice, at most: bounds the
-# temporaries (a few hundred kB), so memory stays flat however large a run.
+# Rows per measuring slice, at most: bounds the temporaries (a few hundred
+# kB), so memory stays flat however large a run.  A greedy batch takes at
+# most _MAX_BATCH leaves or 1/_BATCH_SHARE of the leaves, whichever is more:
+# each batch scans every node, so a fixed cap would make the scans grow as
+# the square of the leaf count, and a larger share wastes more rolled-back
+# steps.
 _MAX_BATCH = 1024
+_BATCH_SHARE = 16
 _SLICE = 16 * _MAX_BATCH  # lines of mesh text formatted at once, at most
 
 
@@ -168,17 +176,19 @@ class RefinementForest:
         return self.nodes["verts"][self.nodes["child"] < 0]
 
     def bisect_node(self, node_id, edge_index):
-        """Split one leaf, or an array of distinct leaves, at the given edges.
+        """Split an array of distinct leaves at the given edges.
 
-        Returns the ids of child 0 and child 1: ints, or arrays in the order of
+        Returns the ids of child 0 and child 1, arrays in the order of
         ``node_id``.  A non-leaf or a repeated id raises ValueError, changing nothing.
         """
         ids = np.asarray(node_id)
+        if ids.ndim != 1:
+            raise ValueError(f"expected a 1-D array of node ids, got shape {ids.shape}")
         rows = self.nodes[ids]
         bad = rows["child"] >= 0
         if np.count_nonzero(bad):
-            raise ValueError(f"node {ids[bad].flat[0]} is already bisected")
-        if ids.ndim and (np.diff(np.sort(ids)) == 0).any():
+            raise ValueError(f"node {ids[bad][0]} is already bisected")
+        if (np.diff(np.sort(ids)) == 0).any():
             raise ValueError("a node id is given twice")
         children = bisect(rows["verts"], edge_index)  # a bad edge index changes nothing
         first = self._reserve(2 * ids.size)
@@ -186,7 +196,7 @@ class RefinementForest:
         for k, verts in enumerate(children):
             new = self._buf[first + k:self._n:2]  # child k of each node, in node order
             new["verts"], new["parent"], new["level"] = verts, ids, level
-        firsts = first if not ids.ndim else np.arange(first, self._n, 2)
+        firsts = np.arange(first, self._n, 2)
         self._buf["child"][ids] = firsts
         return firsts, firsts + 1
 
@@ -283,11 +293,14 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     refining when a target-count or generation-levels run cannot fit
     under it.
 
-    Each iteration bisects and scores the ``k`` leaves of largest error in
-    one batch and keeps the longest prefix of steps that the one-leaf loop
-    takes in the same order, rolling back the rest; ``k`` doubles, up to
-    1024, while every step is kept and falls to the number kept.  Forest,
-    trace and errors are those of the one-leaf loop, bit for bit.
+    Each iteration picks the ``k`` leaves of largest error from the
+    forest's record array (``np.partition``, then ``lexsort`` by error and
+    id), bisects and scores them in one batch, and keeps the longest prefix
+    of steps that the one-leaf loop takes in the same order; truncating the
+    forest rolls back the rest, whose leaves are then picked again.  ``k``
+    doubles while every step is kept, up to 1024 or a sixteenth of the
+    leaves, whichever is more, and falls to the number kept.  Forest, trace
+    and errors are those of the one-leaf loop, bit for bit.
 
     The loop keeps no trace state: rows are made in step order and a kept
     row never changes, so the records are read from the finished forest,
@@ -311,61 +324,56 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     p, op, limit = config.p, config.operator, int(stop.value)
     levels = limit if stop.kind == "generation-levels" else math.inf
 
-    errors = approx.local_error(forest.nodes["verts"], f, p, op)
-    forest.nodes["error"] = errors
-    # Entries (-error, id) of the leaves below the generation limit, which alone
-    # can be bisected; equal errors pop the earliest id.
-    heap: list[tuple[float, int]] = []
-    for entry in zip((-errors).tolist(), range(forest.n_roots if levels > 0 else 0)):
-        heapq.heappush(heap, entry)  # roots are at level 0
-
-    def due():  # whether the heap top is bisected next
-        return heap and (stop.kind != "error-threshold" or -heap[0][0] > stop.value)
-
+    forest.nodes["error"] = approx.local_error(forest.nodes["verts"], f, p, op)
     k = 1
     while True:
         size = min(k, limit - forest.n_leaves) if stop.kind == "target-count" else k
-        if size < 1 or not due():
+        nodes = forest.nodes
+        # the leaves the one-leaf loop may bisect next
+        pool = nodes["child"] < 0
+        if stop.kind == "generation-levels":
+            pool &= nodes["level"] < levels
+        elif stop.kind == "error-threshold":
+            pool &= nodes["error"] > stop.value
+        ids = np.flatnonzero(pool)
+        if size < 1 or not len(ids):
             break
-        room = (config.node_cap - len(forest.nodes)) // 2
+        room = (config.node_cap - len(nodes)) // 2
         if not room:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
-        pops = []  # the next steps' entries, largest error first
-        while len(pops) < min(size, room) and due():
-            pops.append(heapq.heappop(heap))
-        n_before = len(forest.nodes)
-        ids = np.array([i for _, i in pops])
+        size = min(size, room)
+        neg = -nodes["error"][ids]
+        if len(ids) > size:  # the size largest errors, with every tie of the smallest
+            top = neg <= np.partition(neg, size - 1)[size - 1]
+            ids, neg = ids[top], neg[top]
+        order = np.lexsort((ids, neg))[:size]  # largest error first, ties by earliest id
+        ids, neg = ids[order], neg[order]
+        n_before = len(nodes)
         try:
             first, second = forest.bisect_node(
-                ids, select_edge(forest.nodes["verts"][ids], f, config))
+                ids, select_edge(nodes["verts"][ids], f, config))
             e0, e1 = (approx.local_error(forest.nodes["verts"][c], f, p, op)
                       for c in (first, second))
         except ValueError:
             # a leaf the one-leaf loop would not reach may fail: keep no step and
             # retry one leaf, which fails exactly where that loop does
-            if len(pops) == 1:
+            if len(ids) == 1:
                 raise
             m = 0
         else:
             forest.nodes["error"][first], forest.nodes["error"][second] = e0, e1
-            live = forest.nodes["level"][first] < levels  # children that enter the heap
+            live = forest.nodes["level"][first] < levels  # children it may bisect
             made = np.where(live, np.maximum(e0, e1), -math.inf)
             # step j keeps the order unless an earlier step made a child with a
             # larger error (an equal one has a larger id); step 0 always keeps it
             before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
-            m = int(np.argmax(before > -np.array([e for e, _ in pops]))) or len(pops)
-            live[m:] = False
-            for err, child in ((e0, first), (e1, second)):
-                for entry in zip((-err[live]).tolist(), child[live].tolist()):
-                    heapq.heappush(heap, entry)
-        if m < len(pops):  # roll back the steps not kept
+            m = int(np.argmax(before > -neg)) or len(ids)
+        if m < len(ids):  # roll back the steps not kept; their leaves stay due
             forest._truncate(n_before + 2 * m)
-            for entry in pops[m:]:
-                heapq.heappush(heap, entry)
             k = max(m, 1)
         else:
-            k = min(2 * k, _MAX_BATCH)
+            k = min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
 
     # each node measured once, in slices that bound the temporaries
     verts = forest.nodes["verts"]

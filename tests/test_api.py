@@ -104,10 +104,11 @@ def test_benchmark_trace_counts_hold_for_a_greedy_run():
     config = anisomesh.GreedyConfig(stop=anisomesh.StopRule("target-count", 64),
                                     initial="unit-square")
     with tracer.installed(), tracer.root("op.refine"):
-        _, trace = anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
+        forest, trace = anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
     counts = tracer.root_counts["op.refine"]
     # ``engine.trace.records`` counts one ``_trace_record`` call per record
     assert counts["engine.trace.calls"] == len(trace)
     assert counts["engine.bisect_node.calls"] >= 1
     assert counts["approx.local_error.calls"] >= 2 * counts["engine.bisect_node.calls"]
-    assert counts["engine.heap.pops"] > 0
+    # every step of the run is one bisection in the forest
+    assert (forest.nodes["child"] >= 0).sum() == 64 - forest.n_roots

@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from anisomesh import approx
 from anisomesh.approx import (
     DEFAULT_RULE,
     AffinePoly,
@@ -377,6 +378,26 @@ class TestBatchedDecisions:
         assert batch.shape == (70, 3)
         assert decide(verts[0], f).shape == (3,)
         assert np.array_equal(batch, [decide(v, f) for v in verts])
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_large_batch_is_decided_in_bounded_chunks(self, monkeypatch, p):
+        # a greedy batch can hold thousands of leaves: the decision must not
+        # build all their 3 n candidate parents and 6 n children at once
+        rng = np.random.default_rng(14)
+        f = get_field("mixed-saddle")
+        verts = np.array([random_triangle(rng).vertices for _ in range(5000)])
+        rows = {"bisect": [], "local_errors": []}
+        for name in rows:
+            real = getattr(approx, name)
+            monkeypatch.setattr(approx, name, lambda v, *args, real=real, seen=rows[name]:
+                                seen.append(len(v)) or real(v, *args))
+        batch = decision_lp_split(verts, f, p)
+        assert sum(rows["bisect"]) == 3 * 5000 and max(rows["bisect"]) <= 3 * approx._CHUNK
+        assert sum(rows["local_errors"]) == 6 * 5000
+        assert max(rows["local_errors"]) <= 6 * approx._CHUNK
+        monkeypatch.undo()
+        some = rng.choice(5000, 40, replace=False)
+        assert np.array_equal(batch[some], [decision_lp_split(v, f, p) for v in verts[some]])
 
 
 class TestAffineCommutation:

@@ -154,14 +154,9 @@ class TestForest:
 
     def test_double_bisection_rejected(self):
         forest = RefinementForest(initial_mesh("ref-triangle"))
-        forest.bisect_node(0, 0)
+        forest.bisect_node(np.array([0]), np.array([0]))
         with pytest.raises(ValueError):
-            forest.bisect_node(0, 1)
-
-    def test_scalar_bisection_returns_ints(self):
-        forest = RefinementForest(initial_mesh("ref-triangle"))
-        children = forest.bisect_node(0, 0)
-        assert children == (1, 2) and all(type(c) is int for c in children)
+            forest.bisect_node(np.array([0]), np.array([1]))
 
     def test_batch_bisection_matches_scalar_calls(self):
         roots = [random_root(np.random.default_rng(s)) for s in range(3)]
@@ -170,13 +165,14 @@ class TestForest:
         first, second = batch.bisect_node(ids, edges)
         assert first.tolist() == [3, 5] and second.tolist() == [4, 6]
         for i, e in zip(ids.tolist(), edges.tolist()):
-            rows.bisect_node(i, e)
+            rows.bisect_node(np.array([i]), np.array([e]))
         assert batch.nodes.tobytes() == rows.nodes.tobytes()
 
-    @pytest.mark.parametrize("ids", [[1, 1], [2, 0]], ids=["repeated", "non-leaf"])
+    @pytest.mark.parametrize("ids", [[1, 1], [2, 0], 1],
+                             ids=["repeated", "non-leaf", "scalar"])
     def test_batch_bisection_rejects(self, ids):
         forest = RefinementForest(initial_mesh("unit-square"))
-        forest.bisect_node(0, 0)  # node 0 is no longer a leaf
+        forest.bisect_node(np.array([0]), np.array([0]))  # node 0 is no longer a leaf
         before = forest.nodes.tobytes()
         with pytest.raises(ValueError):
             forest.bisect_node(np.array(ids), np.array([0, 0]))
@@ -196,7 +192,7 @@ class TestSelectTriangle:
 
     def test_matches_heap_selection(self):
         # brute-force max over the leaves of a 40-leaf run is the leaf the
-        # heap bisects in step 40
+        # loop bisects next
         forest, _ = greedy_run(DISK, count_config(40))
         errs = {i: forest.nodes["error"][i] for i in forest.leaf_ids()}
         top = max(errs.values())
@@ -480,7 +476,7 @@ class TestUniformRefine:
         ref = RefinementForest(roots)
         for _ in range(4):
             for i in ref.leaf_ids().tolist():
-                ref.bisect_node(i, select_edge(ref.nodes["verts"][i], f, cfg))
+                ref.bisect_node(np.array([i]), [select_edge(ref.nodes["verts"][i], f, cfg)])
         assert forest.nodes.tobytes() == ref.nodes.tobytes()
 
     def test_one_call_per_sweep(self, monkeypatch):
@@ -623,7 +619,7 @@ class TestSerialization:
 
     def test_bisected_reference_text(self):
         forest = RefinementForest(initial_mesh("ref-triangle"))
-        forest.bisect_node(0, 0)
+        forest.bisect_node(np.array([0]), np.array([0]))
         assert mesh_to_text(forest) == BISECTED + "leaf 1\nleaf 2\n"
         assert mesh_to_text(mesh_from_text(BISECTED + "leaf 1\nleaf 2\n")) == \
             mesh_to_text(forest)
@@ -666,7 +662,7 @@ class TestSerialization:
 
 
 def reference_mesh_from_text(text):
-    """The loader as one scalar ``bisect_node`` replay per child pair."""
+    """The loader as one one-row ``bisect_node`` replay per child pair."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != engine.MESH_HEADER:
         raise MeshFormatError(f"line 1: expected header {engine.MESH_HEADER!r}")
@@ -714,7 +710,7 @@ def reference_mesh_from_text(text):
         if n + 1 == len(tris) or tris[n + 1][4] != parent:
             raise MeshFormatError(
                 f"line {ln}: the two children of node {parent} must be consecutive")
-        forest.bisect_node(parent, edge)
+        forest.bisect_node(np.array([parent]), np.array([edge]))
     bad = np.flatnonzero((forest.nodes["verts"] != tri_verts).any(axis=(1, 2)))
     if len(bad):
         ln, *_, parent = tris[bad[0]]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def reference_greedy_run(f, config, record_at=None):
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
         _, node_id = heapq.heappop(heap)
         edge = select_edge(forest.nodes["verts"][node_id], f, config)
-        for child in forest.bisect_node(node_id, edge):
-            push(child)
+        for child in forest.bisect_node(np.array([node_id]), np.array([edge])):
+            push(int(child[0]))
         step += 1
         n = forest.n_leaves
         traced_last = n <= 1024 or n & (n - 1) == 0 or n in record_at
@@ -185,31 +186,70 @@ def test_failure_on_a_leaf_the_one_leaf_loop_never_splits(monkeypatch):
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
 
 
-class RecordingHeap:
-    """Stand-in for ``engine.heapq`` that records the ids pushed."""
-
-    def __init__(self):
-        self.pushed = []
-
-    def heappush(self, heap, entry):
-        self.pushed.append(entry[1])
-        heapq.heappush(heap, entry)
-
-    def heappop(self, heap):
-        return heapq.heappop(heap)
-
-
 @pytest.mark.parametrize("levels", [0, 6])
 def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels):
-    # roots and children are filtered where they are pushed: nothing is
-    # popped only to be dropped
-    recorder = RecordingHeap()
-    monkeypatch.setattr(engine, "heapq", recorder)
+    # only leaves below the limit are selected: none at the limit has its edge
+    # chosen or is bisected, not even in a step that is rolled back
+    chosen, picked = [], []
+    real_select, real_bisect = engine.select_edge, RefinementForest.bisect_node
+
+    def select_edge(verts, f, config):
+        chosen.append(np.array(verts))
+        return real_select(verts, f, config)
+
+    def bisect_node(forest, ids, edges):
+        # the leaves whose edges were just chosen
+        assert forest.nodes["verts"][ids].tobytes() == chosen[-1].tobytes()
+        picked.extend(forest.nodes["level"][ids].tolist())
+        return real_bisect(forest, ids, edges)
+
+    f = get_field("aniso-100")
     config = GreedyConfig(stop=StopRule("generation-levels", levels), initial="unit-square")
-    forest = assert_same_run(get_field("aniso-100"), config)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "select_edge", select_edge)
+        patch.setattr(RefinementForest, "bisect_node", bisect_node)
+        forest, _ = greedy_run(f, config)
     assert forest.n_leaves == 2 * 2 ** levels
-    assert set(np.flatnonzero(forest.nodes["child"] >= 0).tolist()) <= set(recorder.pushed)
-    assert (forest.nodes["level"][np.array(recorder.pushed, int)] < levels).all()
+    assert len(picked) >= (len(forest.nodes) - forest.n_roots) // 2
+    assert all(level < levels for level in picked)
+    assert forest.nodes.tobytes() == assert_same_run(f, config).nodes.tobytes()
+
+
+@pytest.mark.parametrize("max_batch", [2, 5])
+@settings(max_examples=30, deadline=None)
+@given(case=traced_config())
+def test_matches_one_leaf_loop_with_small_batch_caps(max_batch, case):
+    # a small floor lets runs of a few hundred leaves grow the cap past it and
+    # roll back large batches
+    f, config, record_at = case
+    with mock.patch.object(engine, "_MAX_BATCH", max_batch):
+        assert_same_run(f, config, record_at)
+
+
+def test_ties_across_the_batch_boundary(monkeypatch):
+    # disk on the unit square makes equal errors: some batches end inside a
+    # group of tied leaves, whose earliest ids must be the ones taken
+    straddled = []
+    real = RefinementForest.bisect_node
+
+    def bisect_node(forest, ids, edges):
+        err = forest.nodes["error"]
+        left = np.setdiff1d(forest.leaf_ids(), ids)
+        tie = err[left] == err[ids[-1]]
+        if tie.any():
+            assert (left[tie] > ids[err[ids] == err[ids[-1]]].max()).all()
+            straddled.append((np.count_nonzero(err[ids] == err[ids[-1]]), tie.sum()))
+        return real(forest, ids, edges)
+
+    f = get_field("disk")
+    config = GreedyConfig(stop=StopRule("target-count", 300), initial="unit-square")
+    with monkeypatch.context() as patch:
+        patch.setattr(RefinementForest, "bisect_node", bisect_node)
+        forest, trace = greedy_run(f, config)
+    assert any(inside > 1 and outside > 1 for inside, outside in straddled)
+    want_forest, want_trace = reference_greedy_run(f, config)
+    assert forest.nodes.tobytes() == want_forest.nodes.tobytes()
+    assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
 
 
 def test_few_batched_calls_per_run(monkeypatch):
@@ -226,6 +266,22 @@ def test_few_batched_calls_per_run(monkeypatch):
     assert calls["select_edge"] == calls["bisect_node"] <= bisections // 100
     # the roots in one call, then both children of each batch
     assert calls["local_error"] == 2 * calls["bisect_node"] + 1
+
+
+def test_batch_cap_grows_with_the_mesh(monkeypatch):
+    # each batch scans every node, so past 16 * 1024 leaves batches must grow
+    # with the mesh; a fixed cap of 1024 reaches it after 10 doublings (1023
+    # steps) and then bisects at most 1024 leaves per call
+    sizes = []
+    real = RefinementForest.bisect_node
+    monkeypatch.setattr(RefinementForest, "bisect_node",
+                        lambda forest, ids, edges: sizes.append(len(ids))
+                        or real(forest, ids, edges))
+    config = GreedyConfig(stop=StopRule("target-count", 2 ** 15))
+    forest, _ = greedy_run(get_field("aniso-10"), config)
+    bisections = (len(forest.nodes) - forest.n_roots) // 2
+    assert max(sizes) > engine._MAX_BATCH
+    assert len(sizes) < 10 + math.ceil((bisections - 1023) / engine._MAX_BATCH)
 
 
 def test_run_and_mesh_round_trip_leave_numpy_ma_unloaded():
