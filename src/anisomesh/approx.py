@@ -229,19 +229,26 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray) -> np.ndarray:
     xy = nodes @ v
     fx = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
     if op == "interpolation":
+        del xy  # freed first, so the residual can take its place on the heap
         # the last three nodes are the vertices; one matrix-vector product
         # per triangle keeps the values bit-identical to nodes @ f(vertices)
-        res = fx - np.matmul(nodes, fx[:, -3:, None])[..., 0]
+        res = np.matmul(nodes, fx[:, -3:, None])[..., 0]
+        np.subtract(fx, res, out=res)
     else:
         h = np.sqrt(diam2)[:, None]
         d, a = _project(v, h, xy, fx, _WEIGHTS)
         res = fx - (a[:, :1] + a[:, 1:2] * d[..., 0] / h + a[:, 2:3] * d[..., 1] / h)
-    res = np.abs(res)
+    # in place: few large blocks are alive at once, so the allocator does not
+    # give the heap top back and fault it in again on every chunk
+    np.abs(res, out=res)
     if math.isinf(p):
         errs = res.max(axis=1).tolist()
     else:
         # the root is taken per scalar: numpy's array power can differ in the last bit
-        sums = area * (_WEIGHTS * res[:, :len(_WEIGHTS)] ** p).sum(axis=1)
+        w = res[:, :len(_WEIGHTS)] ** p
+        w *= _WEIGHTS
+        sums = w.sum(axis=1)
+        sums *= area
         errs = [s ** (1.0 / p) for s in sums.tolist()]
     # NaN and inf field values propagate into the errors
     if not all(map(math.isfinite, errs)):

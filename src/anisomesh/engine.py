@@ -257,16 +257,19 @@ def _trace_record(forest, p, columns, step) -> TraceRecord:
     # would be: the same bytes, since each value depends on its row only
     diam2, sigma = columns
     n = forest.n_roots + 2 * step
-    child = forest.nodes["child"][:n]
-    leaves = np.flatnonzero((child < 0) | (child >= n))
-    if sigma is not None:
-        s = sigma[leaves]
-        smean, smax = float(s.mean()), float(s.max())
+    # a leaf's child is -1, the largest unsigned value, or made after the step;
+    # the unsigned view of the column compares without a copy
+    leaves = np.flatnonzero(forest.nodes["child"].view(np.uint64)[:n] >= n)
+    if sigma is not None:  # the reductions of s.mean() and s.max()
+        s = sigma.take(leaves)
+        smean, smax = float(np.add.reduce(s) / len(s)), float(np.maximum.reduce(s))
     else:
         smean = smax = math.nan
+    # the error column is a strided field of the records, which ``take`` would
+    # first copy whole; fancy indexing gathers the leaves alone
     return TraceRecord(step, forest.n_roots + step,
                        approx.lp_sum(forest.nodes["error"][leaves], p),
-                       float(np.sqrt(diam2[leaves].max())), smean, smax)
+                       float(np.sqrt(np.maximum.reduce(diam2.take(leaves)))), smean, smax)
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -591,20 +594,21 @@ def mesh_from_text(text: str) -> RefinementForest:
     forest = RefinementForest(roots)
     forest._reserve(n - n_roots)
     nodes = forest.nodes
-    nodes["parent"][n_roots:], nodes["level"][n_roots:] = parent[n_roots:], -1
+    nodes["parent"][n_roots:] = parent[n_roots:]
     nodes["child"][pp] = c0
     # child 0 of a bisection starts at the vertex opposite the bisected edge
     edges = (stored[pp] == stored[c0, :1]).all(axis=2).argmax(axis=1)
-    todo = np.arange(len(pp))
-    # one generation per round: the pairs whose parent is replayed (level >= 0);
-    # a parent precedes its pair, so no round is empty
-    while len(todo):
-        ready = nodes["level"][pp[todo]] >= 0
-        gen, todo = todo[ready], todo[~ready]
-        first, above = c0[gen], pp[gen]
+    # one generation per round: the bisections of the nodes the last round made,
+    # found through their child ids, so a round touches its own pairs only; every
+    # parent descends from a root and has one pair, so each pair is replayed once
+    above = np.flatnonzero(nodes["child"][:n_roots] >= 0)
+    while len(above):
+        first = nodes["child"][above]
         level = nodes["level"][above] + 1
-        for k, verts in enumerate(bisect(nodes["verts"][above], edges[gen])):
+        for k, verts in enumerate(bisect(nodes["verts"][above], edges[(first - n_roots) // 2])):
             nodes["verts"][first + k], nodes["level"][first + k] = verts, level
+        made = np.concatenate((first, first + 1))
+        above = made[nodes["child"][made] >= 0]
     bad = np.flatnonzero((nodes["verts"] != stored).any(axis=(1, 2)))
     if len(bad):
         i = int(bad[0])

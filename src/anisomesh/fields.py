@@ -5,6 +5,11 @@ fixes the domain actually meshed.  Evaluation callables are vectorized:
 ``field(x, y)`` accepts broadcastable arrays, ``field.hessian(x, y)``
 returns an array of symmetric 2x2 matrices with shape ``(..., 2, 2)``.
 
+The built-in fields evaluate in two buffers: the value and one term,
+combined in place in the order the formula reads, so the values equal the
+plain expression bit for bit while a large batch allocates two arrays, not
+one per sub-expression.  A user's ``func`` is called as given.
+
 Convexity tags are declared, not inferred; ``check_box`` is the rectangle
 on which the declaration is grid-checked (and on which demo runs make
 sense for fields that are only locally convex).
@@ -77,6 +82,12 @@ class ScalarField:
         return f"<ScalarField {self.label!r} ({self.convexity})>"
 
 
+def _buffers(x, y):
+    """The value and the term buffer of a built-in field at broadcast (x, y)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.empty(shape), np.empty(shape)
+
+
 class QuadraticField(ScalarField):
     """Polynomial of degree two; the homogeneous part is a QuadForm.
 
@@ -100,9 +111,21 @@ class QuadraticField(ScalarField):
         hess_const = 2.0 * form.matrix
 
         def func(x, y, c=self.coeffs):
+            # a20 x x + 2 a11 x y + a02 y y + a10 x + a01 y + a00, left to right
             a20_, a11_, a02_, a10_, a01_, a00_ = c
-            return (a20_ * x * x + 2.0 * a11_ * x * y + a02_ * y * y
-                    + a10_ * x + a01_ * y + a00_)
+            out, term = _buffers(x, y)
+            np.multiply(a20_, x, out=out)
+            out *= x
+            np.multiply(2.0 * a11_, x, out=term)
+            term *= y
+            out += term
+            np.multiply(a02_, y, out=term)
+            term *= y
+            out += term
+            out += np.multiply(a10_, x, out=term)
+            out += np.multiply(a01_, y, out=term)
+            out += a00_
+            return out[()]
 
         def hess(x, y, h=hess_const):
             shape = np.broadcast(x, y).shape
@@ -117,7 +140,13 @@ class QuadraticField(ScalarField):
 
 def _expbump():
     def func(x, y):
-        return np.exp(x * x + 2.0 * y * y)
+        # exp(x x + 2 y y)
+        out, term = _buffers(x, y)
+        np.multiply(x, x, out=out)
+        np.multiply(2.0, y, out=term)
+        term *= y
+        out += term
+        return np.exp(out, out=out)[()]
 
     def hess(x, y):
         g = np.exp(x * x + 2.0 * y * y)
@@ -134,8 +163,15 @@ def _expbump():
 def _gauss_ridge():
     # convex only away from the diagonal x = y; the check box keeps u >= 1/2
     def func(x, y):
-        u = x - y
-        return np.exp(-u * u) + x * x + y * y
+        # exp(-u u) + x x + y y with u = x - y
+        out, term = _buffers(x, y)
+        np.subtract(x, y, out=term)
+        np.negative(term, out=out)
+        out *= term
+        np.exp(out, out=out)
+        out += np.multiply(x, x, out=term)
+        out += np.multiply(y, y, out=term)
+        return out[()]
 
     def hess(x, y):
         u = x - y

@@ -1,6 +1,7 @@
 """Approximation operators, local errors and edge-decision functions."""
 
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -219,6 +220,36 @@ class TestLocalErrorsKernel:
         got = local_errors(np.array([t.vertices for t in tris]), f, p)
         assert got.shape == (65,)
         assert np.array_equal(got, [local_error(t, f, p) for t in tris])
+
+    @pytest.mark.parametrize("label", ["aniso-100", "expbump", "gauss-ridge"])
+    def test_temporaries_of_one_chunk(self, label):
+        """Peak traced memory of ``local_errors`` on one chunk at p = inf.
+
+        The kernel keeps live the points ``xy``, (chunk, nodes, 2) floats,
+        and at most two (chunk, nodes) float arrays: the field's value and
+        its term buffer while the field evaluates, then the values ``fx`` and
+        the residual, which is taken in place.  Besides these, it holds only
+        per-triangle values (areas, squared diameters, the three vertex
+        values of the interpolation), granted 16 floats per triangle with
+        their array headers.  A third (chunk, nodes) array adds 220 floats
+        per triangle, far beyond that grant.
+        """
+        rng = np.random.default_rng(71)
+        verts = np.array([random_triangle(rng).vertices for _ in range(approx._CHUNK)])
+        f = get_field(label)
+        n_nodes = len(approx._ERROR_NODES_INF)
+        block = approx._CHUNK * n_nodes * 8  # bytes of one (chunk, nodes) array
+        xy = 2 * block
+        bound = xy + 2 * block + 16 * 8 * approx._CHUNK
+        local_errors(verts, f, math.inf)  # numpy's first-call set-up is not the kernel's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            local_errors(verts, f, math.inf)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_empty_batch_and_bad_shape(self):
         assert local_errors(np.empty((0, 3, 2)), DISK, 2.0).shape == (0,)

@@ -4,6 +4,7 @@ import collections
 import math
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -437,6 +438,66 @@ class TestTraceRecords:
         trace = checked_greedy_run(get_field("aniso-10"), count_config(1500),
                                    record_at=[1100, 1337])
         assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1100, 1337, 1500]
+
+    @pytest.mark.parametrize("label, config, record_at", [
+        # the sigma path, p = inf
+        ("aniso-100", count_config(1024, p=math.inf, decision="lp-split"), None),
+        ("mixed-saddle", count_config(1024, p=1.0), None),  # an indefinite form
+        ("expbump", count_config(16384, initial="unit-square"), None),  # past 1024
+        ("disk", GreedyConfig(p=3.5, stop=StopRule("error-threshold", 1e-4)), None),
+        ("aniso-10", count_config(3000), {1500, 3000}),
+    ])
+    def test_records_equal_the_column_formula(self, label, config, record_at):
+        # every record equals, by repr, the one the leaf mask (child < 0) | (child >= n),
+        # fancy-index gathers and the array methods make
+        def column_record(forest, p, columns, step):
+            diam2, sigma = columns
+            n = forest.n_roots + 2 * step
+            child = forest.nodes["child"][:n]
+            leaves = np.flatnonzero((child < 0) | (child >= n))
+            if sigma is not None:
+                s = sigma[leaves]
+                smean, smax = float(s.mean()), float(s.max())
+            else:
+                smean = smax = math.nan
+            return engine.TraceRecord(step, forest.n_roots + step,
+                                      approx.lp_sum(forest.nodes["error"][leaves], p),
+                                      float(np.sqrt(diam2[leaves].max())), smean, smax)
+
+        real, seen = engine._trace_record, []
+
+        def record(forest, p, columns, step):
+            rec = real(forest, p, columns, step)
+            assert repr(rec) == repr(column_record(forest, p, columns, step))
+            seen.append(columns[1] is not None)
+            return rec
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_trace_record", record)
+            _, trace = greedy_run(get_field(label), config, record_at=record_at)
+        assert len(seen) == len(trace)
+        assert set(seen) == {label in ("aniso-100", "disk", "aniso-10")}
+        if record_at:
+            assert {1500, 3000} <= {r.n_leaves for r in trace}
+
+    def test_an_early_record_copies_no_column(self):
+        # a record of step s reads the first n = n_roots + 2 s rows: its mask,
+        # ids and gathers are O(n) bytes, while a copy of one forest column is
+        # 8 bytes per node; a record of step 8 must stay far below that
+        f = get_field("aniso-10")
+        forest, _ = greedy_run(f, count_config(16384))
+        verts = forest.nodes["verts"]
+        e = edge_vectors_of(verts)
+        columns = ((e * e).sum(axis=2).max(axis=1), sigma_batch(f.form, verts))
+        engine._trace_record(forest, 2.0, columns, 8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine._trace_record(forest, 2.0, columns, 8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(forest.nodes) // 4
 
     def test_each_node_measured_once(self, monkeypatch):
         rows = collections.Counter()

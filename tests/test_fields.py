@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisomesh.fields import (
     QuadraticField,
@@ -135,3 +137,58 @@ def test_vectorized_eval_shapes():
     assert np.shape(f(np.zeros((4, 5)), np.zeros((4, 5)))) == (4, 5)
     assert np.shape(f.hessian(np.zeros(7), np.zeros(7))) == (7, 2, 2)
     assert float(f(0.0, 0.0)) == pytest.approx(1.0)
+
+
+def plain_expression(f: ScalarField):
+    """The catalog field's value as one plain numpy expression: the oracle
+    for its in-place evaluation."""
+    if isinstance(f, QuadraticField):
+        a20, a11, a02, a10, a01, a00 = f.coeffs
+        return lambda x, y: (a20 * x * x + 2.0 * a11 * x * y + a02 * y * y
+                             + a10 * x + a01 * y + a00)
+    if f.label == "expbump":
+        return lambda x, y: np.exp(x * x + 2.0 * y * y)
+    if f.label == "gauss-ridge":
+        def ridge(x, y):
+            u = x - y
+            return np.exp(-u * u) + x * x + y * y
+        return ridge
+    raise AssertionError(f"no plain expression for {f.label!r}")
+
+
+# every float64 bit pattern class: signed zeros, subnormals, huge values whose
+# squares overflow, and both infinities and NaN
+_coords = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def field_inputs(draw):
+    """(x, y) in the shapes callers pass: broadcast (n, 1) x (1, m) arrays, 0-d
+    arrays, Python floats and strided views of an (..., 2) point array."""
+    kind = draw(st.sampled_from(["broadcast", "zero-d", "python", "strided"]))
+    if kind == "python":
+        return draw(_coords), draw(_coords)
+    if kind == "zero-d":
+        return np.array(draw(_coords)), np.array(draw(_coords))
+    if kind == "broadcast":
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 70))
+        x = np.array(draw(st.lists(_coords, min_size=n, max_size=n)))[:, None]
+        y = np.array(draw(st.lists(_coords, min_size=m, max_size=m)))[None, :]
+        return x, y
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 70))
+    xy = np.array(draw(st.lists(_coords, min_size=2 * n * m, max_size=2 * n * m)))
+    xy = xy.reshape(n, m, 2)
+    return xy[..., 0], xy[..., 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.sampled_from(sorted(EXPECTED_LABELS)), xy=field_inputs())
+def test_field_values_equal_the_plain_expression_bit_for_bit(label, xy):
+    f = get_field(label)
+    x, y = xy
+    with np.errstate(all="ignore"):
+        got = f(x, y)
+        want = plain_expression(f)(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    assert type(got) is type(want)  # a numpy scalar for 0-d input, else an ndarray
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
