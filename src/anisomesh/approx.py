@@ -125,11 +125,6 @@ DEFAULT_RULE = _symmetric_rule(
     degree=8,
 )
 
-# Triangles per evaluation chunk in local_errors: bounds the (chunk, nodes)
-# temporaries, so memory stays flat however many triangles are scored.
-_CHUNK = 64
-
-
 def _subdivided(rule: QuadratureRule, subdiv: int):
     """Barycentric nodes/weights of `rule` on 4**subdiv congruent subtriangles."""
     corners = [np.eye(3)]
@@ -161,6 +156,18 @@ _ERROR_NODES = np.vstack([_BARY, np.eye(3)])
 _ERROR_NODES_INF = np.vstack([_BARY, _LATTICE, np.eye(3)])
 for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF):
     _a.setflags(write=False)
+# Points per evaluation chunk in local_errors: 64 triangles at p = inf, 210
+# at finite p.  It bounds the (chunk, nodes) temporaries, so memory stays flat
+# however many triangles are scored, and gives every numpy call as much work.
+_POINTS = 64 * len(_ERROR_NODES_INF)
+
+
+def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The barycentric `nodes` (m, 3) on each triangle of `v` (n, 3, 2), as
+    contiguous x and y planes (2, n, m), on which fields evaluate fastest."""
+    pts = np.empty((2, len(v), len(nodes)))
+    np.matmul(nodes, v, out=np.moveaxis(pts, 0, -1))
+    return pts
 
 
 def _check_shapes(v: np.ndarray, what: str):
@@ -186,24 +193,25 @@ def interpolate(t: Triangle, f) -> AffinePoly:
     return AffinePoly(*coeff)
 
 
-def _project(v: np.ndarray, h: np.ndarray, xy: np.ndarray, fx: np.ndarray,
-             w: np.ndarray):
+def _project(v: np.ndarray, h: np.ndarray, pts: np.ndarray, fx: np.ndarray,
+             w: np.ndarray) -> np.ndarray:
     """L2 projection per triangle in the local basis {1, (x-cx)/h, (y-cy)/h}.
 
     ``h`` (n, 1) holds the diameters; the centred, scaled basis keeps the
     Gram matrix well conditioned on thin triangles.  Fits the values fx at
-    the first len(w) points of xy (n, m, 2), the quadrature nodes, and
-    returns the offsets of all points from the centroids and the (n, 3)
-    coefficients.
+    the first len(w) points of the planes ``pts`` (2, n, m), the quadrature
+    nodes, and returns the (n, 3) coefficients.  ``pts`` becomes the offsets
+    of the points from the centroids, in place.
     """
     k = len(w)
-    d = xy - v.mean(axis=1)[:, None]
-    phi = np.empty((len(xy), k, 3))
+    pts -= v.mean(axis=1).T[..., None]
+    phi = np.empty((len(v), k, 3))
     phi[..., 0] = 1.0
-    phi[..., 1:] = d[:, :k] / h[..., None]
+    np.divide(pts[0, :, :k], h, out=phi[..., 1])
+    np.divide(pts[1, :, :k], h, out=phi[..., 2])
     phi_w = (phi * w[:, None]).transpose(0, 2, 1)
     try:
-        return d, np.linalg.solve(phi_w @ phi, phi_w @ fx[:, :k, None])[..., 0]
+        return np.linalg.solve(phi_w @ phi, phi_w @ fx[:, :k, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ValueError("project_l2: singular Gram matrix") from exc
 
@@ -215,47 +223,57 @@ def project_l2(t: Triangle, f) -> AffinePoly:
     """
     v = t.vertices[None]
     h = np.sqrt(_check_shapes(v, "project_l2")[1])[:, None]
-    xy = _BARY @ v
-    alpha = _project(v, h, xy, np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float),
-                     _WEIGHTS)[1][0]
+    pts = _points(_BARY, v)
+    alpha = _project(v, h, pts, np.asarray(f(pts[0], pts[1]), dtype=float), _WEIGHTS)[0]
     (cx, cy), h = t.centroid, float(h[0, 0])
     return AffinePoly(alpha[0] - alpha[1] * cx / h - alpha[2] * cy / h,
                       alpha[1] / h, alpha[2] / h)
 
 
 def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray) -> np.ndarray:
-    """``local_errors`` of one chunk of at most _CHUNK triangles."""
+    """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles."""
     area, diam2 = _check_shapes(v, "local_error")
-    xy = nodes @ v
-    fx = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
+    pts = _points(nodes, v)
+    fx = np.asarray(f(pts[0], pts[1]), dtype=float)
     if op == "interpolation":
-        del xy  # freed first, so the residual can take its place on the heap
+        del pts  # freed first, so the residual can take its place on the heap
         # the last three nodes are the vertices; one matrix-vector product
         # per triangle keeps the values bit-identical to nodes @ f(vertices)
         res = np.matmul(nodes, fx[:, -3:, None])[..., 0]
         np.subtract(fx, res, out=res)
     else:
+        # fx - (a0 + a1 d0 / h + a2 d1 / h) in the offsets' planes, in that
+        # order; a0 and a1 change sides, and IEEE + and * commute exactly on
+        # numbers (a NaN raises below)
         h = np.sqrt(diam2)[:, None]
-        d, a = _project(v, h, xy, fx, _WEIGHTS)
-        res = fx - (a[:, :1] + a[:, 1:2] * d[..., 0] / h + a[:, 2:3] * d[..., 1] / h)
+        a = _project(v, h, pts, fx, _WEIGHTS)
+        res, term = pts
+        res *= a[:, 1:2]
+        res /= h
+        res += a[:, :1]
+        term *= a[:, 2:3]
+        term /= h
+        res += term
+        np.subtract(fx, res, out=res)
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
     if math.isinf(p):
-        errs = res.max(axis=1).tolist()
+        errs = res.max(axis=1)
     else:
-        # the root is taken per scalar: numpy's array power can differ in the last bit
         w = res[:, :len(_WEIGHTS)] ** p
         w *= _WEIGHTS
-        sums = w.sum(axis=1)
-        sums *= area
-        errs = [s ** (1.0 / p) for s in sums.tolist()]
+        errs = w.sum(axis=1)
+        errs *= area
     # NaN and inf field values propagate into the errors
-    if not all(map(math.isfinite, errs)):
-        i = next(i for i, e in enumerate(errs) if not math.isfinite(e))
+    bad = ~np.isfinite(errs)
+    if bad.any():
         raise ValueError(f"local error of field {getattr(f, 'label', f)!r} is not "
-                         f"finite on triangle {v[i].tolist()}")
-    return np.array(errs)
+                         f"finite on triangle {v[bad.argmax()].tolist()}")
+    if math.isinf(p):
+        return errs
+    # the root is taken per scalar: numpy's array power can differ in the last bit
+    return np.array([s ** (1.0 / p) for s in errs.tolist()])
 
 
 def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
@@ -275,10 +293,11 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
     nodes = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES
-    if len(verts) <= _CHUNK:
+    chunk = _POINTS // len(nodes)
+    if len(verts) <= chunk:
         return _chunk_errors(verts, f, p, op, nodes)
-    return np.concatenate([_chunk_errors(verts[s:s + _CHUNK], f, p, op, nodes)
-                           for s in range(0, len(verts), _CHUNK)])
+    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes)
+                           for s in range(0, len(verts), chunk)])
 
 
 def local_error(t, f, p, op: str = "interpolation"):
@@ -304,23 +323,25 @@ def lp_sum(errs, p) -> float:
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     """Child errors of each bisection to the p-th power, summed (max for p = inf).
 
-    Takes _CHUNK parents at a time, so the repeated parents and their children
-    stay a bounded temporary however large the batch.
+    Takes as many parents at a time as one error chunk holds triangles, so
+    the repeated parents and their children stay a bounded temporary however
+    large the batch.
     """
     v = np.asarray(verts, dtype=float)
     flat = v.reshape(-1, 3, 2)
-    edges = np.tile(np.arange(3), _CHUNK)
+    chunk = _POINTS // len(_ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES)
+    edges = np.tile(np.arange(3), chunk)
     mass = np.empty((len(flat), 3))
-    for s in range(0, len(flat), _CHUNK):
-        parents = np.repeat(flat[s:s + _CHUNK], 3, axis=0)
+    for s in range(0, len(flat), chunk):
+        parents = np.repeat(flat[s:s + chunk], 3, axis=0)
         children = np.stack(bisect(parents, edges[:len(parents)]), axis=1)
         errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
         if math.isinf(p):
-            mass[s:s + _CHUNK] = errs.reshape(-1, 3, 2).max(axis=2)
+            mass[s:s + chunk] = errs.reshape(-1, 3, 2).max(axis=2)
         else:
             # the power is taken per scalar: numpy's array power can differ in the last bit
             powers = np.array([e ** p for e in errs.tolist()])
-            mass[s:s + _CHUNK] = powers.reshape(-1, 3, 2).sum(axis=2)
+            mass[s:s + chunk] = powers.reshape(-1, 3, 2).sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 
 

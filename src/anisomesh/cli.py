@@ -178,6 +178,7 @@ def cmd_sigma_study(args) -> int:
 _CMAP = np.array([(43, 131, 186), (255, 255, 191), (215, 25, 28)])
 _POLYGON = ('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="%s" '
            'stroke="#000000" stroke-width="0.5"/>')
+_SVG_SLICE = 1024  # polygons formatted at once: bounds the format's temporaries
 
 
 def _color(t) -> list[str]:
@@ -222,8 +223,13 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
         lo, hi = float(values.min()), float(values.max())
         spread = hi - lo
         fills = _color((values - lo) / spread if spread > 0 else np.full(len(values), 0.5))
-    lines += [_POLYGON % (*pts, fill)
-              for pts, fill in zip(xy.reshape(-1, 6).tolist(), fills)]
+    # one format per slice of polygons, as the mesh text is written
+    coords = xy.reshape(-1, 6)
+    for s in range(0, len(coords), _SVG_SLICE):
+        rows = np.empty((len(coords[s:s + _SVG_SLICE]), 7), dtype=object)
+        rows[:, :6] = coords[s:s + _SVG_SLICE]
+        rows[:, 6] = fills[s:s + _SVG_SLICE]
+        lines.append("\n".join([_POLYGON] * len(rows)) % tuple(rows.ravel().tolist()))
     if values is not None:
         for k, fill in enumerate(_color(np.arange(64) / 63)):
             lines.append(f'<rect x="{200 + 9.375 * k:.3f}" y="1020" '
@@ -234,8 +240,8 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
         lines.append(f'<text x="805" y="1044" font-size="20">{hi:.6g}</text>')
         lines.append(f'<text x="500" y="1072" font-size="20" '
                      f'text-anchor="middle">{label}</text>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)
 
 
 def cmd_render(args) -> int:

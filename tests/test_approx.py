@@ -6,6 +6,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anisomesh import approx
 from anisomesh.approx import (
@@ -19,7 +20,7 @@ from anisomesh.approx import (
     local_errors,
     project_l2,
 )
-from anisomesh.fields import QuadraticField, ScalarField, get_field
+from anisomesh.fields import QuadraticField, ScalarField, builtin_catalog, get_field
 from anisomesh.geometry import Triangle, bisect, q_longest_edge_index, reference_triangle
 
 from test_geometry import random_pd_form, random_triangle
@@ -194,6 +195,43 @@ def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
     return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
 
 
+def chunk_of(p):
+    """Triangles per error chunk at exponent p."""
+    return approx._POINTS // len(approx._ERROR_NODES_INF if math.isinf(p) else approx._ERROR_NODES)
+
+
+def strided_local_errors(verts, f, p, op):
+    """The kernel on strided points ``xy[..., 0]``, ``xy[..., 1]``, in chunks of
+    64 triangles at every p, each sub-expression a fresh array."""
+    from anisomesh.approx import _ERROR_NODES, _ERROR_NODES_INF, _WEIGHTS, _check_shapes
+
+    nodes, k = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES, len(_WEIGHTS)
+    errs = []
+    for s in range(0, len(verts), 64):
+        v = verts[s:s + 64]
+        area, diam2 = _check_shapes(v, "local_error")
+        xy = nodes @ v
+        fx = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
+        if op == "interpolation":
+            res = fx - np.matmul(nodes, fx[:, -3:, None])[..., 0]
+        else:
+            h = np.sqrt(diam2)[:, None]
+            d = xy - v.mean(axis=1)[:, None]
+            phi = np.empty((len(v), k, 3))
+            phi[..., 0] = 1.0
+            phi[..., 1:] = d[:, :k] / h[..., None]
+            phi_w = (phi * _WEIGHTS[:, None]).transpose(0, 2, 1)
+            a = np.linalg.solve(phi_w @ phi, phi_w @ fx[:, :k, None])[..., 0]
+            res = fx - (a[:, :1] + a[:, 1:2] * d[..., 0] / h + a[:, 2:3] * d[..., 1] / h)
+        res = np.abs(res)
+        if math.isinf(p):
+            errs += res.max(axis=1).tolist()
+        else:
+            sums = (res[:, :k] ** p * _WEIGHTS).sum(axis=1) * area
+            errs += [s ** (1.0 / p) for s in sums.tolist()]
+    return np.array(errs)
+
+
 class TestLocalErrorsKernel:
     """The batched kernel against a per-triangle reference loop."""
 
@@ -211,41 +249,84 @@ class TestLocalErrorsKernel:
         else:
             assert got == pytest.approx(want, rel=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.integers(1, 2 * chunk_of(2.0) + 5),
+           st.sampled_from([f.label for f in builtin_catalog()]),
+           st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+           st.sampled_from(approx.OPERATORS))
+    @example(1, 211, "gauss-ridge", 2.0, "l2-projection")
+    @example(2, 421, "mixed-saddle", 1.0, "interpolation")
+    @example(3, 129, "aniso-100", math.inf, "l2-projection")
+    def test_bits_equal_the_strided_kernel(self, seed, n, label, p, op):
+        # contiguous planes and point-sized chunks change no bit: batches of
+        # up to two finite-p chunks and five more span several p = inf chunks
+        rng = np.random.default_rng(seed)
+        scale, shift = 10.0 ** rng.uniform(-3.0, 0.3), rng.uniform(-1.0, 1.0, 2)
+        verts = np.array([random_triangle(rng).vertices for _ in range(n)]) * scale + shift
+        f = get_field(label)
+        got = local_errors(verts, f, p, op)
+        assert got.tobytes() == strided_local_errors(verts, f, p, op).tobytes()
+
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_chunk_boundary(self, p):
-        # 65 triangles span two evaluation chunks
+        # one triangle more than a chunk holds spans two evaluation chunks
+        n = chunk_of(p) + 1
         rng = np.random.default_rng(61)
-        tris = [random_triangle(rng) for _ in range(65)]
+        tris = [random_triangle(rng) for _ in range(n)]
         f = get_field("expbump")
         got = local_errors(np.array([t.vertices for t in tris]), f, p)
-        assert got.shape == (65,)
+        assert got.shape == (n,)
         assert np.array_equal(got, [local_error(t, f, p) for t in tris])
 
-    @pytest.mark.parametrize("label", ["aniso-100", "expbump", "gauss-ridge"])
-    def test_temporaries_of_one_chunk(self, label):
-        """Peak traced memory of ``local_errors`` on one chunk at p = inf.
+    @pytest.mark.parametrize("label, p, op", [
+        # the id names what differs from interpolation at p = inf
+        pytest.param(label, p, op, id=label + ("" if op == "interpolation" else "-" + op)
+                     + ("" if math.isinf(p) else f"-p{p:g}"))
+        for p in (math.inf, 2.0) for op in approx.OPERATORS
+        for label in ("aniso-100", "expbump", "gauss-ridge")])
+    def test_temporaries_of_one_chunk(self, label, p, op):
+        """Peak traced memory of ``local_errors`` on one full chunk.
 
-        The kernel keeps live the points ``xy``, (chunk, nodes, 2) floats,
-        and at most two (chunk, nodes) float arrays: the field's value and
-        its term buffer while the field evaluates, then the values ``fx`` and
-        the residual, which is taken in place.  Besides these, it holds only
-        per-triangle values (areas, squared diameters, the three vertex
-        values of the interpolation), granted 16 floats per triangle with
-        their array headers.  A third (chunk, nodes) array adds 220 floats
-        per triangle, far beyond that grant.
+        A chunk is ``n = _POINTS // m`` triangles of ``m`` nodes, so one
+        (chunk, nodes) float array, a block, is ``8 n m <= 8 _POINTS`` bytes.
+        The kernel keeps live the points, two blocks (their x and y planes),
+        and while the field evaluates its value and its term buffer, two
+        more.  With interpolation the points are freed once the field has
+        its values ``fx``; the residual takes one block and is made absolute
+        in place, and at finite p the powers on the ``k = len(_WEIGHTS)``
+        quadrature nodes take less than one block: under three blocks.
+        Besides these, it holds only per-triangle values (areas, squared
+        diameters, the three vertex values of the interpolation), granted
+        16 floats per triangle with their array headers.  Four blocks and
+        the grant bound it; a fifth block adds ``m`` floats per triangle,
+        far beyond the grant.
+
+        The L2 projection keeps the points as offsets from the centroids
+        beside ``fx`` (three blocks) while it fits: the basis values ``phi``
+        on the quadrature nodes and their weighted copy add ``2 * 3 n k``
+        floats, and the weighting, a broadcasting operation, holds numpy's
+        iteration buffer of ``np.getbufsize()`` floats while it runs; then
+        the residual is built in the offsets' planes.  Its per-triangle
+        values are the areas, squared diameters and diameters, the
+        centroids, the Gram matrices and the loads, the solver's copies of
+        both and the coefficients: a grant of 32 floats per triangle.
         """
         rng = np.random.default_rng(71)
-        verts = np.array([random_triangle(rng).vertices for _ in range(approx._CHUNK)])
+        nodes, n = approx._ERROR_NODES_INF if math.isinf(p) else approx._ERROR_NODES, chunk_of(p)
+        verts = np.array([random_triangle(rng).vertices for _ in range(n)])
         f = get_field(label)
-        n_nodes = len(approx._ERROR_NODES_INF)
-        block = approx._CHUNK * n_nodes * 8  # bytes of one (chunk, nodes) array
-        xy = 2 * block
-        bound = xy + 2 * block + 16 * 8 * approx._CHUNK
-        local_errors(verts, f, math.inf)  # numpy's first-call set-up is not the kernel's
+        block = n * len(nodes) * 8  # bytes of one (chunk, nodes) array
+        if op == "interpolation":
+            bound = 4 * block + 16 * 8 * n
+        else:
+            phi = 3 * n * len(approx._WEIGHTS) * 8
+            bound = max(4 * block, 3 * block + 2 * phi + 8 * np.getbufsize()) + 32 * 8 * n
+        local_errors(verts, f, p, op)  # numpy's first-call set-up is not the kernel's
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            local_errors(verts, f, math.inf)
+            local_errors(verts, f, p, op)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -423,9 +504,11 @@ class TestBatchedDecisions:
             monkeypatch.setattr(approx, name, lambda v, *args, real=real, seen=rows[name]:
                                 seen.append(len(v)) or real(v, *args))
         batch = decision_lp_split(verts, f, p)
-        assert sum(rows["bisect"]) == 3 * 5000 and max(rows["bisect"]) <= 3 * approx._CHUNK
+        chunk = chunk_of(p)
+        assert 5000 > 2 * chunk  # the batch straddles at least two chunk boundaries
+        assert sum(rows["bisect"]) == 3 * 5000 and max(rows["bisect"]) <= 3 * chunk
         assert sum(rows["local_errors"]) == 6 * 5000
-        assert max(rows["local_errors"]) <= 6 * approx._CHUNK
+        assert max(rows["local_errors"]) <= 6 * chunk
         monkeypatch.undo()
         some = rng.choice(5000, 40, replace=False)
         assert np.array_equal(batch[some], [decision_lp_split(v, f, p) for v in verts[some]])

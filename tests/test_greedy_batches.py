@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import anisomesh
 from anisomesh import approx, engine
 from anisomesh.analysis import random_triangle
-from anisomesh.approx import _CHUNK, local_error, local_errors
+from anisomesh.approx import local_error, local_errors
 from anisomesh.engine import (
     GreedyConfig,
     RefinementForest,
@@ -107,7 +107,7 @@ def assert_same_run(f, config, record_at=None):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
-       st.integers(1, 2 * _CHUNK + 5),
+       st.integers(1, 2 * (approx._POINTS // len(approx._ERROR_NODES)) + 5),
        st.sampled_from(FIELDS),
        st.sampled_from([1.0, 2.0, 3.5, math.inf]),
        st.sampled_from(approx.OPERATORS),
