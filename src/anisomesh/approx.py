@@ -162,6 +162,12 @@ for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF):
 _POINTS = 64 * len(_ERROR_NODES_INF)
 
 
+def _chunking(p: float):
+    """The error nodes at `p` and the triangles per chunk they allow."""
+    nodes = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES
+    return nodes, _POINTS // len(nodes)
+
+
 def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The barycentric `nodes` (m, 3) on each triangle of `v` (n, 3, 2), as
     contiguous x and y planes (2, n, m), on which fields evaluate fastest."""
@@ -292,8 +298,7 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     verts = np.asarray(verts, dtype=float)
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
-    nodes = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES
-    chunk = _POINTS // len(nodes)
+    nodes, chunk = _chunking(p)
     if len(verts) <= chunk:
         return _chunk_errors(verts, f, p, op, nodes)
     return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes)
@@ -329,7 +334,7 @@ def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     """
     v = np.asarray(verts, dtype=float)
     flat = v.reshape(-1, 3, 2)
-    chunk = _POINTS // len(_ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES)
+    chunk = _chunking(p)[1]
     edges = np.tile(np.arange(3), chunk)
     mass = np.empty((len(flat), 3))
     for s in range(0, len(flat), chunk):

@@ -226,8 +226,9 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
     # one format per slice of polygons, as the mesh text is written
     coords = xy.reshape(-1, 6)
     for s in range(0, len(coords), _SVG_SLICE):
-        rows = np.empty((len(coords[s:s + _SVG_SLICE]), 7), dtype=object)
-        rows[:, :6] = coords[s:s + _SVG_SLICE]
+        part = coords[s:s + _SVG_SLICE]
+        rows = np.empty((len(part), 7), dtype=object)
+        rows[:, :6] = part
         rows[:, 6] = fills[s:s + _SVG_SLICE]
         lines.append("\n".join([_POLYGON] * len(rows)) % tuple(rows.ravel().tolist()))
     if values is not None:

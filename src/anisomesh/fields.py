@@ -88,6 +88,16 @@ def _buffers(x, y):
     return np.empty(shape), np.empty(shape)
 
 
+def _as_floats(x, y):
+    """(x, y) as float arrays, for a built-in field's plain expression.
+
+    On one element numpy runs in-place arithmetic through its reduction
+    loop, where a NaN may take the sign of the other operand; the fields
+    evaluate a single point as the plain expression, like a batch bit for
+    bit."""
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
 class QuadraticField(ScalarField):
     """Polynomial of degree two; the homogeneous part is a QuadForm.
 
@@ -114,6 +124,10 @@ class QuadraticField(ScalarField):
             # a20 x x + 2 a11 x y + a02 y y + a10 x + a01 y + a00, left to right
             a20_, a11_, a02_, a10_, a01_, a00_ = c
             out, term = _buffers(x, y)
+            if out.size == 1:
+                x, y = _as_floats(x, y)
+                return (a20_ * x * x + 2.0 * a11_ * x * y + a02_ * y * y
+                        + a10_ * x + a01_ * y + a00_)
             np.multiply(a20_, x, out=out)
             out *= x
             np.multiply(2.0 * a11_, x, out=term)
@@ -142,6 +156,9 @@ def _expbump():
     def func(x, y):
         # exp(x x + 2 y y)
         out, term = _buffers(x, y)
+        if out.size == 1:
+            x, y = _as_floats(x, y)
+            return np.exp(x * x + 2.0 * y * y)
         np.multiply(x, x, out=out)
         np.multiply(2.0, y, out=term)
         term *= y
@@ -165,6 +182,10 @@ def _gauss_ridge():
     def func(x, y):
         # exp(-u u) + x x + y y with u = x - y
         out, term = _buffers(x, y)
+        if out.size == 1:
+            x, y = _as_floats(x, y)
+            u = x - y
+            return np.exp(-u * u) + x * x + y * y
         np.subtract(x, y, out=term)
         np.negative(term, out=out)
         out *= term
