@@ -213,15 +213,16 @@ def random_triangle(rng: np.random.Generator) -> Triangle:
 
 class _FormRows:
     """The quadratic of form ``forms[i]`` on the i-th triangle of one
-    ``local_errors`` batch, which evaluates its triangles in order, chunk by
-    chunk, with one row of points per triangle."""
+    ``local_errors`` batch.  The interpolation error reads the coefficient
+    rows; the L2 projection evaluates the field, which takes the batch's
+    triangles in order, chunk by chunk, one row of points each."""
 
     def __init__(self, forms):
-        self.coeffs = np.array([(q.a20, q.a11, q.a02) for q in forms])
+        self.form_coeffs = np.array([(q.a20, q.a11, q.a02) for q in forms])
         self.row = 0
 
     def __call__(self, x, y):
-        a20, a11, a02 = self.coeffs[self.row:self.row + len(x)].T[..., None]
+        a20, a11, a02 = self.form_coeffs[self.row:self.row + len(x)].T[..., None]
         self.row += len(x)
         return a20 * x * x + 2.0 * a11 * x * y + a02 * y * y  # as QuadraticField
 

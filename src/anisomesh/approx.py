@@ -7,7 +7,9 @@ scales as ``|det L|^(1/p)`` under a map with linear part L.
 
 ``local_errors`` is the one implementation of the local error: it scores a
 batch of triangles, and every other error consumer (``local_error``, the
-quadrature decisions, global errors, error colouring) calls it.
+quadrature decisions, global errors, error colouring) calls it.  For a
+field with a constant hessian it takes the interpolation error from the
+form on the edge vectors, without evaluating the field.
 
 The edge-decision functions score the three possible bisections of one
 triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
@@ -154,7 +156,16 @@ _BARY, _WEIGHTS = _subdivided(DEFAULT_RULE, 1)
 _LATTICE = [(i / 16, j / 16, (16 - i - j) / 16) for i in range(17) for j in range(17 - i)]
 _ERROR_NODES = np.vstack([_BARY, np.eye(3)])
 _ERROR_NODES_INF = np.vstack([_BARY, _LATTICE, np.eye(3)])
-for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF):
+
+
+def _bubbles(nodes: np.ndarray) -> np.ndarray:
+    """The rows ``l1 l2, l2 l0, l0 l1`` (3, m) of barycentric nodes (m, 3):
+    row ``k`` multiplies the form on edge ``k``, the edge opposite vertex k."""
+    return np.ascontiguousarray((nodes.take(NEXT, axis=1) * nodes.take(PREV, axis=1)).T)
+
+
+_BUBBLES, _BUBBLES_INF = _bubbles(_ERROR_NODES), _bubbles(_ERROR_NODES_INF)
+for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF, _BUBBLES, _BUBBLES_INF):
     _a.setflags(write=False)
 # Points per evaluation chunk in local_errors: 64 triangles at p = inf, 210
 # at finite p.  It bounds the (chunk, nodes) temporaries, so memory stays flat
@@ -236,31 +247,67 @@ def project_l2(t: Triangle, f) -> AffinePoly:
                       alpha[1] / h, alpha[2] / h)
 
 
-def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray) -> np.ndarray:
-    """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles."""
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` taken per scalar, by libm's pow: numpy's array power can
+    differ from it in the last bit.  At e = 1 it is x, which ``x ** 1.0`` is."""
+    if e == 1.0:
+        return x
+    return np.array([s ** e for s in x.tolist()])
+
+
+def _form_residual(v: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndarray:
+    """``I_T f - f`` at the error nodes of each triangle of `v` (n, 3, 2), for
+    a quadratic f whose form has the coefficients `a`, (3,) or (n, 3).
+
+    The affine part of f is interpolated exactly, and the form leaves
+    ``l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)`` at the barycentric point l,
+    with ``e_k`` the edge opposite vertex k: the form on the edge vectors
+    times the `bubbles` rows (3, m), added in that order.  Each value comes
+    from its triangle's own numbers in one order, whatever the batch (a
+    matrix product would not promise that).  einsum forms each product
+    into the term buffer without the iteration buffers of a broadcasting
+    multiply.
+    """
+    a20, a11, a02 = a.T  # numbers, or one per triangle
+    x, y = edge_vectors_of(v).T  # (3, n): edge k of each triangle
+    qe = a20 * x * x + 2.0 * a11 * x * y + a02 * y * y  # as QuadraticField
+    del x, y  # the edge vectors are freed before the blocks are made
+    res = np.einsum("i,j->ij", qe[0], bubbles[0])
+    term = np.empty_like(res)
+    for k in (1, 2):
+        res += np.einsum("i,j->ij", qe[k], bubbles[k], out=term)
+    return res
+
+
+def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.ndarray:
+    """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles;
+    `form` holds the chunk's form coefficients when the closed form applies."""
     area, diam2 = _check_shapes(v, "local_error")
-    pts = _points(nodes, v)
-    fx = np.asarray(f(pts[0], pts[1]), dtype=float)
-    if op == "interpolation":
-        del pts  # freed first, so the residual can take its place on the heap
-        # the last three nodes are the vertices; one matrix-vector product
-        # per triangle keeps the values bit-identical to nodes @ f(vertices)
-        res = np.matmul(nodes, fx[:, -3:, None])[..., 0]
-        np.subtract(fx, res, out=res)
+    if form is not None:
+        res = _form_residual(v, form, _BUBBLES_INF if math.isinf(p) else _BUBBLES)
     else:
-        # fx - (a0 + a1 d0 / h + a2 d1 / h) in the offsets' planes, in that
-        # order; a0 and a1 change sides, and IEEE + and * commute exactly on
-        # numbers (a NaN raises below)
-        h = np.sqrt(diam2)[:, None]
-        a = _project(v, h, pts, fx, _WEIGHTS)
-        res, term = pts
-        res *= a[:, 1:2]
-        res /= h
-        res += a[:, :1]
-        term *= a[:, 2:3]
-        term /= h
-        res += term
-        np.subtract(fx, res, out=res)
+        pts = _points(nodes, v)
+        fx = np.asarray(f(pts[0], pts[1]), dtype=float)
+        if op == "interpolation":
+            del pts  # freed first, so the residual can take its place on the heap
+            # the last three nodes are the vertices; one matrix-vector product
+            # per triangle keeps the values bit-identical to nodes @ f(vertices)
+            res = np.matmul(nodes, fx[:, -3:, None])[..., 0]
+            np.subtract(fx, res, out=res)
+        else:
+            # fx - (a0 + a1 d0 / h + a2 d1 / h) in the offsets' planes, in that
+            # order; a0 and a1 change sides, and IEEE + and * commute exactly on
+            # numbers (a NaN raises below)
+            h = np.sqrt(diam2)[:, None]
+            a = _project(v, h, pts, fx, _WEIGHTS)
+            res, term = pts
+            res *= a[:, 1:2]
+            res /= h
+            res += a[:, :1]
+            term *= a[:, 2:3]
+            term /= h
+            res += term
+            np.subtract(fx, res, out=res)
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
@@ -276,10 +323,7 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"local error of field {getattr(f, 'label', f)!r} is not "
                          f"finite on triangle {v[bad.argmax()].tolist()}")
-    if math.isinf(p):
-        return errs
-    # the root is taken per scalar: numpy's array power can differ in the last bit
-    return np.array([s ** (1.0 / p) for s in errs.tolist()])
+    return errs if math.isinf(p) else _pow(errs, 1.0 / p)
 
 
 def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
@@ -288,6 +332,9 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
     DEFAULT_RULE on 4 congruent subtriangles; p = inf takes the maximum
     over those nodes, a barycentric lattice of order 16 and the vertices.
+    The interpolation error of a field with a constant-hessian form
+    (``form_coeffs``) is taken at the same nodes from the closed form on the
+    edge vectors, without evaluating the field.
     Raises ValueError on flat triangles and on non-finite field values.
     """
     if op not in OPERATORS:
@@ -299,9 +346,13 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
     nodes, chunk = _chunking(p)
+    # (a20, a11, a02) for every triangle, or one row (n, 3) per triangle
+    form = getattr(f, "form_coeffs", None) if op == "interpolation" else None
     if len(verts) <= chunk:
-        return _chunk_errors(verts, f, p, op, nodes)
-    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes)
+        return _chunk_errors(verts, f, p, op, nodes, form)
+    per_row = form is not None and form.ndim == 2
+    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes,
+                                         form[s:s + chunk] if per_row else form)
                            for s in range(0, len(verts), chunk)])
 
 
@@ -344,9 +395,7 @@ def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
         if math.isinf(p):
             mass[s:s + chunk] = errs.reshape(-1, 3, 2).max(axis=2)
         else:
-            # the power is taken per scalar: numpy's array power can differ in the last bit
-            powers = np.array([e ** p for e in errs.tolist()])
-            mass[s:s + chunk] = powers.reshape(-1, 3, 2).sum(axis=2)
+            mass[s:s + chunk] = _pow(errs, p).reshape(-1, 3, 2).sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -167,8 +168,9 @@ class TestLocalError:
             local_error(REF, DISK, 2, "nearest")
 
 
-def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
-    """Per-triangle local error, written without the batched kernel."""
+def error_nodes(p, rule=DEFAULT_RULE, subdiv=1):
+    """Barycentric error nodes and quadrature weights: `rule` on 4**subdiv
+    subtriangles, and for p = inf the lattice of order 16 after them."""
     from anisomesh.approx import _subdivided
 
     bary, w = _subdivided(rule, subdiv)
@@ -176,6 +178,12 @@ def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
         lattice = [(i / 16, j / 16, (16 - i - j) / 16)
                    for i in range(17) for j in range(17 - i)]
         bary = np.vstack([bary, lattice])
+    return bary, w
+
+
+def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
+    """Per-triangle local error, written without the batched kernel."""
+    bary, w = error_nodes(p, rule, subdiv)
     xy = bary @ t.vertices
     if op == "interpolation":
         v = t.vertices
@@ -193,6 +201,50 @@ def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
     if math.isinf(p):
         return float(np.abs(res).max())
     return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+
+
+def closed_form_local_error(t, f, p):
+    """Per-triangle interpolation error of a quadratic field from its form on
+    the edge vectors: ``I_T f - f = l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)``
+    at the error nodes, ``e_k`` the edge opposite vertex k.  The vertex
+    nodes, where it vanishes, are left out."""
+    bary, w = error_nodes(p)
+    q, v = f.form, t.vertices
+    res = np.zeros(len(bary))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        x, y = v[j] - v[i]
+        qe = q.a20 * x * x + 2.0 * q.a11 * x * y + q.a02 * y * y
+        res = res + qe * (bary[:, i] * bary[:, j])
+    if math.isinf(p):
+        return float(np.abs(res).max())
+    return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+
+
+def exact_local_error(v, f, p):
+    """``||f - I_T f||_{Lp(T)}`` of a QuadraticField at the error nodes, in
+    exact rational arithmetic on the float vertices `v`, coefficients, nodes
+    and weights.  Each node's last barycentric coordinate is one minus the
+    other two, so the interpolant reproduces the affine part of f exactly;
+    only the conversion to float and the root of a finite p round."""
+    a20, a11, a02, a10, a01, a00 = map(Fraction, f.coeffs)
+
+    def value(x, y):
+        return a20 * x * x + 2 * a11 * x * y + a02 * y * y + a10 * x + a01 * y + a00
+
+    bary, w = error_nodes(p)
+    (x0, y0), (x1, y1), (x2, y2) = [(Fraction(x), Fraction(y)) for x, y in v]
+    f0, f1, f2 = value(x0, y0), value(x1, y1), value(x2, y2)
+    res = []
+    for b0, b1, _ in bary:
+        l0, l1 = Fraction(b0), Fraction(b1)
+        l2 = 1 - l0 - l1
+        x, y = l0 * x0 + l1 * x1 + l2 * x2, l0 * y0 + l1 * y1 + l2 * y2
+        res.append(abs(value(x, y) - (l0 * f0 + l1 * f1 + l2 * f2)))
+    if math.isinf(p):
+        return float(max(res))
+    area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+    return float(area * sum(Fraction(wk) * r ** int(p) for wk, r in zip(w, res))) ** (1.0 / p)
 
 
 def chunk_of(p):
@@ -239,11 +291,15 @@ class TestLocalErrorsKernel:
     @pytest.mark.parametrize("op", ["interpolation", "l2-projection"])
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_matches_reference_loop(self, label, op, p):
+        # the interpolation error of a quadratic field is the closed form's
         rng = np.random.default_rng(57)
         tris = [random_triangle(rng) for _ in range(40)]
         f = get_field(label)
         got = local_errors(np.array([t.vertices for t in tris]), f, p, op)
-        want = np.array([reference_local_error(t, f, p, op) for t in tris])
+        if op == "interpolation" and isinstance(f, QuadraticField):
+            want = np.array([closed_form_local_error(t, f, p) for t in tris])
+        else:
+            want = np.array([reference_local_error(t, f, p, op) for t in tris])
         if op == "interpolation":
             assert np.array_equal(got, want)
         else:
@@ -260,13 +316,19 @@ class TestLocalErrorsKernel:
     @example(3, 129, "aniso-100", math.inf, "l2-projection")
     def test_bits_equal_the_strided_kernel(self, seed, n, label, p, op):
         # contiguous planes and point-sized chunks change no bit: batches of
-        # up to two finite-p chunks and five more span several p = inf chunks
+        # up to two finite-p chunks and five more span several p = inf chunks;
+        # the interpolation error of a quadratic field, the closed form, is
+        # the per-triangle closed form's whatever the batch and chunk
         rng = np.random.default_rng(seed)
         scale, shift = 10.0 ** rng.uniform(-3.0, 0.3), rng.uniform(-1.0, 1.0, 2)
         verts = np.array([random_triangle(rng).vertices for _ in range(n)]) * scale + shift
         f = get_field(label)
         got = local_errors(verts, f, p, op)
-        assert got.tobytes() == strided_local_errors(verts, f, p, op).tobytes()
+        if op == "interpolation" and isinstance(f, QuadraticField):
+            want = np.array([closed_form_local_error(Triangle(v), f, p) for v in verts])
+        else:
+            want = strided_local_errors(verts, f, p, op)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_chunk_boundary(self, p):
@@ -302,6 +364,19 @@ class TestLocalErrorsKernel:
         the grant bound it; a fifth block adds ``m`` floats per triangle,
         far beyond the grant.
 
+        The interpolation error of a quadratic field (``aniso-100``) is the
+        closed form and evaluates no field.  It keeps two blocks, the
+        residual and one term buffer, while it adds up the three products
+        of the form on the edges and the bubble rows; the term is freed
+        before the finite-p powers, which take ``k / m`` of a block beside
+        the residual, and their weighting, a broadcasting operation, holds
+        numpy's iteration buffer of ``np.getbufsize()`` floats.  Its
+        per-triangle values (areas, squared diameters, the form on the
+        three edges) fit the same grant.  Two blocks, the iteration buffer
+        and the grant bound it.  A third block does not fit: the three
+        products alive at once, or the two iteration buffers of a plain
+        ``multiply`` of a column by a row, which broadcasts both.
+
         The L2 projection keeps the points as offsets from the centroids
         beside ``fx`` (three blocks) while it fits: the basis values ``phi``
         on the quadrature nodes and their weighted copy add ``2 * 3 n k``
@@ -317,7 +392,9 @@ class TestLocalErrorsKernel:
         verts = np.array([random_triangle(rng).vertices for _ in range(n)])
         f = get_field(label)
         block = n * len(nodes) * 8  # bytes of one (chunk, nodes) array
-        if op == "interpolation":
+        if op == "interpolation" and isinstance(f, QuadraticField):
+            bound = 2 * block + 8 * np.getbufsize() + 16 * 8 * n
+        elif op == "interpolation":
             bound = 4 * block + 16 * 8 * n
         else:
             phi = 3 * n * len(approx._WEIGHTS) * 8
@@ -352,6 +429,26 @@ class TestLocalErrorsKernel:
         flat = np.array([[(0, 0), (1, 0), (0.5, 1e-15)]])
         with pytest.raises(ValueError, match="too flat"):
             local_errors(flat, DISK, 2.0)
+
+
+class TestClosedForm:
+    """The interpolation error of a quadratic field, from its form on the
+    edge vectors, against exact rational arithmetic."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("f", [get_field("aniso-100"), get_field("mixed-saddle"),
+                                   QuadraticField("tilted", 2.0, 0.7, 0.5, 0.3, -1.2, 0.8)],
+                             ids=lambda f: f.label)
+    def test_matches_exact_arithmetic(self, f, p):
+        # small triangles anywhere in the unit square: the field values there
+        # are O(1) and the error O(h^2), which the closed form never subtracts
+        rng = np.random.default_rng(83)
+        for scale in (1.0, 1e-2, 1e-4):
+            verts = np.array([random_triangle(rng).vertices * scale + rng.uniform(0.0, 1.0, 2)
+                              for _ in range(4)])
+            got = local_errors(verts, f, p)
+            want = [exact_local_error(v, f, p) for v in verts]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), scale
 
 
 class TestQuadraticExact:

@@ -30,7 +30,7 @@ from anisomesh.engine import (
     select_edge,
     uniform_refine,
 )
-from anisomesh.fields import QuadraticField, ScalarField, get_field
+from anisomesh.fields import QuadraticField, ScalarField, builtin_catalog, get_field
 from anisomesh.geometry import (QuadForm, Triangle, bisect, edge_vectors_of,
                                 q_longest_edge_index, sigma, sigma_batch)
 
@@ -200,6 +200,23 @@ class TestSelectTriangle:
         best = min(i for i, e in errs.items() if e == top)
         nxt, _ = greedy_run(DISK, count_config(41))
         assert nxt.nodes["child"][best] == len(forest.nodes)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("label", [f.label for f in builtin_catalog()
+                                       if isinstance(f, QuadraticField)])
+    def test_translated_leaves_tie(self, label, p):
+        # a quadratic field's interpolation error depends on the edge vectors
+        # only: leaves with the same edge vector bits have the same error
+        # bits, so the id, not rounding, orders them
+        forest, _ = greedy_run(get_field(label), GreedyConfig(
+            p=p, decision="lp-split" if math.isinf(p) else "l1-interp",
+            stop=StopRule("target-count", 1024)))
+        leaves = forest.nodes[forest.leaf_ids()]
+        groups = collections.defaultdict(set)
+        for e, err in zip(edge_vectors_of(leaves["verts"]), leaves["error"]):
+            groups[e.tobytes()].add(err.tobytes())
+        assert len(groups) < len(leaves)  # some leaves are translates
+        assert all(len(bits) == 1 for bits in groups.values())
 
 
 class TestSelectEdge:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from anisomesh.analysis import equivalence_constant_probe, tau_from_p
+from anisomesh.analysis import convergence_study, equivalence_constant_probe, tau_from_p
 from anisomesh.engine import GreedyConfig, StopRule, greedy_run
 from anisomesh.fields import get_field
 from anisomesh.geometry import areas_of, edge_vectors_of, sigma_batch
@@ -86,3 +86,14 @@ def test_leaf_errors_spread_at_most_c_times_two_to_one_over_tau(run, bracket):
     for n in CHECKPOINTS:
         errors = nodes["error"][leaves_at(forest, n)]
         assert errors.max() / errors.min() <= hi / lo * 2 ** inv_tau, n
+
+
+@pytest.mark.parametrize("label, p, decision", [("expbump", 2.0, "l1-interp"),
+                                                ("aniso-100", math.inf, "lp-split")])
+def test_rate_holds_at_scale(label, p, decision):
+    """PAPER.md's optimal rate past the 4096 leaves of the criteria: on the
+    unit square, ``N * error / ||sqrt|det d2f|||_Ltau`` at 2^16 leaves stays
+    within criterion 7's factor 3 of its value at 4096 leaves."""
+    config = GreedyConfig(p=p, decision=decision, initial="unit-square")
+    at_4096, at_65536 = convergence_study(get_field(label), config, [4096, 2 ** 16])
+    assert at_65536.ratio <= 3.0 * at_4096.ratio
