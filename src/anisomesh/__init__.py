@@ -22,8 +22,6 @@ from .geometry import (
 from .fields import QuadraticField, ScalarField, builtin_catalog, get_field
 from .approx import (
     AffinePoly,
-    DEFAULT_RULE,
-    QuadratureRule,
     decision_l1,
     decision_lp_split,
     interpolate,

@@ -147,11 +147,10 @@ def hessian_tau_norm(f: ScalarField, domain, tau: float, depth: int = 9) -> floa
         e = edge_vectors_of(verts)
         verts = np.concatenate(bisect(verts, np.argmax((e * e).sum(axis=2), axis=1)))
     areas = areas_of(edge_vectors_of(verts))
-    rule = approx.DEFAULT_RULE
-    xy = rule.nodes @ verts  # (n_tri, n_nodes, 2) via batched matmul
+    xy = approx.RULE_NODES @ verts  # (n_tri, n_nodes, 2) via batched matmul
     h = f.hessian(xy[..., 0], xy[..., 1])
     dets = np.abs(h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0])
-    integral = float((areas[:, None] * rule.weights * dets ** (tau / 2.0)).sum())
+    integral = float((areas[:, None] * approx.RULE_WEIGHTS * dets ** (tau / 2.0)).sum())
     return integral ** (1.0 / tau)
 
 

@@ -23,6 +23,7 @@ Areas, edge vectors, edge midpoints and the edge labels come from
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,8 +32,8 @@ from .geometry import NEXT, PREV, Triangle, areas_of, bisect, edge_vectors_of
 
 __all__ = [
     "AffinePoly",
-    "QuadratureRule",
-    "DEFAULT_RULE",
+    "RULE_NODES",
+    "RULE_WEIGHTS",
     "OPERATORS",
     "interpolate",
     "project_l2",
@@ -73,83 +74,36 @@ class AffinePoly:
         return f"AffinePoly({self.c0:g}, {self.c1:g}, {self.c2:g})"
 
 
-class QuadratureRule:
-    """Quadrature nodes in barycentric coordinates with weights summing to 1.
+# 16-point symmetric rule, exact to total degree 8 (Lyness-Jespersen family):
+# one weight and one barycentric point per orbit, expanded over the point's
+# distinct permutations in sorted order.  Weights sum to 1, so
+# ``integrate(g) over T ~= area(T) * sum_k w_k g(x_k)``.
+_ORBITS = [
+    (0.1443156076777871682510911104890646, (1 / 3, 1 / 3, 1 / 3)),
+    (0.0950916342672846247938961043885843, (0.4592925882927231560288155144941693,
+                                            0.4592925882927231560288155144941693,
+                                            0.0814148234145536879423689710116614)),
+    (0.1032173705347182502817915502921290, (0.1705693077517602066222935014914645,
+                                            0.1705693077517602066222935014914645,
+                                            0.6588613844964795867554129970170710)),
+    (0.0324584976231980803109259283417806, (0.0505472283170309754584235505965989,
+                                            0.0505472283170309754584235505965989,
+                                            0.8989055433659380490831528988068022)),
+    (0.0272303141744349942648446900739089, (0.2631128296346381134217857862846436,
+                                            0.0083947774099576053372138345392944,
+                                            0.7284923929554042812409993791760620)),
+]
+RULE_NODES = np.array([pm for _, b in _ORBITS for pm in sorted(set(itertools.permutations(b)))])
+RULE_WEIGHTS = np.array([w for w, b in _ORBITS for _ in set(itertools.permutations(b))])
 
-    ``integrate(g) over T ~= area(T) * sum_k w_k g(x_k)``.  The rule is
-    exact for polynomials up to ``degree`` on any triangle.
-    """
-
-    __slots__ = ("nodes", "weights", "degree")
-
-    def __init__(self, nodes, weights, degree: int):
-        nodes = np.array(nodes, dtype=float)
-        weights = np.array(weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 3 or len(weights) != len(nodes):
-            raise ValueError("nodes must be (n, 3) barycentric with matching weights")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        self.nodes = nodes
-        self.weights = weights
-        self.degree = int(degree)
-
-
-def _symmetric_rule(groups, degree):
-    import itertools
-
-    nodes, weights = [], []
-    for w, bary in groups:
-        for pm in sorted(set(itertools.permutations(bary))):
-            nodes.append(pm)
-            weights.append(w)
-    return QuadratureRule(nodes, weights, degree)
-
-
-# 16-point symmetric rule, exact to total degree 8 (Lyness-Jespersen family).
-DEFAULT_RULE = _symmetric_rule(
-    [
-        (0.1443156076777871682510911104890646, (1 / 3, 1 / 3, 1 / 3)),
-        (0.0950916342672846247938961043885843, (0.4592925882927231560288155144941693,
-                                                0.4592925882927231560288155144941693,
-                                                0.0814148234145536879423689710116614)),
-        (0.1032173705347182502817915502921290, (0.1705693077517602066222935014914645,
-                                                0.1705693077517602066222935014914645,
-                                                0.6588613844964795867554129970170710)),
-        (0.0324584976231980803109259283417806, (0.0505472283170309754584235505965989,
-                                                0.0505472283170309754584235505965989,
-                                                0.8989055433659380490831528988068022)),
-        (0.0272303141744349942648446900739089, (0.2631128296346381134217857862846436,
-                                                0.0083947774099576053372138345392944,
-                                                0.7284923929554042812409993791760620)),
-    ],
-    degree=8,
-)
-
-def _subdivided(rule: QuadratureRule, subdiv: int):
-    """Barycentric nodes/weights of `rule` on 4**subdiv congruent subtriangles."""
-    corners = [np.eye(3)]
-    for _ in range(subdiv):
-        refined = []
-        for s in corners:
-            m01, m12, m20 = 0.5 * (s[0] + s[1]), 0.5 * (s[1] + s[2]), 0.5 * (s[2] + s[0])
-            refined += [
-                np.array([s[0], m01, m20]),
-                np.array([m01, s[1], m12]),
-                np.array([m20, m12, s[2]]),
-                np.array([m01, m12, m20]),
-            ]
-        corners = refined
-    n_sub = len(corners)
-    bary = np.vstack([rule.nodes @ s for s in corners])
-    return bary, np.tile(rule.weights / n_sub, n_sub)
-
-
-# The error quadrature: DEFAULT_RULE on the four subtriangles of one
+# The error quadrature: the rule on the four quarter-triangles of one midpoint
 # subdivision, because the |f - I_T f| integrand is only piecewise smooth
-# (a curve of kinks for sign-changing residuals).
-_BARY, _WEIGHTS = _subdivided(DEFAULT_RULE, 1)
+# (a curve of kinks for sign-changing residuals).  Rows 0-2 of _CORNERS are
+# the vertices, rows 3-5 the midpoints of edges 0-2.
+_CORNERS = np.vstack([np.eye(3), 0.5 * (np.eye(3)[NEXT] + np.eye(3)[PREV])])
+_BARY = np.vstack([RULE_NODES @ _CORNERS[q] for q in
+                   ([0, 5, 4], [5, 1, 3], [4, 3, 2], [5, 3, 4])])
+_WEIGHTS = np.tile(RULE_WEIGHTS / 4, 4)
 # Barycentric nodes of the local error: the quadrature nodes, for p = inf
 # also the lattice of order 16, and last the three vertices, which give the
 # interpolation its vertex values.
@@ -165,7 +119,8 @@ def _bubbles(nodes: np.ndarray) -> np.ndarray:
 
 
 _BUBBLES, _BUBBLES_INF = _bubbles(_ERROR_NODES), _bubbles(_ERROR_NODES_INF)
-for _a in (_BARY, _WEIGHTS, _ERROR_NODES, _ERROR_NODES_INF, _BUBBLES, _BUBBLES_INF):
+for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
+           _ERROR_NODES_INF, _BUBBLES, _BUBBLES_INF):
     _a.setflags(write=False)
 # Points per evaluation chunk in local_errors: 64 triangles at p = inf, 210
 # at finite p.  It bounds the (chunk, nodes) temporaries, so memory stays flat
@@ -188,7 +143,8 @@ def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _check_shapes(v: np.ndarray, what: str):
-    """Areas and squared diameters of a vertex batch (n, 3, 2); rejects flat ones."""
+    """Areas, squared diameters and edge vectors of a vertex batch (n, 3, 2);
+    rejects flat ones."""
     e = edge_vectors_of(v)
     area = areas_of(e)
     ee = e * e
@@ -198,7 +154,7 @@ def _check_shapes(v: np.ndarray, what: str):
         i = int(flat.argmax())
         raise ValueError(f"{what}: triangle too flat (area {area[i]}, "
                          f"diam {math.sqrt(diam2[i])})")
-    return area, diam2
+    return area, diam2, e
 
 
 def interpolate(t: Triangle, f) -> AffinePoly:
@@ -255,9 +211,10 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([s ** e for s in x.tolist()])
 
 
-def _form_residual(v: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndarray:
-    """``I_T f - f`` at the error nodes of each triangle of `v` (n, 3, 2), for
-    a quadratic f whose form has the coefficients `a`, (3,) or (n, 3).
+def _form_residual(e: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndarray:
+    """``I_T f - f`` at the error nodes of each triangle, given its edge vectors
+    `e` (n, 3, 2), for a quadratic f whose form has the coefficients `a`, (3,)
+    or (n, 3).
 
     The affine part of f is interpolated exactly, and the form leaves
     ``l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)`` at the barycentric point l,
@@ -269,9 +226,8 @@ def _form_residual(v: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndar
     multiply.
     """
     a20, a11, a02 = a.T  # numbers, or one per triangle
-    x, y = edge_vectors_of(v).T  # (3, n): edge k of each triangle
+    x, y = e.T  # (3, n): edge k of each triangle
     qe = a20 * x * x + 2.0 * a11 * x * y + a02 * y * y  # as QuadraticField
-    del x, y  # the edge vectors are freed before the blocks are made
     res = np.einsum("i,j->ij", qe[0], bubbles[0])
     term = np.empty_like(res)
     for k in (1, 2):
@@ -282,9 +238,9 @@ def _form_residual(v: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndar
 def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.ndarray:
     """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles;
     `form` holds the chunk's form coefficients when the closed form applies."""
-    area, diam2 = _check_shapes(v, "local_error")
+    area, diam2, e = _check_shapes(v, "local_error")
     if form is not None:
-        res = _form_residual(v, form, _BUBBLES_INF if math.isinf(p) else _BUBBLES)
+        res = _form_residual(e, form, _BUBBLES_INF if math.isinf(p) else _BUBBLES)
     else:
         pts = _points(nodes, v)
         fx = np.asarray(f(pts[0], pts[1]), dtype=float)
@@ -330,7 +286,7 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     """Local Lp errors ``||f - A_T f||_{Lp(T)}`` of a batch of triangles.
 
     ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
-    DEFAULT_RULE on 4 congruent subtriangles; p = inf takes the maximum
+    the 16-point rule on 4 congruent subtriangles; p = inf takes the maximum
     over those nodes, a barycentric lattice of order 16 and the vertices.
     The interpolation error of a field with a constant-hessian form
     (``form_coeffs``) is taken at the same nodes from the closed form on the

@@ -429,14 +429,18 @@ def _mesh_text_slices(forest: RefinementForest):
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     new = np.concatenate(([True], (x[1:] != x[:-1]) | (y[1:] != y[:-1])))
+    del x, y
     first = order[new]
     # a vertex's number is the rank of its first use
+    s = np.argsort(first)
+    rank = np.empty_like(s)
+    rank[s] = np.arange(len(s))
     tris = np.empty_like(order)
-    tris[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
-    sections = (("v %.17g %.17g\n", xy[np.sort(first)]),
+    tris[order] = rank[np.cumsum(new) - 1]
+    sections = (("v %.17g %.17g\n", xy[first[s]]),
                 ("t %d %d %d %d\n", np.c_[tris.reshape(-1, 3), forest.nodes["parent"]]),
                 ("leaf %d\n", forest.leaf_ids()[:, None]))
-    del xy, x, y, order, new, first, tris  # the numbering's arrays die before the text grows
+    del xy, order, new, first, s, rank, tris  # the numbering's arrays die before the text grows
     yield MESH_HEADER + "\n"
     for line, rows in sections:
         for part in np.split(rows, range(_SLICE, len(rows), _SLICE)):

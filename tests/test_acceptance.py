@@ -20,13 +20,14 @@ from anisomesh.analysis import (
     sigma_study,
 )
 from anisomesh.approx import (
-    DEFAULT_RULE,
+    RULE_NODES,
+    RULE_WEIGHTS,
     decision_gains_convex,
     decision_l1,
     interpolate,
     local_error,
     project_l2,
-    _subdivided,
+    _BARY,
 )
 from anisomesh.cli import main as cli_main
 from anisomesh.engine import GreedyConfig, StopRule, greedy_run, select_edge
@@ -204,7 +205,7 @@ def _sandwich_pair(rng, mu):
 def test_criterion_8_perturbation_sandwich():
     """Pointwise error sandwich and mu-near longest-edge selection."""
     rng = np.random.default_rng(SAMPLE_SEED + 1)
-    bary, _ = _subdivided(DEFAULT_RULE, 1)
+    bary = _BARY
     cfg = GreedyConfig()
     violations = 0
     for mu in (0.01, 0.1):
@@ -276,8 +277,8 @@ def test_criterion_9_operator_axioms():
         for _ in range(30):
             t = random_triangle(rng)
             pi = project_l2(t, f)
-            xy = DEFAULT_RULE.nodes @ t.vertices
-            w = t.area * DEFAULT_RULE.weights
+            xy = RULE_NODES @ t.vertices
+            w = t.area * RULE_WEIGHTS
             res = f(xy[:, 0], xy[:, 1]) - pi(xy[:, 0], xy[:, 1])
             for phi in (np.ones(len(xy)), xy[:, 0], xy[:, 1]):
                 moment = abs(float((w * res * phi).sum()))

@@ -29,7 +29,7 @@ from anisomesh.engine import (
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.approx import DEFAULT_RULE
+from anisomesh.approx import RULE_NODES
 from anisomesh.geometry import NEXT, PREV, QuadForm, Triangle, sigma, reference_triangle
 
 from test_geometry import compose_linear
@@ -274,7 +274,7 @@ def hessian_oscillation(f: ScalarField, t: Triangle) -> float:
     """
     corners = np.eye(3)
     mids = 0.5 * (corners[NEXT] + corners[PREV])
-    bary = np.vstack([corners, mids, DEFAULT_RULE.nodes, [[1 / 3, 1 / 3, 1 / 3]]])
+    bary = np.vstack([corners, mids, RULE_NODES, [[1 / 3, 1 / 3, 1 / 3]]])
     xy = bary @ t.vertices
     h = f.hessian(xy[:, 0], xy[:, 1])
     hb = h[-1]  # centroid

@@ -41,6 +41,10 @@ def test_package_all_resolves():
     ("approx", "_error_nodes"),
     ("approx", "decision_gain_quadrature"),
     ("approx", "local_error_quadratic_exact"),
+    ("approx", "QuadratureRule"),
+    ("approx", "DEFAULT_RULE"),
+    ("approx", "_symmetric_rule"),
+    ("approx", "_subdivided"),
     ("fields", "hessian_fd"),
     ("engine", "select_triangle"),
     ("engine", "leaf_error"),
@@ -58,8 +62,6 @@ def test_retired_names_are_gone(name, attr):
 
 def test_retired_attributes_are_gone():
     assert not hasattr(anisomesh.Triangle, "edge_endpoints")
-    assert not hasattr(anisomesh.approx.DEFAULT_RULE, "_key")
-    assert not hasattr(anisomesh.approx.QuadratureRule, "points_on")
     assert not hasattr(anisomesh.QuadForm, "compose_linear")
     forest = anisomesh.RefinementForest(anisomesh.engine.initial_mesh("ref-triangle"))
     assert not hasattr(forest, "error_config")

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from anisomesh import approx
 from anisomesh.approx import (
-    DEFAULT_RULE,
+    RULE_NODES,
+    RULE_WEIGHTS,
     AffinePoly,
     decision_gains_convex,
     decision_l1,
@@ -62,21 +63,57 @@ def composed_field(f, mat, shift):
     return ScalarField(f.label + "@phi", func)
 
 
+def subdivided(subdiv):
+    """Barycentric nodes and weights of the 16-point rule on the 4**subdiv
+    congruent subtriangles of repeated midpoint subdivision."""
+    corners = [np.eye(3)]
+    for _ in range(subdiv):
+        refined = []
+        for s in corners:
+            m01, m12, m20 = 0.5 * (s[0] + s[1]), 0.5 * (s[1] + s[2]), 0.5 * (s[2] + s[0])
+            refined += [
+                np.array([s[0], m01, m20]),
+                np.array([m01, s[1], m12]),
+                np.array([m20, m12, s[2]]),
+                np.array([m01, m12, m20]),
+            ]
+        corners = refined
+    n_sub = len(corners)
+    bary = np.vstack([RULE_NODES @ s for s in corners])
+    return bary, np.tile(RULE_WEIGHTS / n_sub, n_sub)
+
+
 class TestQuadratureRules:
-    @pytest.mark.parametrize("rule", [DEFAULT_RULE])
+    @pytest.mark.parametrize("rule", [(RULE_NODES, RULE_WEIGHTS)])
     def test_exact_to_declared_degree(self, rule):
         # reference-triangle moments: int x^i y^j = i! j! / (i+j+2)!
-        for i in range(rule.degree + 1):
-            for j in range(rule.degree + 1 - i):
-                xy = rule.nodes @ REF.vertices
+        nodes, weights = rule
+        for i in range(8 + 1):
+            for j in range(8 + 1 - i):
+                xy = nodes @ REF.vertices
                 approx = 0.5 * float(
-                    (rule.weights * xy[:, 0] ** i * xy[:, 1] ** j).sum())
+                    (weights * xy[:, 0] ** i * xy[:, 1] ** j).sum())
                 exact = factorial(i) * factorial(j) / factorial(i + j + 2)
                 assert approx == pytest.approx(exact, rel=1e-13)
 
     def test_weights_sum_to_one(self):
-        assert float(DEFAULT_RULE.weights.sum()) == pytest.approx(1.0, abs=1e-15)
-        assert len(DEFAULT_RULE.weights) == 16
+        assert float(RULE_WEIGHTS.sum()) == pytest.approx(1.0, abs=1e-15)
+        assert len(RULE_WEIGHTS) == 16
+        assert RULE_NODES.shape == (16, 3)
+
+    def test_module_arrays_are_read_only(self):
+        # the edge table NEXT/PREV is geometry's, and stays writable: numpy's
+        # take is slower with a read-only index array
+        arrays = {k: v for k, v in vars(approx).items()
+                  if isinstance(v, np.ndarray) and k not in ("NEXT", "PREV")}
+        assert {"RULE_NODES", "RULE_WEIGHTS", "_BARY", "_WEIGHTS", "_ERROR_NODES",
+                "_ERROR_NODES_INF", "_BUBBLES", "_BUBBLES_INF"} <= set(arrays)
+        assert [k for k, v in arrays.items() if v.flags.writeable] == []
+
+    def test_error_quadrature_is_one_subdivision(self):
+        bary, w = subdivided(1)
+        assert bary.tobytes() == approx._BARY.tobytes()
+        assert w.tobytes() == approx._WEIGHTS.tobytes()
 
 
 class TestInterpolate:
@@ -122,8 +159,8 @@ class TestProjectL2:
         for f in fields:
             for t in [REF] + [random_triangle(rng) for _ in range(10)]:
                 pi = project_l2(t, f)
-                xy = DEFAULT_RULE.nodes @ t.vertices
-                w = t.area * DEFAULT_RULE.weights
+                xy = RULE_NODES @ t.vertices
+                w = t.area * RULE_WEIGHTS
                 res = f(xy[:, 0], xy[:, 1]) - pi(xy[:, 0], xy[:, 1])
                 for phi in (np.ones(len(xy)), xy[:, 0], xy[:, 1]):
                     moment = float((w * res * phi).sum())
@@ -168,12 +205,10 @@ class TestLocalError:
             local_error(REF, DISK, 2, "nearest")
 
 
-def error_nodes(p, rule=DEFAULT_RULE, subdiv=1):
-    """Barycentric error nodes and quadrature weights: `rule` on 4**subdiv
+def error_nodes(p, subdiv=1):
+    """Barycentric error nodes and quadrature weights: the rule on 4**subdiv
     subtriangles, and for p = inf the lattice of order 16 after them."""
-    from anisomesh.approx import _subdivided
-
-    bary, w = _subdivided(rule, subdiv)
+    bary, w = subdivided(subdiv)
     if math.isinf(p):
         lattice = [(i / 16, j / 16, (16 - i - j) / 16)
                    for i in range(17) for j in range(17 - i)]
@@ -181,9 +216,9 @@ def error_nodes(p, rule=DEFAULT_RULE, subdiv=1):
     return bary, w
 
 
-def reference_local_error(t, f, p, op, rule=DEFAULT_RULE, subdiv=1):
+def reference_local_error(t, f, p, op, subdiv=1):
     """Per-triangle local error, written without the batched kernel."""
-    bary, w = error_nodes(p, rule, subdiv)
+    bary, w = error_nodes(p, subdiv)
     xy = bary @ t.vertices
     if op == "interpolation":
         v = t.vertices
@@ -261,7 +296,7 @@ def strided_local_errors(verts, f, p, op):
     errs = []
     for s in range(0, len(verts), 64):
         v = verts[s:s + 64]
-        area, diam2 = _check_shapes(v, "local_error")
+        area, diam2, _ = _check_shapes(v, "local_error")
         xy = nodes @ v
         fx = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
         if op == "interpolation":
@@ -651,10 +686,8 @@ class TestSandwich:
 
     @pytest.mark.parametrize("mu", [0.01, 0.1])
     def test_pointwise_sandwich(self, mu):
-        from anisomesh.approx import _subdivided
-
         rng = np.random.default_rng(77)
-        bary, _ = _subdivided(DEFAULT_RULE, 1)
+        bary, _ = subdivided(1)
         for _ in range(60):
             q, qf, f = self._make_pair(rng, mu)
             t = random_triangle(rng)

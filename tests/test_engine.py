@@ -636,6 +636,31 @@ class TestGlobalError:
 
 
 class TestSerialization:
+    def test_vertex_numbering_peak_per_node(self):
+        """Peak traced memory of the writer up to its header, the numbering.
+
+        A forest of ``N`` nodes has ``3 N`` vertex slots and ``V`` distinct
+        vertices.  The numbering keeps the slots' coordinates (48 B/node),
+        their ``lexsort`` order and the vertex numbers (24 B/node each) and
+        the first-use flags (3 B/node), and per distinct vertex its first use,
+        that use's rank and the rank's inverse (24 B/vertex).  While it
+        numbers the slots it holds two more int64 arrays over them, the group
+        counts and their gather: 48 B/node.  ``147 N + 24 V`` bytes, granted
+        16 KiB for array headers and the generator.  Holding the two sorted
+        coordinate-bit columns as well (48 B/node) does not fit.
+        """
+        forest, _ = greedy_run(get_field("expbump"), count_config(4096, initial="unit-square"))
+        n = len(forest.nodes)
+        v = mesh_to_text(forest).count("\nv ")  # numpy's first-call set-up is not timed
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            next(engine._mesh_text_slices(forest))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 147 * n + 24 * v + 16384
+
     def test_round_trip_bytes(self):
         forest, _ = greedy_run(DISK, count_config(33))
         text = mesh_to_text(forest)

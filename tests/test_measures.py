@@ -107,6 +107,7 @@ def test_measures_match_longhand_formulas(v, q):
     else:
         got = _check_shapes(ccw, "test")
         assert same_bytes(got[0], area) and same_bytes(got[1], diam2)
+        assert same_bytes(got[2], ref_edges(ccw))
     for w in ccw:
         t = Triangle(w)
         assert same_bytes(t.area, ref_area(w))
