@@ -210,22 +210,6 @@ def random_triangle(rng: np.random.Generator) -> Triangle:
         return Triangle(v)
 
 
-class _FormRows:
-    """The quadratic of form ``forms[i]`` on the i-th triangle of one
-    ``local_errors`` batch.  The interpolation error reads the coefficient
-    rows; the L2 projection evaluates the field, which takes the batch's
-    triangles in order, chunk by chunk, one row of points each."""
-
-    def __init__(self, forms):
-        self.form_coeffs = np.array([(q.a20, q.a11, q.a02) for q in forms])
-        self.row = 0
-
-    def __call__(self, x, y):
-        a20, a11, a02 = self.form_coeffs[self.row:self.row + len(x)].T[..., None]
-        self.row += len(x)
-        return a20 * x * x + 2.0 * a11 * x * y + a02 * y * y  # as QuadraticField
-
-
 def equivalence_constant_probe(samples: int = 1000, seed: int = 0,
                                op: str = "interpolation"):
     """Empirical bracket of e_T(q)_p / (sigma_q(T) ||sqrt(det q)||_Ltau(T)).
@@ -236,17 +220,14 @@ def equivalence_constant_probe(samples: int = 1000, seed: int = 0,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    forms, tris = [], []
-    for _ in range(samples):
-        forms.append(random_pd_form(rng))
-        tris.append(random_triangle(rng))
-    scales = [sigma(q, t) * math.sqrt(q.det) for q, t in zip(forms, tris)]
-    verts = np.array([t.vertices for t in tris])
     ratios = []
-    for p in (1.0, 2.0, math.inf):
-        errs = approx.local_error(verts, _FormRows(forms), p, op).tolist()
-        ratios += [e / (s * t.area ** (1.0 / tau_from_p(p)))
-                   for e, s, t in zip(errs, scales, tris)]
+    for _ in range(samples):
+        q = random_pd_form(rng)
+        t = random_triangle(rng)
+        f = QuadraticField("probe", q.a20, q.a11, q.a02)
+        scale = sigma(q, t) * math.sqrt(q.det)
+        ratios += [approx.local_error(t, f, p, op) / (scale * t.area ** (1.0 / tau_from_p(p)))
+                   for p in (1.0, 2.0, math.inf)]
     return min(ratios), max(ratios)
 
 
@@ -256,32 +237,25 @@ CONVERGENCE_HEADER = "n,error,product,target,ratio"
 TRACE_HEADER = "step,n_leaves,global_error,max_diam,sigma_mean,sigma_max"
 
 
-def _row(values) -> str:
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                    for v in values)
+def _csv(header: str, records) -> str:
+    """``header`` and one line per dataclass record: its first fields (``vars``,
+    not the deep copy of ``astuple``), as many as the header has columns."""
+    n = header.count(",") + 1
+    return "\n".join([header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                         for v in list(vars(r).values())[:n])
+                                for r in records]) + "\n"
 
 
 def sigma_csv(stats) -> str:
     """CSV with one row per refinement level, in level order."""
-    lines = [SIGMA_HEADER]
-    for s in stats:
-        lines.append(_row([s.level, s.count, s.mean, s.max,
-                           s.fraction_above, s.mean_pow_r0]))
-    return "\n".join(lines) + "\n"
+    return _csv(SIGMA_HEADER, stats)
 
 
 def convergence_csv(points) -> str:
     """CSV with one row per checkpoint, in checkpoint order."""
-    lines = [CONVERGENCE_HEADER]
-    for c in points:
-        lines.append(_row([c.n, c.error, c.product, c.target, c.ratio]))
-    return "\n".join(lines) + "\n"
+    return _csv(CONVERGENCE_HEADER, points)
 
 
 def trace_csv(trace) -> str:
     """CSV with one row per trace record of a greedy run."""
-    lines = [TRACE_HEADER]
-    for r in trace:
-        lines.append(_row([r.step, r.n_leaves, r.global_error, r.max_diam,
-                           r.sigma_mean, r.sigma_max]))
-    return "\n".join(lines) + "\n"
+    return _csv(TRACE_HEADER, trace)

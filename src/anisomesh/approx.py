@@ -8,8 +8,8 @@ scales as ``|det L|^(1/p)`` under a map with linear part L.
 ``local_errors`` is the one implementation of the local error: it scores a
 batch of triangles, and every other error consumer (``local_error``, the
 quadrature decisions, global errors, error colouring) calls it.  For a
-field with a constant hessian it takes the interpolation error from the
-form on the edge vectors, without evaluating the field.
+QuadraticField it takes the interpolation error from the form on the edge
+vectors, without evaluating the field.
 
 The edge-decision functions score the three possible bisections of one
 triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .fields import QuadraticField
 from .geometry import NEXT, PREV, Triangle, areas_of, bisect, edge_vectors_of
 
 __all__ = [
@@ -211,10 +212,9 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([s ** e for s in x.tolist()])
 
 
-def _form_residual(e: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndarray:
+def _form_residual(e: np.ndarray, form, bubbles: np.ndarray) -> np.ndarray:
     """``I_T f - f`` at the error nodes of each triangle, given its edge vectors
-    `e` (n, 3, 2), for a quadratic f whose form has the coefficients `a`, (3,)
-    or (n, 3).
+    `e` (n, 3, 2), for a quadratic f with QuadForm `form`.
 
     The affine part of f is interpolated exactly, and the form leaves
     ``l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)`` at the barycentric point l,
@@ -225,9 +225,7 @@ def _form_residual(e: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndar
     into the term buffer without the iteration buffers of a broadcasting
     multiply.
     """
-    a20, a11, a02 = a.T  # numbers, or one per triangle
-    x, y = e.T  # (3, n): edge k of each triangle
-    qe = a20 * x * x + 2.0 * a11 * x * y + a02 * y * y  # as QuadraticField
+    qe = form(e).T  # (3, n): the form on edge k of each triangle
     res = np.einsum("i,j->ij", qe[0], bubbles[0])
     term = np.empty_like(res)
     for k in (1, 2):
@@ -237,7 +235,7 @@ def _form_residual(e: np.ndarray, a: np.ndarray, bubbles: np.ndarray) -> np.ndar
 
 def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.ndarray:
     """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles;
-    `form` holds the chunk's form coefficients when the closed form applies."""
+    `form` is the field's QuadForm when the closed form applies."""
     area, diam2, e = _check_shapes(v, "local_error")
     if form is not None:
         res = _form_residual(e, form, _BUBBLES_INF if math.isinf(p) else _BUBBLES)
@@ -288,9 +286,9 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
     the 16-point rule on 4 congruent subtriangles; p = inf takes the maximum
     over those nodes, a barycentric lattice of order 16 and the vertices.
-    The interpolation error of a field with a constant-hessian form
-    (``form_coeffs``) is taken at the same nodes from the closed form on the
-    edge vectors, without evaluating the field.
+    The interpolation error of a QuadraticField is taken at the same nodes
+    from the closed form of its ``form`` on the edge vectors, without
+    evaluating the field.
     Raises ValueError on flat triangles and on non-finite field values.
     """
     if op not in OPERATORS:
@@ -302,13 +300,10 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
     nodes, chunk = _chunking(p)
-    # (a20, a11, a02) for every triangle, or one row (n, 3) per triangle
-    form = getattr(f, "form_coeffs", None) if op == "interpolation" else None
+    form = f.form if op == "interpolation" and isinstance(f, QuadraticField) else None
     if len(verts) <= chunk:
         return _chunk_errors(verts, f, p, op, nodes, form)
-    per_row = form is not None and form.ndim == 2
-    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes,
-                                         form[s:s + chunk] if per_row else form)
+    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes, form)
                            for s in range(0, len(verts), chunk)])
 
 

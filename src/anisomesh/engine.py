@@ -17,6 +17,7 @@ from __future__ import annotations
 # to count heap operations, still installs; the greedy loop keeps no heap
 import heapq
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -111,8 +112,8 @@ class GreedyConfig:
             raise ValueError(f"unknown operator {self.operator!r}")
         if self.decision not in DECISIONS:
             raise ValueError(f"unknown decision {self.decision!r}; expected {DECISIONS}")
-        if self.node_cap < 3:
-            raise ValueError("node cap too small")
+        if not isinstance(self.node_cap, numbers.Integral) or self.node_cap < 3:
+            raise ValueError(f"node cap must be an integer >= 3, got {self.node_cap!r}")
 
 
 @dataclass(frozen=True)

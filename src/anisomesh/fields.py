@@ -117,11 +117,7 @@ class QuadraticField(ScalarField):
             tag, margin = "convex", 0.0
         else:
             tag, margin = "general", 0.0
-        self.form = form
-        # the hessian is constant: approx.local_errors takes the interpolation
-        # error from the form's coefficients on the edge vectors
-        self.form_coeffs = np.array([form.a20, form.a11, form.a02])
-        self.form_coeffs.setflags(write=False)
+        self.form = form  # approx.local_errors' interpolation error reads it
         hess_const = 2.0 * form.matrix
 
         def func(x, y, c=self.coeffs):

@@ -36,7 +36,7 @@ __all__ = [
 
 # Relative tolerance for "equal q-length" ties in edge selection.
 TIE_RTOL = 1e-12
-# |det q| below DEGENERATE_RTOL * scale**2 is treated as degenerate.
+# |det q| up to DEGENERATE_RTOL * scale**2 is treated as degenerate.
 DEGENERATE_RTOL = 1e-14
 
 # The edge labels: edge i runs from vertex NEXT[i] = i+1 to PREV[i] = i+2.
@@ -183,8 +183,7 @@ class QuadForm:
 
 
 def _require_nondegenerate(q: QuadForm, what: str) -> None:
-    s = q.scale
-    if s == 0.0 or abs(q.det) < DEGENERATE_RTOL * s * s:
+    if q.classify() == "degenerate":
         raise ValueError(f"{what} undefined for a (near-)degenerate form: det={q.det}")
 
 

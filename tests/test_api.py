@@ -53,6 +53,7 @@ def test_package_all_resolves():
     ("engine", "max_leaf_diameter"),
     ("analysis", "_uniform_background"),
     ("analysis", "hessian_oscillation"),
+    ("analysis", "_FormRows"),
 ])
 def test_retired_names_are_gone(name, attr):
     module = importlib.import_module(f"anisomesh.{name}")
@@ -68,6 +69,10 @@ def test_retired_attributes_are_gone():
     assert not hasattr(forest, "is_leaf")
     assert not hasattr(forest, "roots")
     assert not hasattr(forest, "leaf_triangles")
+    quadratics = [f for f in anisomesh.builtin_catalog()
+                  if isinstance(f, anisomesh.QuadraticField)]
+    assert quadratics
+    assert not any(hasattr(f, "form_coeffs") for f in quadratics)
 
 
 @pytest.mark.parametrize("name", ["local_errors", "local_error", "decision_l1",

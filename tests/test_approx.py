@@ -486,6 +486,21 @@ class TestClosedForm:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), scale
 
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_only_a_quadratic_field_takes_the_closed_form(self, p):
+        # a plain ScalarField that carries a ``form`` keeps the field-value
+        # kernel: the closed form is chosen by type, not by attribute
+        expbump = get_field("expbump")
+        plain = ScalarField("plain", expbump)
+        tagged = ScalarField("tagged", expbump)
+        tagged.form = get_field("aniso-100").form
+        rng = np.random.default_rng(89)
+        verts = np.array([random_triangle(rng).vertices for _ in range(40)])
+        want = local_errors(verts, plain, p)
+        assert local_errors(verts, tagged, p).tobytes() == want.tobytes()
+        assert local_errors(verts, expbump, p).tobytes() == want.tobytes()
+
+
 class TestQuadraticExact:
     def test_reference_value(self):
         assert local_error_quadratic_exact(REF, DISK) == pytest.approx(1 / 6, rel=1e-14)

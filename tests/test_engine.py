@@ -120,6 +120,15 @@ class TestStopRuleValidation:
         with pytest.raises(ValueError):
             GreedyConfig(decision="coin-flip")
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 2.5, 1000.0, 2, "1000"])
+    def test_node_cap_must_be_an_integer_of_at_least_3(self, cap):
+        message = f"node cap must be an integer >= 3, got {cap!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GreedyConfig(node_cap=cap)
+
+    def test_node_cap_accepts_numpy_integers(self):
+        assert GreedyConfig(node_cap=np.int64(3)).node_cap == 3
+
 
 class TestForest:
     def test_initial_mesh_variants(self):

@@ -198,6 +198,23 @@ class TestCanonicalTransform:
         with pytest.raises(ValueError):
             canonical_transform(QuadForm(1, 0, 0))
 
+    @pytest.mark.parametrize("a02", [1e-14, -1e-14])
+    def test_degenerate_is_what_classify_says(self, a02):
+        # |det| == DEGENERATE_RTOL * scale**2 exactly: classify calls the form
+        # degenerate, and so do the measures that need a non-degenerate form
+        q = QuadForm(1, 0, a02)
+        assert q.classify() == "degenerate"
+        with pytest.raises(ValueError, match="degenerate"):
+            canonical_transform(q)
+        with pytest.raises(ValueError, match="degenerate"):
+            rho(q, reference_triangle())
+
+    def test_just_above_the_tolerance_is_accepted(self):
+        q = QuadForm(1, 0, 2e-14)
+        assert q.classify() == "positive-definite"
+        assert canonical_transform(q)[1] == 1
+        assert math.isfinite(rho(q, reference_triangle()))
+
 
 class TestRho:
     def test_equilateral_minimum(self):
