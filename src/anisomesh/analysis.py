@@ -76,7 +76,6 @@ class SigmaStats:
     max: float
     fraction_above: float  # share of leaves with sigma >= threshold
     mean_pow_r0: float     # mean of sigma ** R0
-    threshold: float = SIGMA_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def _leaf_stats(form: QuadForm, verts: np.ndarray, level: int,
                 threshold: float) -> SigmaStats:
     s = sigma_batch(form, verts)
     return SigmaStats(level, len(s), float(s.mean()), float(s.max()),
-                      float((s >= threshold).mean()), float((s ** R0).mean()),
-                      threshold)
+                      float((s >= threshold).mean()), float((s ** R0).mean()))
 
 
 def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
@@ -238,11 +236,10 @@ TRACE_HEADER = "step,n_leaves,global_error,max_diam,sigma_mean,sigma_max"
 
 
 def _csv(header: str, records) -> str:
-    """``header`` and one line per dataclass record: its first fields (``vars``,
-    not the deep copy of ``astuple``), as many as the header has columns."""
-    n = header.count(",") + 1
+    """``header`` and one line per dataclass record: its fields (``vars``, not
+    the deep copy of ``astuple``)."""
     return "\n".join([header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                                         for v in list(vars(r).values())[:n])
+                                         for v in vars(r).values())
                                 for r in records]) + "\n"
 
 

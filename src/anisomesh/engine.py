@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import approx
-from .geometry import Triangle, bisect, edge_vectors_of, sigma_batch
+from .geometry import Triangle, bisect, edge_vectors_of, reference_triangle, sigma_batch
 
 __all__ = [
     "RunawayRefinementError",
@@ -220,7 +220,7 @@ def initial_mesh(spec) -> list[Triangle]:
         return [spec]
     if isinstance(spec, str):
         if spec == "ref-triangle":
-            return [Triangle([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])]
+            return [reference_triangle()]
         if spec == "unit-square":
             return [
                 Triangle([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),
@@ -487,29 +487,31 @@ def _read_lines(text: str):
     for k, word in enumerate(_DIRECTIVES):  # a line's newline ends any match
         kind[np.logical_and.reduce([b.take(starts + j, mode="clip") == c
                                     for j, c in enumerate(word.encode() + b" ")])] = k
-    out = [np.empty((m, n + 1), int if k else float) for k, (m, n) in  # room for every line
-           enumerate(zip(np.bincount(kind + 1, minlength=4)[1:], _DIRECTIVES.values()))]
-    done, loose = [0, 0, 0], (array("d"), array("q"), array("q"))  # rows in out; lines read alone
+    blocks = [[np.empty((0, n + 1), int if k else float)]  # each directive's rows, in line order
+              for k, n in enumerate(_DIRECTIVES.values())]
 
-    def read_alone(i):
-        raw, ln = text[starts[i]:ends[i]], i + 1
-        fields = raw.split()
-        if fields and i:  # not a blank line, nor the header
-            try:
-                if _DIRECTIVES.get(fields[0]) != len(fields) - 1:
-                    raise ValueError("unrecognized directive")
-                k = list(_DIRECTIVES).index(fields[0])
-                loose[k].append(ln)
-                loose[k].extend(map(int if k else float, fields[1:]))
-            except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
-                raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
+    def read_alone(i, j):  # lines i..j-1; each directive's rows join blocks as one array
+        lone = [array("d"), array("q"), array("q")]  # each directive's rows, flat
+        for ln in range(i + 1, j + 1):
+            raw = text[starts[ln - 1]:ends[ln - 1]]
+            fields = raw.split()
+            if fields and ln > 1:  # not a blank line, nor the header
+                try:
+                    if _DIRECTIVES.get(fields[0]) != len(fields) - 1:
+                        raise ValueError("unrecognized directive")
+                    k = list(_DIRECTIVES).index(fields[0])
+                    lone[k].append(ln)
+                    lone[k].extend(map(int if k else float, fields[1:]))
+                except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
+                    raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
+        for block, rows, n in zip(blocks, lone, _DIRECTIVES.values()):
+            block.append(np.reshape(rows, (-1, n + 1)))
 
     bounds = np.concatenate(([0], np.flatnonzero(kind[1:] != kind[:-1]) + 1, [len(kind)])).tolist()
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         k = kind[r0]
-        if k < 0:
-            for i in range(r0, r1):
-                read_alone(i)
+        if k < 0:  # lines of no directive
+            read_alone(r0, r1)
             continue
         word, n_fields = list(_DIRECTIVES.items())[k]
         for i in range(r0, r1, _PIECE):  # a piece of lines i..j-1
@@ -533,14 +535,10 @@ def _read_lines(text: str):
                 except ValueError:
                     pass
             if rows is None or k and ((rows >= 10 ** 18) | (rows <= -10 ** 18)).any():
-                for r in range(i, j):  # the first line at fault names itself
-                    read_alone(r)
+                read_alone(i, j)  # the first line at fault names itself
                 continue
-            out[k][done[k]:done[k] + j - i] = np.column_stack((np.arange(i + 1, j + 1), rows))
-            done[k] += j - i
-    out = [np.concatenate((r[:m], np.array(a).reshape(-1, n + 1))) if a else r[:m]
-           for r, m, a, n in zip(out, done, loose, _DIRECTIVES.values())]
-    return (*(r if not a else r[np.argsort(r[:, 0])] for r, a in zip(out, loose)), len(ends))
+            blocks[k].append(np.column_stack((np.arange(i + 1, j + 1), rows)))
+    return (*map(np.concatenate, blocks), len(ends))
 
 
 def mesh_from_text(text: str) -> RefinementForest:
@@ -635,5 +633,5 @@ def mesh_from_text(text: str) -> RefinementForest:
 
 
 def load_mesh(path) -> RefinementForest:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return mesh_from_text(fh.read())

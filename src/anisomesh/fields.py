@@ -5,10 +5,16 @@ fixes the domain actually meshed.  Evaluation callables are vectorized:
 ``field(x, y)`` accepts broadcastable arrays, ``field.hessian(x, y)``
 returns an array of symmetric 2x2 matrices with shape ``(..., 2, 2)``.
 
-The built-in fields evaluate in two buffers: the value and one term,
-combined in place in the order the formula reads, so the values equal the
-plain expression bit for bit while a large batch allocates two arrays, not
-one per sub-expression.  A user's ``func`` is called as given.
+``expbump`` and ``gauss-ridge`` evaluate in two buffers: the value and one
+term, combined in place in the order the formula reads, so the values equal
+the plain expression bit for bit while a large batch of the error kernel
+allocates two arrays, not one per sub-expression.  The square of a
+broadcast coordinate is taken in that coordinate's own shape, as the plain
+expression takes it, so NaN signs also match.  A ``QuadraticField``
+evaluates its plain formula: the kernel takes its interpolation error from
+its form, so it is evaluated only by the convex-gain decision (six points
+per leaf) and by ``l2-projection`` chunks, whose peak the projection's
+basis arrays set.  A user's ``func`` is called as given.
 
 Convexity tags are declared, not inferred; ``check_box`` is the rectangle
 on which the declaration is grid-checked (and on which demo runs make
@@ -88,6 +94,14 @@ def _buffers(x, y):
     return np.empty(shape), np.empty(shape)
 
 
+def _own(v, buf):
+    """Where a sub-expression of ``v`` alone goes: ``buf`` when ``v`` spans
+    the batch, else a fresh array in ``v``'s own shape, as the plain
+    expression has it.  numpy meets a broadcast operand through another
+    loop than a full one, and there a NaN may take the other operand's sign."""
+    return buf if np.size(v) == buf.size else None
+
+
 def _as_floats(x, y):
     """(x, y) as float arrays, for a built-in field's plain expression.
 
@@ -101,8 +115,10 @@ def _as_floats(x, y):
 class QuadraticField(ScalarField):
     """Polynomial of degree two; the homogeneous part is a QuadForm.
 
-    ``q(x, y) = a20 x^2 + 2 a11 x y + a02 y^2 + a10 x + a01 y + a00``.
-    The convexity tag is derived from the eigenvalues of the form.
+    ``q(x, y) = a20 x^2 + 2 a11 x y + a02 y^2 + a10 x + a01 y + a00``,
+    evaluated as that plain expression (no buffers: the interpolation error
+    reads ``form``, not values).  The convexity tag is derived from the
+    eigenvalues of the form.
     """
 
     def __init__(self, label, a20, a11, a02, a10=0.0, a01=0.0, a00=0.0,
@@ -118,32 +134,13 @@ class QuadraticField(ScalarField):
         else:
             tag, margin = "general", 0.0
         self.form = form  # approx.local_errors' interpolation error reads it
-        hess_const = 2.0 * form.matrix
+        a20, a11, a02, a10, a01, a00 = self.coeffs
 
-        def func(x, y, c=self.coeffs):
-            # a20 x x + 2 a11 x y + a02 y y + a10 x + a01 y + a00, left to right
-            a20_, a11_, a02_, a10_, a01_, a00_ = c
-            out, term = _buffers(x, y)
-            if out.size == 1:
-                x, y = _as_floats(x, y)
-                return (a20_ * x * x + 2.0 * a11_ * x * y + a02_ * y * y
-                        + a10_ * x + a01_ * y + a00_)
-            np.multiply(a20_, x, out=out)
-            out *= x
-            np.multiply(2.0 * a11_, x, out=term)
-            term *= y
-            out += term
-            np.multiply(a02_, y, out=term)
-            term *= y
-            out += term
-            out += np.multiply(a10_, x, out=term)
-            out += np.multiply(a01_, y, out=term)
-            out += a00_
-            return out[()]
+        def func(x, y):
+            return a20 * x * x + 2.0 * a11 * x * y + a02 * y * y + a10 * x + a01 * y + a00
 
-        def hess(x, y, h=hess_const):
-            shape = np.broadcast(x, y).shape
-            return np.broadcast_to(h, shape + (2, 2))
+        def hess(x, y, h=2.0 * form.matrix):
+            return np.broadcast_to(h, np.broadcast(x, y).shape + (2, 2))
 
         super().__init__(label, func, hess, convexity=tag,
                          convexity_margin=margin, check_box=check_box)
@@ -159,10 +156,10 @@ def _expbump():
         if out.size == 1:
             x, y = _as_floats(x, y)
             return np.exp(x * x + 2.0 * y * y)
-        np.multiply(x, x, out=out)
-        np.multiply(2.0, y, out=term)
-        term *= y
-        out += term
+        xx = np.multiply(x, x, out=_own(x, out))
+        yy = np.multiply(2.0, y, out=_own(y, term))
+        yy = np.multiply(yy, y, out=_own(y, term))
+        np.add(xx, yy, out=out)
         return np.exp(out, out=out)[()]
 
     def hess(x, y):
@@ -190,8 +187,8 @@ def _gauss_ridge():
         np.negative(term, out=out)
         out *= term
         np.exp(out, out=out)
-        out += np.multiply(x, x, out=term)
-        out += np.multiply(y, y, out=term)
+        out += np.multiply(x, x, out=_own(x, term))
+        out += np.multiply(y, y, out=_own(y, term))
         return out[()]
 
     def hess(x, y):

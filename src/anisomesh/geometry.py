@@ -202,8 +202,7 @@ def q_metric(q: QuadForm, v) -> float:
 def q_abs(q: QuadForm) -> QuadForm:
     """The positive form with the same eigenvectors and |eigenvalues|."""
     w, r = np.linalg.eigh(q.matrix)
-    m = (r * np.abs(w)) @ r.T
-    return QuadForm(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
+    return QuadForm.from_matrix((r * np.abs(w)) @ r.T)
 
 
 def canonical_transform(q: QuadForm) -> tuple[np.ndarray, int]:

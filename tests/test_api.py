@@ -73,6 +73,7 @@ def test_retired_attributes_are_gone():
                   if isinstance(f, anisomesh.QuadraticField)]
     assert quadratics
     assert not any(hasattr(f, "form_coeffs") for f in quadratics)
+    assert not hasattr(anisomesh.SigmaStats, "threshold")
 
 
 @pytest.mark.parametrize("name", ["local_errors", "local_error", "decision_l1",

@@ -11,8 +11,8 @@ import anisomesh
 from anisomesh import cli
 from anisomesh.approx import local_error
 from anisomesh.cli import main, mesh_to_svg
-from anisomesh.engine import (GreedyConfig, RefinementForest, StopRule, greedy_run,
-                             load_mesh)
+from anisomesh.engine import (GreedyConfig, MeshFormatError, RefinementForest, StopRule,
+                             greedy_run, load_mesh)
 from anisomesh.fields import ScalarField, get_field
 from anisomesh.geometry import Triangle
 
@@ -376,6 +376,18 @@ class TestRender:
         code = run_cli("render", str(bad), "--svg-out", str(tmp_path / "m.svg"))
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_ascii_byte_reports_line(self, small_mesh, tmp_path, capsys):
+        lines = small_mesh.read_bytes().split(b"\n")
+        v, x, y = lines[2].split()
+        lines[2] = b" ".join([v, x + b"\xe9", y])  # one byte of Latin-1, on line 3
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n".join(lines))
+        code = run_cli("render", str(bad), "--svg-out", str(tmp_path / "m.svg"))
+        assert code == 1
+        assert "line 3: " in capsys.readouterr().err
+        with pytest.raises(MeshFormatError, match="line 3: "):
+            load_mesh(bad)
 
     def test_svg_determinism(self, small_mesh, tmp_path):
         outs = []
