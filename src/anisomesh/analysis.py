@@ -165,18 +165,16 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
         raise ValueError("checkpoints must be strictly increasing")
     if not f.is_convex:
         raise ValueError("convergence study expects a convexity-tagged field")
-    target = hessian_tau_norm(f, engine.initial_mesh(config.initial),
-                              tau_from_p(config.p))
+    roots = engine.initial_mesh(config.initial)
+    if checkpoints[0] < len(roots):
+        raise ValueError(f"checkpoint {checkpoints[0]} below the initial leaf count")
+    target = hessian_tau_norm(f, roots, tau_from_p(config.p))
     run_cfg = replace(config, stop=StopRule("target-count", max(checkpoints)))
     _, trace = engine.greedy_run(f, run_cfg, record_at=checkpoints)
-    by_n = {}
-    for rec in trace:
-        by_n.setdefault(rec.n_leaves, rec)
+    by_n = {rec.n_leaves: rec for rec in trace}
     points = []
     for n in checkpoints:
-        rec = by_n.get(n)
-        if rec is None:
-            raise ValueError(f"checkpoint {n} below the initial leaf count")
+        rec = by_n[n]
         product = n * rec.global_error
         ratio = product / target if target > 0 else math.nan
         points.append(ConvergencePoint(n, rec.global_error, product, target, ratio))

@@ -246,23 +246,24 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
 
 
 def cmd_render(args) -> int:
+    form = args.form
+    if form is None and args.field is not None:
+        form = getattr(args.field, "form", None)
+    # usage errors before the mesh is read
+    if args.color_by == "sigma" and form is None:
+        print("error: sigma coloring needs --form or a quadratic --field",
+              file=sys.stderr)
+        return 2
+    if args.color_by == "error" and args.field is None:
+        print("error: error coloring needs --field", file=sys.stderr)
+        return 2
     forest = engine.load_mesh(args.mesh)
     values = None
     legend = None
     if args.color_by == "sigma":
-        form = args.form
-        if form is None and args.field is not None:
-            form = getattr(args.field, "form", None)
-        if form is None:
-            print("error: sigma coloring needs --form or a quadratic --field",
-                  file=sys.stderr)
-            return 2
         values = sigma_batch(form, forest.leaf_vertex_array())
         legend = "sigma_q"
     elif args.color_by == "error":
-        if args.field is None:
-            print("error: error coloring needs --field", file=sys.stderr)
-            return 2
         values = approx.local_errors(forest.leaf_vertex_array(), args.field,
                                      args.p, args.operator)
         legend = f"local L{args.p:g} error"

@@ -5,16 +5,17 @@ fixes the domain actually meshed.  Evaluation callables are vectorized:
 ``field(x, y)`` accepts broadcastable arrays, ``field.hessian(x, y)``
 returns an array of symmetric 2x2 matrices with shape ``(..., 2, 2)``.
 
-``expbump`` and ``gauss-ridge`` evaluate in two buffers: the value and one
-term, combined in place in the order the formula reads, so the values equal
-the plain expression bit for bit while a large batch of the error kernel
-allocates two arrays, not one per sub-expression.  The square of a
-broadcast coordinate is taken in that coordinate's own shape, as the plain
-expression takes it, so NaN signs also match.  A ``QuadraticField``
-evaluates its plain formula: the kernel takes its interpolation error from
-its form, so it is evaluated only by the convex-gain decision (six points
-per leaf) and by ``l2-projection`` chunks, whose peak the projection's
-basis arrays set.  A user's ``func`` is called as given.
+``expbump`` and ``gauss-ridge`` evaluate the error kernel's batches, two
+coordinate arrays of one shape and more than one element, in two buffers:
+the value and one term, combined in place in the order the formula reads,
+so the values equal the plain expression bit for bit while a batch
+allocates two arrays, not one per sub-expression.  Any other input (one
+point, or coordinates that broadcast) takes the plain expression.  A
+``QuadraticField`` evaluates its plain formula: the kernel takes its
+interpolation error from its form, so it is evaluated only by the
+convex-gain decision (six points per leaf) and by ``l2-projection``
+chunks, whose peak the projection's basis arrays set.  A user's ``func``
+is called as given.
 
 Convexity tags are declared, not inferred; ``check_box`` is the rectangle
 on which the declaration is grid-checked (and on which demo runs make
@@ -88,28 +89,13 @@ class ScalarField:
         return f"<ScalarField {self.label!r} ({self.convexity})>"
 
 
-def _buffers(x, y):
-    """The value and the term buffer of a built-in field at broadcast (x, y)."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return np.empty(shape), np.empty(shape)
-
-
-def _own(v, buf):
-    """Where a sub-expression of ``v`` alone goes: ``buf`` when ``v`` spans
-    the batch, else a fresh array in ``v``'s own shape, as the plain
-    expression has it.  numpy meets a broadcast operand through another
-    loop than a full one, and there a NaN may take the other operand's sign."""
-    return buf if np.size(v) == buf.size else None
-
-
-def _as_floats(x, y):
-    """(x, y) as float arrays, for a built-in field's plain expression.
-
-    On one element numpy runs in-place arithmetic through its reduction
-    loop, where a NaN may take the sign of the other operand; the fields
-    evaluate a single point as the plain expression, like a batch bit for
-    bit."""
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+def _batch(x, y):
+    """Whether a built-in field evaluates (x, y) in place: only on the kernel's
+    batches, two arrays of one shape and more than one element.  numpy meets
+    a broadcast operand, or one element, through other loops, where a NaN
+    may take the other operand's sign; those inputs take the plain
+    expression."""
+    return x.shape == y.shape and x.size > 1
 
 
 class QuadraticField(ScalarField):
@@ -151,16 +137,14 @@ class QuadraticField(ScalarField):
 
 def _expbump():
     def func(x, y):
-        # exp(x x + 2 y y)
-        out, term = _buffers(x, y)
-        if out.size == 1:
-            x, y = _as_floats(x, y)
+        if not _batch(x, y):
             return np.exp(x * x + 2.0 * y * y)
-        xx = np.multiply(x, x, out=_own(x, out))
-        yy = np.multiply(2.0, y, out=_own(y, term))
-        yy = np.multiply(yy, y, out=_own(y, term))
-        np.add(xx, yy, out=out)
-        return np.exp(out, out=out)[()]
+        out, term = np.empty(x.shape), np.empty(x.shape)
+        np.multiply(x, x, out=out)
+        np.multiply(2.0, y, out=term)
+        term *= y
+        out += term
+        return np.exp(out, out=out)
 
     def hess(x, y):
         g = np.exp(x * x + 2.0 * y * y)
@@ -177,19 +161,17 @@ def _expbump():
 def _gauss_ridge():
     # convex only away from the diagonal x = y; the check box keeps u >= 1/2
     def func(x, y):
-        # exp(-u u) + x x + y y with u = x - y
-        out, term = _buffers(x, y)
-        if out.size == 1:
-            x, y = _as_floats(x, y)
+        if not _batch(x, y):
             u = x - y
             return np.exp(-u * u) + x * x + y * y
+        out, term = np.empty(x.shape), np.empty(x.shape)
         np.subtract(x, y, out=term)
         np.negative(term, out=out)
         out *= term
         np.exp(out, out=out)
-        out += np.multiply(x, x, out=_own(x, term))
-        out += np.multiply(y, y, out=_own(y, term))
-        return out[()]
+        out += np.multiply(x, x, out=term)
+        out += np.multiply(y, y, out=term)
+        return out
 
     def hess(x, y):
         u = x - y

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from anisomesh import engine
 from anisomesh.analysis import (
     R0,
     ConvergencePoint,
@@ -197,6 +198,15 @@ class TestConvergenceStudy:
             convergence_study(get_field("disk"), cfg, [64, 64])
         with pytest.raises(ValueError):
             convergence_study(get_field("mixed-saddle"), cfg, [8, 16])
+
+    def test_checkpoint_below_the_roots_fails_before_refining(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("refined before checking the checkpoints")
+
+        monkeypatch.setattr(engine, "greedy_run", ran)
+        cfg = GreedyConfig(initial="unit-square")
+        with pytest.raises(ValueError, match="checkpoint 1 below the initial leaf count"):
+            convergence_study(get_field("expbump"), cfg, [1, 262144])
 
 
 class TestEquivalenceProbe:

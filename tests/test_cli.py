@@ -285,6 +285,7 @@ class TestSvgWriter:
         assert mesh_to_svg(forest, values, "v") == \
             reference_mesh_to_svg(forest, values, "v")
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_infinite_value_raises_like_reference(self, forest):
         # an infinite maximum gives the infinite value a NaN position on the map
         values = np.r_[np.inf, np.zeros(forest.n_leaves - 1)]
@@ -369,6 +370,14 @@ class TestRender:
                        str(tmp_path / "m.svg"), "--color-by", "sigma")
         assert code == 2
         assert "needs --form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("color_by, message", [
+        ("sigma", "sigma coloring needs --form"), ("error", "error coloring needs --field")])
+    def test_usage_error_before_reading_the_mesh(self, tmp_path, capsys, color_by, message):
+        code = run_cli("render", str(tmp_path / "missing.txt"), "--svg-out",
+                       str(tmp_path / "m.svg"), "--color-by", color_by)
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_mesh_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisomesh.fields import (
@@ -183,6 +183,9 @@ def field_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(label=st.sampled_from(sorted(EXPECTED_LABELS)), xy=field_inputs())
+# a NaN that numpy's one-element and broadcast loops sign differently in place
+@example(label="gauss-ridge", xy=(np.array([[0.0]]), np.array([[np.nan]])))
+@example(label="gauss-ridge", xy=(np.array([[np.nan]]), np.zeros((1, 9))))
 def test_field_values_equal_the_plain_expression_bit_for_bit(label, xy):
     f = get_field(label)
     x, y = xy
