@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, approx, engine
 from .engine import GreedyConfig, MeshFormatError, RunawayRefinementError, StopRule
-from .fields import QuadraticField, get_field
+from .fields import get_field
 from .geometry import QuadForm, sigma_batch
 
 
@@ -163,10 +163,6 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sigma_study(args) -> int:
-    if not isinstance(args.field, QuadraticField):
-        print(f"error: sigma-study needs a quadratic field, "
-              f"got {args.field.label!r}", file=sys.stderr)
-        return 2
     stats = analysis.sigma_study(args.field, roots=args.initial,
                                  levels=args.levels, threshold=args.threshold)
     _atomic_write(args.csv_out, analysis.sigma_csv(stats))
@@ -245,23 +241,21 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def _sigma_form(args):
+    """The form that sigma-study or sigma coloring reads: ``--form``, else the field's."""
+    form = getattr(args, "form", None)
+    return getattr(args.field, "form", None) if form is None else form
+
+
 def cmd_render(args) -> int:
-    form = args.form
-    if form is None and args.field is not None:
-        form = getattr(args.field, "form", None)
-    # usage errors before the mesh is read
-    if args.color_by == "sigma" and form is None:
-        print("error: sigma coloring needs --form or a quadratic --field",
-              file=sys.stderr)
-        return 2
-    if args.color_by == "error" and args.field is None:
+    if args.color_by == "error" and args.field is None:  # before the mesh is read
         print("error: error coloring needs --field", file=sys.stderr)
         return 2
     forest = engine.load_mesh(args.mesh)
     values = None
     legend = None
     if args.color_by == "sigma":
-        values = sigma_batch(form, forest.leaf_vertex_array())
+        values = sigma_batch(_sigma_form(args), forest.leaf_vertex_array())
         legend = "sigma_q"
     elif args.color_by == "error":
         values = approx.local_errors(forest.leaf_vertex_array(), args.field,
@@ -281,6 +275,13 @@ def main(argv=None) -> int:
             print(f"error: cannot write {path!r}: its directory does not exist",
                   file=sys.stderr)
             return 1
+    if args.command == "sigma-study" or getattr(args, "color_by", None) == "sigma":
+        form = _sigma_form(args)
+        if form is None or not form.is_positive_definite:
+            what = ("sigma-study needs a quadratic --field" if args.command == "sigma-study"
+                    else "sigma coloring needs --form or a quadratic --field")
+            print(f"error: {what}: a positive-definite form is needed", file=sys.stderr)
+            return 2
     handler = {
         "run": cmd_run,
         "converge": cmd_converge,

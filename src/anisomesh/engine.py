@@ -2,14 +2,15 @@
 
 The forest is an append-only store of triangles: the initial triangulation
 forms the roots, every bisection adds two children, and the leaves are the
-current triangulation.  The greedy loop repeatedly bisects the leaf with
-the largest local Lp error, choosing the edge through a decision function;
-leaves tie by earliest creation.  A leaf's error and edge depend on that
-leaf only, so the loop replays this order in batches of leaves, which it
-picks by partial sort of the forest's error column, not from a heap; the
-trace is read from the finished forest, whose rows are in step order.  Meshes
-serialize to a plain-text format with 17-significant-digit decimals so
-runs round-trip bit-exactly.
+current triangulation; a row, once written, never changes.  The greedy loop
+repeatedly bisects the leaf with the largest local Lp error, choosing the
+edge through a decision function; leaves tie by earliest creation.  A
+leaf's error and edge depend on that leaf only, so the loop replays this
+order in batches of leaves, which it picks by partial sort of the forest's
+error column, not from a heap, and scores before it writes the steps it
+keeps; the trace is read from the finished forest, whose rows are in step
+order.  Meshes serialize to a plain-text format with 17-significant-digit
+decimals so runs round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -54,8 +55,8 @@ INITIAL_MESHES = ("ref-triangle", "unit-square")
 # kB), so memory stays flat however large a run.  A greedy batch takes at
 # most _MAX_BATCH leaves or 1/_BATCH_SHARE of the leaves, whichever is more:
 # each batch scans every node, so a fixed cap would make the scans grow as
-# the square of the leaf count, and a larger share wastes more rolled-back
-# steps.
+# the square of the leaf count, and a larger share scores more steps that
+# are not kept.
 _MAX_BATCH = 1024
 _BATCH_SHARE = 16
 _SLICE = 16 * _MAX_BATCH  # lines of mesh text formatted at once, at most
@@ -180,11 +181,15 @@ class RefinementForest:
         """Split an array of distinct leaves at the given edges.
 
         Returns the ids of child 0 and child 1, arrays in the order of
-        ``node_id``.  A non-leaf or a repeated id raises ValueError, changing nothing.
+        ``node_id``.  An id that is not an integer in ``[0, len(nodes))``, a non-leaf
+        or a repeated id raises ValueError, changing nothing.
         """
         ids = np.asarray(node_id)
-        if ids.ndim != 1:
-            raise ValueError(f"expected a 1-D array of node ids, got shape {ids.shape}")
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"expected a 1-D array of integer node ids, got {ids.dtype} "
+                             f"of shape {ids.shape}")
+        if ((ids < 0) | (ids >= self._n)).any():
+            raise ValueError(f"node ids must lie in [0, {self._n})")
         rows = self.nodes[ids]
         bad = rows["child"] >= 0
         if np.count_nonzero(bad):
@@ -200,13 +205,6 @@ class RefinementForest:
         firsts = np.arange(first, self._n, 2)
         self._buf["child"][ids] = firsts
         return firsts, firsts + 1
-
-    def _truncate(self, n: int) -> None:
-        """Undo the bisections that created the rows from ``n`` on."""
-        rows = self._buf[n:self._n]
-        self._buf["child"][rows["parent"][::2]] = -1
-        rows["child"], rows["error"] = -1, math.nan
-        self._n = n
 
 
 def initial_mesh(spec) -> list[Triangle]:
@@ -299,16 +297,17 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's record array (``np.partition``, then ``lexsort`` by error and
-    id), bisects and scores them in one batch, and keeps the longest prefix
-    of steps that the one-leaf loop takes in the same order; truncating the
-    forest rolls back the rest, whose leaves are then picked again.  ``k``
-    doubles while every step is kept, up to 1024 or a sixteenth of the
-    leaves, whichever is more, and falls to the number kept.  Forest, trace
-    and errors are those of the one-leaf loop, bit for bit.
+    id), bisects and scores them in one batch of local arrays, and writes
+    to the forest only the longest prefix of steps that the one-leaf loop
+    takes in the same order; the leaves of the other steps stay due and
+    are picked again.  ``k`` doubles while every step is kept, up to 1024
+    or a sixteenth of the leaves, whichever is more, and falls to the
+    number kept.  Forest, trace and errors are those of the one-leaf loop,
+    bit for bit.
 
-    The loop keeps no trace state: rows are made in step order and a kept
-    row never changes, so the records are read from the finished forest,
-    after every node is measured once.
+    The loop keeps no trace state: rows are made in step order and never
+    change, so the records are read from the finished forest, after every
+    node is measured once.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
@@ -353,31 +352,27 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
             ids, neg = ids[top], neg[top]
         order = np.lexsort((ids, neg))[:size]  # largest error first, ties by earliest id
         ids, neg = ids[order], neg[order]
-        n_before = len(nodes)
+        verts = nodes["verts"][ids]
         try:
-            first, second = forest.bisect_node(
-                ids, select_edge(nodes["verts"][ids], f, config))
-            e0, e1 = (approx.local_error(forest.nodes["verts"][c], f, p, op)
-                      for c in (first, second))
+            edges = select_edge(verts, f, config)
+            e0, e1 = (approx.local_error(c, f, p, op) for c in bisect(verts, edges))
         except ValueError:
             # a leaf the one-leaf loop would not reach may fail: keep no step and
             # retry one leaf, which fails exactly where that loop does
             if len(ids) == 1:
                 raise
-            m = 0
-        else:
-            forest.nodes["error"][first], forest.nodes["error"][second] = e0, e1
-            live = forest.nodes["level"][first] < levels  # children it may bisect
-            made = np.where(live, np.maximum(e0, e1), -math.inf)
-            # step j keeps the order unless an earlier step made a child with a
-            # larger error (an equal one has a larger id); step 0 always keeps it
-            before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
-            m = int(np.argmax(before > -neg)) or len(ids)
-        if m < len(ids):  # roll back the steps not kept; their leaves stay due
-            forest._truncate(n_before + 2 * m)
-            k = max(m, 1)
-        else:
-            k = min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
+            k = 1
+            continue
+        live = nodes["level"][ids] + 1 < levels  # children it may bisect
+        made = np.where(live, np.maximum(e0, e1), -math.inf)
+        # step j keeps the order unless an earlier step made a child with a
+        # larger error (an equal one has a larger id); step 0 always keeps it
+        before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
+        m = int(np.argmax(before > -neg)) or len(ids)
+        # only the kept steps are written; the leaves of the others stay due
+        first, second = forest.bisect_node(ids[:m], edges[:m])
+        forest.nodes["error"][first], forest.nodes["error"][second] = e0[:m], e1[:m]
+        k = m if m < len(ids) else min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
 
     # each node measured once, in slices that bound the temporaries
     verts = forest.nodes["verts"]

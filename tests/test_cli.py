@@ -176,10 +176,14 @@ class TestSigmaStudy:
         assert "final_fraction_above=" in capsys.readouterr().out
 
     def test_non_quadratic_rejected(self, tmp_path, capsys):
-        code = run_cli("sigma-study", "--field", "expbump", "--levels", "1",
-                       "--csv-out", str(tmp_path / "s.csv"))
-        assert code == 2
-        assert "quadratic" in capsys.readouterr().err
+        # a field with no form and one whose form is indefinite: one usage error
+        for label in ("expbump", "mixed-saddle"):
+            code = run_cli("sigma-study", "--field", label, "--levels", "1",
+                           "--csv-out", str(tmp_path / "s.csv"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "quadratic" in err and "a positive-definite form is needed" in err
+            assert not (tmp_path / "s.csv").exists()
 
     def test_levels_over_node_cap_exit_3_before_refining(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -362,7 +366,7 @@ class TestRender:
         code = run_cli("render", str(small_mesh), "--svg-out",
                        str(tmp_path / "m.svg"), "--color-by", "sigma",
                        "--form", "1,0,-1")
-        assert code == 1
+        assert code == 2
         assert "positive-definite" in capsys.readouterr().err
 
     def test_missing_form_usage_error(self, small_mesh, tmp_path, capsys):
@@ -371,11 +375,17 @@ class TestRender:
         assert code == 2
         assert "needs --form" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("color_by, message", [
-        ("sigma", "sigma coloring needs --form"), ("error", "error coloring needs --field")])
-    def test_usage_error_before_reading_the_mesh(self, tmp_path, capsys, color_by, message):
+    @pytest.mark.parametrize("flags, message", [
+        (["--color-by", "sigma"], "sigma coloring needs --form"),
+        (["--color-by", "error"], "error coloring needs --field"),
+        (["--color-by", "sigma", "--form", "1,0,-1"], "a positive-definite form is needed"),
+        (["--color-by", "sigma", "--field", "mixed-saddle"],
+         "a positive-definite form is needed")],
+        ids=["sigma-sigma coloring needs --form", "error-error coloring needs --field",
+             "indefinite-form", "indefinite-field"])
+    def test_usage_error_before_reading_the_mesh(self, tmp_path, capsys, flags, message):
         code = run_cli("render", str(tmp_path / "missing.txt"), "--svg-out",
-                       str(tmp_path / "m.svg"), "--color-by", color_by)
+                       str(tmp_path / "m.svg"), *flags)
         assert code == 2
         assert message in capsys.readouterr().err
 

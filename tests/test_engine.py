@@ -188,6 +188,16 @@ class TestForest:
             forest.bisect_node(np.array(ids), np.array([0, 0]))
         assert forest.nodes.tobytes() == before
 
+    @pytest.mark.parametrize("ids", [[-1], [2], [1.0]], ids=["negative", "past-the-end", "float"])
+    def test_bisection_rejects_ids_outside_the_forest(self, ids):
+        # two roots: -1 would index the last node and 2 no node at all
+        forest = RefinementForest(initial_mesh("unit-square"))
+        before = forest.nodes.tobytes()
+        with pytest.raises(ValueError, match="node ids"):
+            forest.bisect_node(np.array(ids), np.array([0]))
+        assert forest.nodes.tobytes() == before
+        assert mesh_from_text(mesh_to_text(forest)).nodes.tobytes() == before
+
 
 class TestSelectTriangle:
     """The greedy loop bisects the maximal-error leaf, earliest id on ties."""

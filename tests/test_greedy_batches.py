@@ -27,7 +27,7 @@ from anisomesh.engine import (
     select_edge,
 )
 from anisomesh.fields import get_field
-from anisomesh.geometry import Triangle
+from anisomesh.geometry import Triangle, areas_of, edge_vectors_of
 
 from test_engine import counted, record_bytes, reference_trace_record, traced_config
 
@@ -144,12 +144,40 @@ def test_matches_one_leaf_loop(case):
 
 
 def test_rollbacks_keep_the_order(monkeypatch):
-    rollbacks = collections.Counter()
-    monkeypatch.setattr(RefinementForest, "_truncate",
-                        counted(rollbacks, "truncate", RefinementForest._truncate))
+    # some batch keeps fewer steps than it scored; only the kept ones are bisected
+    batches = []  # [leaves scored, steps bisected] per batch of greedy_run
+    real_select, real_bisect = engine.select_edge, RefinementForest.bisect_node
+
+    def select_edge(verts, f, config):
+        batches.append([len(verts), 0])
+        return real_select(verts, f, config)
+
+    def bisect_node(forest, ids, edges):
+        batches[-1][1] = len(ids)
+        return real_bisect(forest, ids, edges)
+
+    f = get_field("expbump")
     config = GreedyConfig(stop=StopRule("target-count", 1024), initial="unit-square")
-    assert assert_same_run(get_field("expbump"), config, record_at=[700]) is not None
-    assert rollbacks["truncate"] >= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "select_edge", select_edge)
+        patch.setattr(RefinementForest, "bisect_node", bisect_node)
+        forest, _ = greedy_run(f, config)
+    assert any(bisected < scored for scored, bisected in batches)
+    assert all(bisected >= 1 for _, bisected in batches)
+    assert forest.nodes.tobytes() == assert_same_run(f, config, record_at=[700]).nodes.tobytes()
+
+
+def test_steps_not_kept_reserve_no_rows(monkeypatch):
+    # the run above has batches cut short: every row reserved after the roots
+    # is a node of the finished forest
+    reserved = []
+    real = RefinementForest._reserve
+    monkeypatch.setattr(RefinementForest, "_reserve",
+                        lambda forest, count: reserved.append(count) or real(forest, count))
+    config = GreedyConfig(stop=StopRule("target-count", 1024), initial="unit-square")
+    forest, _ = greedy_run(get_field("expbump"), config)
+    assert reserved[0] == forest.n_roots
+    assert sum(reserved[1:]) == len(forest.nodes) - forest.n_roots
 
 
 @pytest.mark.parametrize("label", ["disk", "expbump"])
@@ -189,7 +217,7 @@ def test_failure_on_a_leaf_the_one_leaf_loop_never_splits(monkeypatch):
 @pytest.mark.parametrize("levels", [0, 6])
 def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels):
     # only leaves below the limit are selected: none at the limit has its edge
-    # chosen or is bisected, not even in a step that is rolled back
+    # chosen or is bisected, not even in a step that is not kept
     chosen, picked = [], []
     real_select, real_bisect = engine.select_edge, RefinementForest.bisect_node
 
@@ -198,8 +226,8 @@ def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels
         return real_select(verts, f, config)
 
     def bisect_node(forest, ids, edges):
-        # the leaves whose edges were just chosen
-        assert forest.nodes["verts"][ids].tobytes() == chosen[-1].tobytes()
+        # a prefix of the leaves whose edges were just chosen
+        assert forest.nodes["verts"][ids].tobytes() == chosen[-1][:len(ids)].tobytes()
         picked.extend(forest.nodes["level"][ids].tolist())
         return real_bisect(forest, ids, edges)
 
@@ -212,6 +240,8 @@ def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels
     assert forest.n_leaves == 2 * 2 ** levels
     assert len(picked) >= (len(forest.nodes) - forest.n_roots) // 2
     assert all(level < levels for level in picked)
+    # a leaf of generation j from the unit square has area 2 ** -(j + 1), exactly
+    assert all((areas_of(edge_vectors_of(v)) > 2.0 ** -(levels + 1)).all() for v in chosen)
     assert forest.nodes.tobytes() == assert_same_run(f, config).nodes.tobytes()
 
 
