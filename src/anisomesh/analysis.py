@@ -160,7 +160,7 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
     algorithm provably meets the optimal rate) and carry a hessian for the
     target norm.  Checkpoints are increasing leaf counts.
     """
-    checkpoints = [int(n) for n in checkpoints]
+    checkpoints = engine._leaf_counts(checkpoints)
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     if not f.is_convex:

@@ -9,8 +9,9 @@ leaf's error and edge depend on that leaf only, so the loop replays this
 order in batches of leaves, which it picks by partial sort of the forest's
 error column, not from a heap, and scores before it writes the steps it
 keeps; the trace is read from the finished forest, whose rows are in step
-order.  Meshes serialize to a plain-text format with 17-significant-digit
-decimals so runs round-trip bit-exactly.
+order, and the records of consecutive steps by one bisection each.  Meshes
+serialize to a plain-text format with 17-significant-digit decimals so runs
+round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import heapq
 import math
 import numbers
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,7 @@ INITIAL_MESHES = ("ref-triangle", "unit-square")
 _MAX_BATCH = 1024
 _BATCH_SHARE = 16
 _SLICE = 16 * _MAX_BATCH  # lines of mesh text formatted at once, at most
+_EVERY_STEP = 1024  # leaves up to which every step has a trace record
 
 
 class RunawayRefinementError(RuntimeError):
@@ -249,26 +252,101 @@ def select_edge(verts, f, config: GreedyConfig):
     return int(edges) if edges.ndim == 0 else edges
 
 
-def _trace_record(forest, p, columns, step) -> TraceRecord:
-    # the mesh after ``step`` bisections: rows are made in step order, so its
-    # leaves are the first n_roots + 2 step rows not split among them; their
-    # column values, in id order, are reduced as a re-measure of those leaves
-    # would be: the same bytes, since each value depends on its row only
-    diam2, sigma = columns
-    n = forest.n_roots + 2 * step
-    # a leaf's child is -1, the largest unsigned value, or made after the step;
-    # the unsigned view of the column compares without a copy
-    leaves = np.flatnonzero(forest.nodes["child"].view(np.uint64)[:n] >= n)
-    if sigma is not None:  # the reductions of s.mean() and s.max()
-        s = sigma.take(leaves)
-        smean, smax = float(np.add.reduce(s) / len(s)), float(np.maximum.reduce(s))
+class _LeafValues:
+    """What the trace records of a finished run reduce, one row per value:
+    each node's error to the p-th power (its error at p = inf), its squared
+    diameter and, for a field with a positive-definite form, its sigma.
+    The records up to ``_EVERY_STEP`` leaves share ``held``, the current
+    leaves' columns in id order; ``made`` holds the rows of the nodes their
+    steps make, so no column of the whole forest is copied."""
+
+    def __init__(self, forest, f, p):
+        self.forest, self.p = forest, p
+        verts = forest.nodes["verts"]
+        form = getattr(f, "form", None)
+        diam2 = np.empty(len(verts))
+        sigma = np.empty(len(verts)) if form is not None and form.is_positive_definite else None
+        for i in range(0, len(verts), _MAX_BATCH):
+            rows = verts[i:i + _MAX_BATCH]
+            e = edge_vectors_of(rows)
+            diam2[i:i + _MAX_BATCH] = (e * e).sum(axis=2).max(axis=1)
+            if sigma is not None:
+                sigma[i:i + _MAX_BATCH] = sigma_batch(form, rows)
+        self.measures = (diam2,) if sigma is None else (diam2, sigma)
+        width = max(forest.n_roots, min(_EVERY_STEP, forest.n_leaves))
+        n = 2 * width - forest.n_roots  # rows of the mesh with ``width`` leaves
+        self.made = self.gather(np.ones(n, bool))
+        self.parents = forest.nodes["parent"][forest.n_roots:n:2].tolist()  # of steps 1, 2, ...
+        self.held = np.empty((len(self.made), width))
+        self.step = -1  # the step whose leaves ``held`` holds
+        self.split = []  # the leaves split by that step, ascending
+
+    def gather(self, leaf) -> np.ndarray:
+        """The rows of the nodes that the mask ``leaf`` over the first rows
+        selects, one column each."""
+        values = np.empty((1 + len(self.measures), np.count_nonzero(leaf)))
+        # a mask gathers from the strided error field of the records without
+        # a copy of it; the power is lp_sum's, elementwise, in place to save
+        # a temporary
+        values[0] = self.forest.nodes["error"][:len(leaf)][leaf]
+        if not math.isinf(self.p):
+            values[0] **= self.p
+        for row, column in zip(values[1:], self.measures):
+            np.compress(leaf, column, out=row)
+        return values
+
+
+def _trace_record(values: _LeafValues, step) -> TraceRecord:
+    """The record of the mesh after ``step`` bisections, whose leaves are
+    the first ``n = n_roots + 2 step`` rows not split among them.  The
+    record after the one in ``values.held`` updates it: the split leaf's
+    column goes, and its children, the largest ids, join at the end.  Any
+    other record gathers its leaves."""
+    forest = values.forest
+    n, m = forest.n_roots + 2 * step, forest.n_roots + step
+    if n <= values.made.shape[1] and step in (0, values.step + 1):
+        held = values.held
+        if step:
+            parent = values.parents[step - 1]
+            j = parent - bisect_left(values.split, parent)  # its column: the leaves below it
+            insort(values.split, parent)
+            held[:, j:m - 2] = held[:, j + 1:m - 1]
+            held[:, m - 2:m] = values.made[:, n - 2:n]
+        else:
+            values.split.clear()
+            held[:, :m] = values.made[:, :m]
+        values.step = step
+        leaf = held[:, :m]
+    else:
+        # a leaf's child is -1, the largest unsigned value, or made after the
+        # step; the unsigned view of the column compares without a copy
+        leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
+    # the reductions of lp_sum, .mean() and .max() over a re-measure of the
+    # leaves, the same bytes: a sum over a 1-D row in id order; a maximum is
+    # the same in any order, so one call takes them all
+    top = np.maximum.reduce(leaf, axis=1)
+    p = values.p
+    error = top[0] if math.isinf(p) else np.add.reduce(leaf[0]) ** (1.0 / p)
+    if len(leaf) > 2:
+        smean, smax = float(np.add.reduce(leaf[2]) / m), float(top[2])
     else:
         smean = smax = math.nan
-    # the error column is a strided field of the records, which ``take`` would
-    # first copy whole; fancy indexing gathers the leaves alone
-    return TraceRecord(step, forest.n_roots + step,
-                       approx.lp_sum(forest.nodes["error"][leaves], p),
-                       float(np.sqrt(np.maximum.reduce(diam2.take(leaves)))), smean, smax)
+    return TraceRecord(step, m, float(error), float(np.sqrt(top[1])), smean, smax)
+
+
+def _leaf_counts(values) -> list[int]:
+    """``values`` as ints; ValueError for one that is not integral, by
+    StopRule's rule (a string is not, nor nan or inf)."""
+    counts = []
+    for value in values:
+        try:
+            integral = value == int(value)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"leaf counts must be integers, got {value!r}")
+        counts.append(int(value))
+    return counts
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -293,7 +371,8 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
     beyond that, at every leaf count in ``record_at``, and at the final
     step.  Raises RunawayRefinementError at the node cap, and before
     refining when a target-count or generation-levels run cannot fit
-    under it.
+    under it; ValueError for a leaf count in ``record_at`` that is not
+    an integer.
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's record array (``np.partition``, then ``lexsort`` by error and
@@ -307,7 +386,9 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
 
     The loop keeps no trace state: rows are made in step order and never
     change, so the records are read from the finished forest, after every
-    node is measured once.
+    node is measured once.  Consecutive records differ by one bisection:
+    up to 1024 leaves, each record updates one small buffer of leaf
+    columns in id order, and the others gather their leaves.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
@@ -323,7 +404,7 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
                 f"the node cap {config.node_cap}")
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
-    record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
+    record_at = _leaf_counts(() if record_at is None else record_at)
     p, op, limit = config.p, config.operator, int(stop.value)
     levels = limit if stop.kind == "generation-levels" else math.inf
 
@@ -374,23 +455,13 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         forest.nodes["error"][first], forest.nodes["error"][second] = e0[:m], e1[:m]
         k = m if m < len(ids) else min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
 
-    # each node measured once, in slices that bound the temporaries
-    verts = forest.nodes["verts"]
-    form = getattr(f, "form", None)
-    diam2 = np.empty(len(verts))
-    sigma = np.empty(len(verts)) if form is not None and form.is_positive_definite else None
-    for i in range(0, len(verts), _MAX_BATCH):
-        rows = verts[i:i + _MAX_BATCH]
-        e = edge_vectors_of(rows)
-        diam2[i:i + _MAX_BATCH] = (e * e).sum(axis=2).max(axis=1)
-        if sigma is not None:
-            sigma[i:i + _MAX_BATCH] = sigma_batch(form, rows)
     # leaf counts with a record: the first and the last, every count up to
-    # 1024, the powers of two and record_at
+    # _EVERY_STEP, the powers of two and record_at
     n_last = forest.n_leaves
-    due = {forest.n_roots, n_last, *range(1025), *record_at,
-           *(2 ** j for j in range(11, n_last.bit_length()))}
-    trace = [_trace_record(forest, p, (diam2, sigma), n - forest.n_roots)
+    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1), *record_at,
+           *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
+    values = _LeafValues(forest, f, p)
+    trace = [_trace_record(values, n - forest.n_roots)
              for n in sorted(due) if forest.n_roots <= n <= n_last]
     return forest, trace
 

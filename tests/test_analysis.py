@@ -1,6 +1,7 @@
 """Verification suites: tau-norms, sigma washout, convergence products."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +208,17 @@ class TestConvergenceStudy:
         cfg = GreedyConfig(initial="unit-square")
         with pytest.raises(ValueError, match="checkpoint 1 below the initial leaf count"):
             convergence_study(get_field("expbump"), cfg, [1, 262144])
+
+
+    def test_checkpoints_must_be_integers(self, monkeypatch):
+        cfg = GreedyConfig(initial="unit-square")
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "greedy_run", mock.Mock(side_effect=AssertionError))
+            with pytest.raises(ValueError, match="leaf counts must be integers, got 64.9"):
+                convergence_study(get_field("expbump"), cfg, [64.9, 256])
+        points = convergence_study(get_field("expbump"), cfg, [np.int64(64), 256.0])
+        assert [type(pt.n) for pt in points] == [int, int]
+        assert [pt.n for pt in points] == [64, 256]
 
 
 class TestEquivalenceProbe:

@@ -367,6 +367,17 @@ class TestGreedyRun:
         with pytest.raises(ValueError, match=r"field 'hole' is not finite on triangle \[\["):
             greedy_run(ScalarField("hole", hole), cfg)
 
+    @pytest.mark.parametrize("count", [1500.7, "1500", math.nan, math.inf, None])
+    def test_record_at_needs_integers(self, count, monkeypatch):
+        monkeypatch.setattr(engine, "select_edge", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="leaf counts must be integers"):
+            greedy_run(DISK, count_config(2000), record_at=[1100, count])
+
+    def test_record_at_takes_integral_numbers(self):
+        _, trace = greedy_run(DISK, count_config(1100), record_at=[np.int64(1050), 1080.0])
+        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1050, 1080, 1100]
+        assert all(type(r.n_leaves) is int for r in trace)
+
     def test_trace_cadence(self):
         _, trace = greedy_run(DISK, count_config(40))
         assert [r.n_leaves for r in trace] == list(range(1, 41))
@@ -414,21 +425,17 @@ def record_bytes(rec):
 
 
 def checked_greedy_run(f, config, record_at=None):
-    """``greedy_run`` with each trace record required to equal, as bytes, the
-    reference record of the mesh after its step; returns the trace."""
+    """``greedy_run``'s trace, with each returned record required to equal, as
+    bytes, the reference record of the mesh after its step."""
     form = getattr(f, "form", None)
     if form is not None and not form.is_positive_definite:
         form = None
-    real = engine._trace_record
-
-    def record(forest, p, measures, step):
-        rec = real(forest, p, measures, step)
-        assert record_bytes(rec) == record_bytes(reference_trace_record(forest, p, form, step))
-        return rec
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_trace_record", record)
-        return greedy_run(f, config, record_at=record_at)[1]
+    forest, trace = greedy_run(f, config, record_at=record_at)
+    assert trace  # a run records its first step at least
+    for rec in trace:
+        want = reference_trace_record(forest, config.p, form, rec.step)
+        assert record_bytes(rec) == record_bytes(want), rec
+    return trace
 
 
 @st.composite
@@ -484,11 +491,18 @@ class TestTraceRecords:
         ("aniso-10", count_config(3000), {1500, 3000}),
     ])
     def test_records_equal_the_column_formula(self, label, config, record_at):
-        # every record equals, by repr, the one the leaf mask (child < 0) | (child >= n),
-        # fancy-index gathers and the array methods make
-        def column_record(forest, p, columns, step):
-            diam2, sigma = columns
-            n = forest.n_roots + 2 * step
+        # every returned record equals, by repr, the one the leaf mask
+        # (child < 0) | (child >= n), fancy-index gathers and the array methods
+        # make from per-node columns
+        f = get_field(label)
+        forest, trace = greedy_run(f, config, record_at=record_at)
+        verts = forest.nodes["verts"]
+        e = edge_vectors_of(verts)
+        diam2 = (e * e).sum(axis=2).max(axis=1)
+        definite = label in ("aniso-100", "disk", "aniso-10")
+        sigma = sigma_batch(f.form, verts) if definite else None
+        for rec in trace:
+            n = forest.n_roots + 2 * rec.step
             child = forest.nodes["child"][:n]
             leaves = np.flatnonzero((child < 0) | (child >= n))
             if sigma is not None:
@@ -496,44 +510,52 @@ class TestTraceRecords:
                 smean, smax = float(s.mean()), float(s.max())
             else:
                 smean = smax = math.nan
-            return engine.TraceRecord(step, forest.n_roots + step,
-                                      approx.lp_sum(forest.nodes["error"][leaves], p),
+            want = engine.TraceRecord(rec.step, len(leaves),
+                                      approx.lp_sum(forest.nodes["error"][leaves], config.p),
                                       float(np.sqrt(diam2[leaves].max())), smean, smax)
-
-        real, seen = engine._trace_record, []
-
-        def record(forest, p, columns, step):
-            rec = real(forest, p, columns, step)
-            assert repr(rec) == repr(column_record(forest, p, columns, step))
-            seen.append(columns[1] is not None)
-            return rec
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_trace_record", record)
-            _, trace = greedy_run(get_field(label), config, record_at=record_at)
-        assert len(seen) == len(trace)
-        assert set(seen) == {label in ("aniso-100", "disk", "aniso-10")}
+            assert repr(rec) == repr(want)
+        assert {math.isnan(rec.sigma_mean) for rec in trace} == {not definite}
         if record_at:
             assert {1500, 3000} <= {r.n_leaves for r in trace}
 
     def test_an_early_record_copies_no_column(self):
-        # a record of step s reads the first n = n_roots + 2 s rows: its mask,
-        # ids and gathers are O(n) bytes, while a copy of one forest column is
-        # 8 bytes per node; a record of step 8 must stay far below that
+        # a record reads the first n = n_roots + 2 s rows of step s: a gathered
+        # record's mask and gathers are O(n) bytes, an updated one's O(1), while
+        # a copy of one forest column is 8 bytes per node; the records of steps
+        # 0 ... 8 and a gathered one of step 8 must stay far below that; the
+        # rows kept for the updated records span the mesh of 1024 leaves only
         f = get_field("aniso-10")
         forest, _ = greedy_run(f, count_config(16384))
-        verts = forest.nodes["verts"]
-        e = edge_vectors_of(verts)
-        columns = ((e * e).sum(axis=2).max(axis=1), sigma_batch(f.form, verts))
-        engine._trace_record(forest, 2.0, columns, 8)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            engine._trace_record(forest, 2.0, columns, 8)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * len(forest.nodes) // 4
+        column = 8 * len(forest.nodes)
+
+        def peak(make):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                make()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        values = engine._LeafValues(forest, f, 2.0)
+        assert values.made.shape == (3, 2 * 1024 - forest.n_roots)
+        assert values.held.shape == (3, 1024)
+        engine._trace_record(values, 8)  # no record before it: gathered
+        assert peak(lambda: engine._trace_record(values, 8)) < column // 4
+        assert peak(lambda: [engine._trace_record(values, s) for s in range(9)]) < column // 4
+
+    @pytest.mark.parametrize("label, config", [
+        ("expbump", count_config(4096, initial="unit-square")),  # p = 2, no form
+        ("aniso-100", count_config(4096, p=math.inf, decision="lp-split")),  # a definite form
+    ], ids=["expbump-p2", "aniso-100-pinf"])
+    def test_records_across_the_seam_match_full_remeasure(self, label, config):
+        # the records up to 1024 leaves update one buffer of leaf columns, the
+        # later ones gather their leaves: 1025 is one step after the last
+        # updated record, yet gathered
+        trace = checked_greedy_run(get_field(label), config,
+                                   record_at={2, 1024, 1025, 1026, 1500, 3001})
+        assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == \
+            [1024, 1025, 1026, 1500, 2048, 3001, 4096]
 
     def test_each_node_measured_once(self, monkeypatch):
         rows = collections.Counter()

@@ -7,8 +7,9 @@ tests check it, and the even spread of leaf errors it implies, on
 ``greedy_run`` from ``ref-triangle`` for the constant-hessian field
 ``aniso-100`` (q = x^2 + 100 y^2), at p = 1 and p = 2 with the L1 decision
 and at p = inf with ``lp-split``, and the shape claim for a hessian that
-varies over the unit square.  The meshes after N bisection steps are read
-from the finished forest (its rows are made in step order).
+varies over the unit square, at p = 2 and at p = inf.  The meshes after N
+bisection steps are read from the finished forest (its rows are made in
+step order).
 """
 
 import math
@@ -120,16 +121,14 @@ def local_sigma(verts):
     return (q.sum(axis=1) - q.max(axis=1)) / (4.0 * areas_of(e) * np.sqrt(a20 * a02))
 
 
-def test_shapes_follow_a_varying_hessian():
-    """The claim for "the local hessian of f": from the unit square at p = 2,
-    neither the mean local sigma nor the share of leaves with local
-    sigma >= 5 increases between checkpoints 256 ... 16384, and the mean
-    falls by a quarter at least (measured: 2.15, 1.74, 1.48, 1.32; a loop
-    that bisects the longest euclidean edge stays near 4.2 and rises).  The
-    field is convex, so the rate claim applies too: the steps of
-    ``N * error / ||sqrt det d2f||_Ltau`` shrink, and its values stay within
-    criterion 7's factor 3."""
-    config = GreedyConfig(stop=StopRule("target-count", CHECKPOINTS[-1]), initial="unit-square")
+def check_shapes_follow(p, decision):
+    """The mean local sigma, the share of leaves with local sigma >= 5 and
+    ``N * error / ||sqrt det d2f||_Ltau`` at checkpoints 256 ... 16384 of a
+    run from the unit square: the first two never increase, the mean falls
+    by a quarter at least, and the ratios stay within criterion 7's factor
+    3.  Returns the ratios."""
+    config = GreedyConfig(p=p, decision=decision,
+                          stop=StopRule("target-count", CHECKPOINTS[-1]), initial="unit-square")
     forest, _ = greedy_run(RIDGE, config)
     means, shares = [], []
     for n in CHECKPOINTS:
@@ -139,5 +138,23 @@ def test_shapes_follow_a_varying_hessian():
     assert means == sorted(means, reverse=True) and shares == sorted(shares, reverse=True)
     assert means[-1] <= 0.75 * means[0]
     ratios = [point.ratio for point in convergence_study(RIDGE, config, CHECKPOINTS)]
-    assert (np.diff(np.abs(np.diff(ratios))) < 0).all()
     assert max(ratios) <= 3.0 * min(ratios)
+    return ratios
+
+
+def test_shapes_follow_a_varying_hessian():
+    """The claim for "the local hessian of f" at p = 2 (``l1-interp``): the
+    mean local sigma reads 2.15, 1.74, 1.48, 1.32; a loop that bisects the
+    longest euclidean edge stays near 4.2 and rises.  The field is convex,
+    so the rate claim applies too, and the steps of the rate ratio shrink."""
+    ratios = check_shapes_follow(2.0, "l1-interp")
+    assert (np.diff(np.abs(np.diff(ratios))) < 0).all()
+
+
+def test_shapes_follow_a_varying_hessian_at_p_inf():
+    """The same claim at p = inf (``lp-split``): the mean local sigma reads
+    2.50, 2.06, 1.72, 1.48 and the share with sigma >= 5 0.082, 0.046,
+    0.025, 0.014.  The rate ratios read 1.556, 1.363, 1.143, 1.008, whose
+    steps (0.19, 0.22, 0.14) do not shrink, so only criterion 7's factor is
+    asserted for them."""
+    check_shapes_follow(math.inf, "lp-split")
