@@ -124,24 +124,19 @@ def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
     return stats
 
 
-def hessian_tau_norm(f: ScalarField, domain, tau: float, depth: int = 9) -> float:
-    """``|| sqrt|det d2f| ||_{L^tau}`` over a domain of triangles.
+def hessian_tau_norm(f: ScalarField, roots, tau: float) -> float:
+    """``|| sqrt|det d2f| ||_{L^tau}`` over a domain of root triangles.
 
     Integrates ``|det d2f|^(tau/2)`` by per-triangle quadrature on a
-    uniform background mesh obtained from ``depth`` euclidean longest-edge
-    bisection sweeps of the domain triangles.
+    uniform background mesh obtained from 9 euclidean longest-edge
+    bisection sweeps of the roots.
     """
     if not 0.5 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [1/2, 1], got {tau}")
     if not f.has_hessian:
         raise ValueError(f"field {f.label!r} has no analytic hessian")
-    if isinstance(domain, RefinementForest):
-        verts = domain.leaf_vertex_array()
-    elif isinstance(domain, Triangle):
-        verts = domain.vertices[None]
-    else:
-        verts = np.array([t.vertices for t in domain])
-    for _ in range(depth):
+    verts = np.array([t.vertices for t in roots])
+    for _ in range(9):
         e = edge_vectors_of(verts)
         verts = np.concatenate(bisect(verts, np.argmax((e * e).sum(axis=2), axis=1)))
     areas = areas_of(edge_vectors_of(verts))
@@ -158,26 +153,35 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
 
     The field must be convexity-tagged (the regime where the greedy
     algorithm provably meets the optimal rate) and carry a hessian for the
-    target norm.  Checkpoints are increasing leaf counts.
+    target norm.  Checkpoints are increasing leaf counts.  One run to the
+    last checkpoint makes them all: each checkpoint's error is the trace
+    record of its step, read from the finished forest.
     """
-    checkpoints = engine._leaf_counts(checkpoints)
-    if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+    counts = []
+    for value in checkpoints:  # by StopRule's rule: a string is not integral, nor nan or inf
+        try:
+            integral = value == int(value)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"leaf counts must be integers, got {value!r}")
+        counts.append(int(value))
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     if not f.is_convex:
         raise ValueError("convergence study expects a convexity-tagged field")
     roots = engine.initial_mesh(config.initial)
-    if checkpoints[0] < len(roots):
-        raise ValueError(f"checkpoint {checkpoints[0]} below the initial leaf count")
+    if counts[0] < len(roots):
+        raise ValueError(f"checkpoint {counts[0]} below the initial leaf count")
     target = hessian_tau_norm(f, roots, tau_from_p(config.p))
-    run_cfg = replace(config, stop=StopRule("target-count", max(checkpoints)))
-    _, trace = engine.greedy_run(f, run_cfg, record_at=checkpoints)
-    by_n = {rec.n_leaves: rec for rec in trace}
+    forest, _ = engine.greedy_run(f, replace(config, stop=StopRule("target-count", counts[-1])))
+    values = engine._LeafValues(forest, f, config.p)
     points = []
-    for n in checkpoints:
-        rec = by_n[n]
-        product = n * rec.global_error
+    for n in counts:
+        error = engine._trace_record(values, n - len(roots)).global_error
+        product = n * error
         ratio = product / target if target > 0 else math.nan
-        points.append(ConvergencePoint(n, rec.global_error, product, target, ratio))
+        points.append(ConvergencePoint(n, error, product, target, ratio))
     return points
 
 

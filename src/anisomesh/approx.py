@@ -127,6 +127,7 @@ for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
 # at finite p.  It bounds the (chunk, nodes) temporaries, so memory stays flat
 # however many triangles are scored, and gives every numpy call as much work.
 _POINTS = 64 * len(_ERROR_NODES_INF)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _chunking(p: float):
@@ -265,18 +266,27 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.n
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
+    # NaN and inf field values propagate into the errors; at finite p the sum
+    # of powers must also stay in the normal range, or the residual is lost
     if math.isinf(p):
         errs = res.max(axis=1)
+        ok = np.isfinite(errs)
     else:
-        w = res[:, :len(_WEIGHTS)] ** p
-        w *= _WEIGHTS
-        errs = w.sum(axis=1)
-        errs *= area
-    # NaN and inf field values propagate into the errors
-    bad = ~np.isfinite(errs)
-    if bad.any():
-        raise ValueError(f"local error of field {getattr(f, 'label', f)!r} is not "
-                         f"finite on triangle {v[bad.argmax()].tolist()}")
+        res = res[:, :len(_WEIGHTS)]  # the nodes of the sum
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            w = res ** p
+            w *= _WEIGHTS
+            errs = w.sum(axis=1)
+            errs *= area
+        ok = (errs >= _TINY) & (errs < math.inf)
+    if not ok.all():
+        bad = ~ok & res.any(axis=1)  # a residual of zeros sums to zero
+        if bad.any():
+            i = int(bad.argmax())
+            what = ("is not finite" if not np.isfinite(res[i]).all() else
+                    f"{'underflows' if errs[i] < _TINY else 'overflows'} at p = {p:g}")
+            raise ValueError(f"local error of field {getattr(f, 'label', f)!r} {what} "
+                             f"on triangle {v[i].tolist()}")
     return errs if math.isinf(p) else _pow(errs, 1.0 / p)
 
 
@@ -289,7 +299,9 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     The interpolation error of a QuadraticField is taken at the same nodes
     from the closed form of its ``form`` on the edge vectors, without
     evaluating the field.
-    Raises ValueError on flat triangles and on non-finite field values.
+    Raises ValueError on flat triangles, on non-finite field values, and
+    when at finite p the sum of the p-th powers of a finite residual that is
+    not all zero underflows below the normal floats or overflows.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
@@ -345,8 +357,14 @@ def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
         errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
         if math.isinf(p):
             mass[s:s + chunk] = errs.reshape(-1, 3, 2).max(axis=2)
-        else:
-            mass[s:s + chunk] = _pow(errs, p).reshape(-1, 3, 2).sum(axis=2)
+            continue
+        try:
+            errs = _pow(errs, p)
+        except OverflowError:  # the largest power, of a child of parent k // 6
+            k = int(errs.argmax())
+            raise ValueError(f"the child errors of triangle {flat[s + k // 6].tolist()} "
+                             f"overflow at p = {p:g}") from None
+        mass[s:s + chunk] = errs.reshape(-1, 3, 2).sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 
 

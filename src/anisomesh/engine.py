@@ -334,21 +334,6 @@ def _trace_record(values: _LeafValues, step) -> TraceRecord:
     return TraceRecord(step, m, float(error), float(np.sqrt(top[1])), smean, smax)
 
 
-def _leaf_counts(values) -> list[int]:
-    """``values`` as ints; ValueError for one that is not integral, by
-    StopRule's rule (a string is not, nor nan or inf)."""
-    counts = []
-    for value in values:
-        try:
-            integral = value == int(value)
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"leaf counts must be integers, got {value!r}")
-        counts.append(int(value))
-    return counts
-
-
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
                       sweeps_per_level: int = 1) -> None:
     """Fail fast unless bisecting ``n_leaves`` leaves ``levels * sweeps_per_level``
@@ -363,16 +348,16 @@ def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
             f"refining {n_leaves} leaves by {by} exceeds the node cap {node_cap}")
 
 
-def greedy_run(f, config: GreedyConfig, record_at=None):
+def greedy_run(f, config: GreedyConfig):
     """Run greedy refinement until the stop rule holds.
 
     Returns ``(forest, trace)``.  Trace records are emitted at step 0,
     every step while the mesh has at most 1024 leaves, at powers of two
-    beyond that, at every leaf count in ``record_at``, and at the final
-    step.  Raises RunawayRefinementError at the node cap, and before
-    refining when a target-count or generation-levels run cannot fit
-    under it; ValueError for a leaf count in ``record_at`` that is not
-    an integer.
+    beyond that, and at the final step; the record of any other step is
+    read from the returned forest by ``_trace_record``, as the rate study
+    reads its checkpoints.  Raises RunawayRefinementError at the node cap,
+    and before refining when a target-count or generation-levels run
+    cannot fit under it.
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's record array (``np.partition``, then ``lexsort`` by error and
@@ -404,7 +389,6 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
                 f"the node cap {config.node_cap}")
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
-    record_at = _leaf_counts(() if record_at is None else record_at)
     p, op, limit = config.p, config.operator, int(stop.value)
     levels = limit if stop.kind == "generation-levels" else math.inf
 
@@ -456,9 +440,9 @@ def greedy_run(f, config: GreedyConfig, record_at=None):
         k = m if m < len(ids) else min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
 
     # leaf counts with a record: the first and the last, every count up to
-    # _EVERY_STEP, the powers of two and record_at
+    # _EVERY_STEP and the powers of two
     n_last = forest.n_leaves
-    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1), *record_at,
+    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1),
            *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
     values = _LeafValues(forest, f, p)
     trace = [_trace_record(values, n - forest.n_roots)

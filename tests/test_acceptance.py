@@ -174,7 +174,7 @@ def test_criterion_7_strictly_convex_case():
     f = get_field("expbump")
     cfg = GreedyConfig(p=2.0, initial="unit-square",
                        stop=StopRule("target-count", 4096))
-    _, trace = greedy_run(f, cfg, record_at=[64, 256, 1024, 4096])
+    _, trace = greedy_run(f, cfg)  # records at 64, 256, 1024 and 4096 leaves
     elapsed = time.time() - t0
     by_n = {r.n_leaves: r for r in trace}
     prods = [n * by_n[n].global_error for n in (256, 1024, 4096)]

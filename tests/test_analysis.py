@@ -1,6 +1,7 @@
 """Verification suites: tau-norms, sigma washout, convergence products."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -31,9 +32,11 @@ from anisomesh.engine import (
     uniform_refine,
 )
 from anisomesh.fields import QuadraticField, ScalarField, get_field
-from anisomesh.approx import RULE_NODES
-from anisomesh.geometry import NEXT, PREV, QuadForm, Triangle, sigma, reference_triangle
+from anisomesh.approx import RULE_NODES, RULE_WEIGHTS
+from anisomesh.geometry import (NEXT, PREV, QuadForm, Triangle, areas_of, bisect,
+                                edge_vectors_of, reference_triangle, sigma)
 
+from test_engine import reference_trace_record
 from test_geometry import compose_linear
 
 
@@ -56,16 +59,32 @@ def test_gamma_factor():
     assert gamma_factor(R0, 0.01) > gamma_factor(R0)
 
 
+def tau_norm_after(f, roots, tau, sweeps):
+    """``|| sqrt|det d2f| ||_{L^tau}`` by the 16-point rule on the triangles of
+    ``sweeps`` longest-edge bisection sweeps of ``roots``."""
+    verts = np.array([t.vertices for t in roots])
+    for _ in range(sweeps):
+        e = edge_vectors_of(verts)
+        verts = np.concatenate(bisect(verts, np.argmax((e * e).sum(axis=2), axis=1)))
+    xy = RULE_NODES @ verts
+    dets = np.abs(np.linalg.det(f.hessian(xy[..., 0], xy[..., 1])))
+    area = areas_of(edge_vectors_of(verts))[:, None]
+    return float((area * RULE_WEIGHTS * dets ** (tau / 2.0)).sum()) ** (1.0 / tau)
+
+
 class TestHessianTauNorm:
     def test_disk_unit_square(self):
         # det d2f = 4, tau = 1/2: (int 2^(1/2))^2 = 2 |Omega|^2 = 2
         f = get_field("disk")
-        got = hessian_tau_norm(f, initial_mesh("unit-square"), 0.5, depth=4)
+        got = hessian_tau_norm(f, initial_mesh("unit-square"), 0.5)
         assert got == pytest.approx(2.0, rel=1e-12)
+        # on the reference triangle: 2 |T|^2
+        got = hessian_tau_norm(f, [reference_triangle()], 0.5)
+        assert got == pytest.approx(2.0 * 0.5 ** 2, rel=1e-12)
 
     def test_affine_zero(self):
         f = QuadraticField("plane", 0, 0, 0, 1.0, 2.0, 3.0)
-        assert hessian_tau_norm(f, initial_mesh("unit-square"), 0.5, depth=3) == 0.0
+        assert hessian_tau_norm(f, initial_mesh("unit-square"), 0.5) == 0.0
 
     def test_aniso_scaling(self):
         # constant hessian diag(2, 2k): norm = sqrt(4k) |Omega|^(1/tau)
@@ -73,14 +92,15 @@ class TestHessianTauNorm:
             f = get_field(label)
             for p in (1.0, 2.0, math.inf):
                 tau = tau_from_p(p)
-                got = hessian_tau_norm(f, initial_mesh("unit-square"), tau, depth=3)
+                got = hessian_tau_norm(f, initial_mesh("unit-square"), tau)
                 assert got == pytest.approx(math.sqrt(4 * k), rel=1e-12)
 
     def test_depth_stability(self):
-        f = get_field("expbump")
-        a = hessian_tau_norm(f, initial_mesh("unit-square"), 2 / 3, depth=8)
-        b = hessian_tau_norm(f, initial_mesh("unit-square"), 2 / 3, depth=16)
-        assert abs(a - b) <= 1e-6 * abs(b)
+        # the target's fixed 9 sweeps give the value of 13, to rounding
+        f, roots = get_field("expbump"), initial_mesh("unit-square")
+        for tau in (0.5, 2 / 3, 1.0):
+            want = tau_norm_after(f, roots, tau, 13)
+            assert hessian_tau_norm(f, roots, tau) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_tau_and_missing_hessian(self):
         with pytest.raises(ValueError):
@@ -88,14 +108,6 @@ class TestHessianTauNorm:
         bare = ScalarField("bare", lambda x, y: x * y)
         with pytest.raises(ValueError, match="hessian"):
             hessian_tau_norm(bare, initial_mesh("unit-square"), 0.5)
-
-    def test_accepts_triangle_and_forest(self):
-        f = get_field("disk")
-        t = reference_triangle()
-        direct = hessian_tau_norm(f, t, 0.5, depth=2)
-        forest = RefinementForest([t])
-        assert hessian_tau_norm(f, forest, 0.5, depth=2) == pytest.approx(direct)
-        assert direct == pytest.approx(2.0 * 0.5 ** 2, rel=1e-12)
 
 
 class TestSigmaStudy:
@@ -219,6 +231,22 @@ class TestConvergenceStudy:
         points = convergence_study(get_field("expbump"), cfg, [np.int64(64), 256.0])
         assert [type(pt.n) for pt in points] == [int, int]
         assert [pt.n for pt in points] == [64, 256]
+
+    @pytest.mark.parametrize("label, config, checkpoints", [
+        ("expbump", GreedyConfig(initial="unit-square"), [256, 1024, 4096]),
+        ("expbump", GreedyConfig(initial="unit-square"), [64, 1500, 3001]),
+        ("disk", GreedyConfig(p=math.inf), [100, 1500]),
+    ], ids=["expbump-powers", "expbump-between", "disk-pinf"])
+    def test_errors_equal_the_full_remeasure(self, label, config, checkpoints):
+        # each checkpoint's error is the lp_sum of the errors of the leaves after
+        # its step, bit for bit, also between the trace's own records
+        f = get_field(label)
+        points = convergence_study(f, config, checkpoints)
+        stop = StopRule("target-count", checkpoints[-1])
+        forest, _ = greedy_run(f, replace(config, stop=stop))
+        for pt in points:
+            want = reference_trace_record(forest, config.p, None, pt.n - forest.n_roots)
+            assert (pt.n, pt.error.hex()) == (want.n_leaves, want.global_error.hex())
 
 
 class TestEquivalenceProbe:

@@ -87,6 +87,14 @@ def test_sigma_study_takes_no_config():
     assert "config" not in inspect.signature(anisomesh.sigma_study).parameters
 
 
+def test_rate_study_inputs_take_no_options():
+    # the study reads its checkpoints from the run's forest, and its target
+    # integrates on a fixed background mesh of the roots
+    assert list(inspect.signature(anisomesh.greedy_run).parameters) == ["f", "config"]
+    assert list(inspect.signature(anisomesh.hessian_tau_norm).parameters) == \
+        ["f", "roots", "tau"]
+
+
 def benchmark_tracer():
     """The benchmark's tracer module, which lives outside the test paths."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -1,6 +1,7 @@
 """Approximation operators, local errors and edge-decision functions."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -459,6 +460,31 @@ class TestLocalErrorsKernel:
                            match=r"field 'spike' is not finite on triangle "
                                  r"\[\[1\.0, 1\.0\], \[2\.0, 1\.0\], \[1\.0, 2\.0\]\]"):
             local_errors(verts, f, 2.0, op)
+
+    @pytest.mark.parametrize("op", approx.OPERATORS)
+    @pytest.mark.parametrize("p", [2000.0, 1e300])
+    def test_power_sum_out_of_range_rejected(self, op, p):
+        # the residual is finite and not zero, but its p-th powers sum to zero
+        # on a small triangle and to inf on a large one: no error is read as 0
+        # or inf, and no warning escapes
+        for scale, what in ((0.1, "underflows"), (10.0, "overflows")):
+            verts = (REF.vertices * scale + 1.0)[None]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"field 'disk' {what} at p = {p:g} on triangle {verts[0].tolist()}")):
+                local_errors(verts, DISK, p, op)
+        # a residual of zeros sums to zero at any p
+        zero = QuadraticField("zero", 0.0, 0.0, 0.0)
+        assert local_errors(np.array([REF.vertices]), zero, p, op).tolist() == [0.0]
+
+    def test_child_powers_beyond_the_float_range_rejected(self, monkeypatch):
+        # a decision raises ValueError, not OverflowError, when the p-th power of
+        # a child error leaves the float range; here those of the second parent
+        # (children 6 to 11)
+        monkeypatch.setattr(approx, "local_errors",
+                            lambda v, f, p, op: np.where(np.arange(len(v)) < 6, 1.0, 1e200))
+        with pytest.raises(ValueError, match=re.escape(
+                f"child errors of triangle {(REF.vertices + 1.0).tolist()} overflow at p = 2")):
+            decision_lp_split(np.array([REF.vertices, REF.vertices + 1.0]), DISK, 2.0)
 
     def test_flat_triangle_rejected(self):
         flat = np.array([[(0, 0), (1, 0), (0.5, 1e-15)]])

@@ -100,6 +100,22 @@ class TestRun:
         assert code == 3
         assert "exceeds the node cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, what", [
+        ("--field aniso-10 --p 150 --target-n 4096", "'aniso-10' underflows at p = 150"),
+        ("--field expbump --initial unit-square --p 300 --target-n 1024",
+         "'expbump' underflows at p = 300"),
+        ("--field aniso-10 --p 500 --target-n 64", "'aniso-10' underflows at p = 500"),
+        ("--field aniso-10 --p 1e300 --target-n 64", "'aniso-10' overflows at p = 1e+300"),
+    ], ids=["aniso-10-p150", "expbump-p300", "aniso-10-p500", "aniso-10-p1e300"])
+    def test_large_p_exit_1(self, tmp_path, capsys, args, what):
+        # the powers of the residual leave the float range: the run fails,
+        # where it read a global error of 0 or blamed the field's values
+        code = run_cli("run", *args.split(), "--mesh-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert f"error: local error of field {what} on triangle [[" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     @pytest.mark.parametrize("stop", [("--target-n", "64"), ("--eta", "1e-3")])
     def test_non_finite_field_exit_1(self, tmp_path, capsys, monkeypatch, stop):
         def hole(x, y):

@@ -356,6 +356,13 @@ class TestGreedyRun:
         with pytest.raises(RunawayRefinementError):
             greedy_run(DISK, GreedyConfig(stop=StopRule("generation-levels", 10 ** 9)))
 
+    def test_large_p_lp_split_rejected(self):
+        # the decision scores children whose p-th powers underflow: the run
+        # fails there instead of reading their errors as 0
+        config = count_config(4096, p=150.0, decision="lp-split")
+        with pytest.raises(ValueError, match="field 'aniso-10' underflows at p = 150 on"):
+            greedy_run(get_field("aniso-10"), config)
+
     @pytest.mark.parametrize("stop", [StopRule("target-count", 64),
                                       StopRule("error-threshold", 1e-3),
                                       StopRule("generation-levels", 6)])
@@ -366,17 +373,6 @@ class TestGreedyRun:
         cfg = GreedyConfig(stop=stop, initial="unit-square")
         with pytest.raises(ValueError, match=r"field 'hole' is not finite on triangle \[\["):
             greedy_run(ScalarField("hole", hole), cfg)
-
-    @pytest.mark.parametrize("count", [1500.7, "1500", math.nan, math.inf, None])
-    def test_record_at_needs_integers(self, count, monkeypatch):
-        monkeypatch.setattr(engine, "select_edge", mock.Mock(side_effect=AssertionError))
-        with pytest.raises(ValueError, match="leaf counts must be integers"):
-            greedy_run(DISK, count_config(2000), record_at=[1100, count])
-
-    def test_record_at_takes_integral_numbers(self):
-        _, trace = greedy_run(DISK, count_config(1100), record_at=[np.int64(1050), 1080.0])
-        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1050, 1080, 1100]
-        assert all(type(r.n_leaves) is int for r in trace)
 
     def test_trace_cadence(self):
         _, trace = greedy_run(DISK, count_config(40))
@@ -424,24 +420,37 @@ def record_bytes(rec):
                        rec.max_diam, rec.sigma_mean, rec.sigma_max)
 
 
-def checked_greedy_run(f, config, record_at=None):
-    """``greedy_run``'s trace, with each returned record required to equal, as
-    bytes, the reference record of the mesh after its step."""
+def definite_form(f):
+    """The form a trace record reads sigma from: the field's, when definite."""
     form = getattr(f, "form", None)
-    if form is not None and not form.is_positive_definite:
-        form = None
-    forest, trace = greedy_run(f, config, record_at=record_at)
+    return form if form is not None and form.is_positive_definite else None
+
+
+def checked_greedy_run(f, config):
+    """``greedy_run``'s forest and trace, with each returned record required to
+    equal, as bytes, the reference record of the mesh after its step."""
+    forest, trace = greedy_run(f, config)
     assert trace  # a run records its first step at least
     for rec in trace:
-        want = reference_trace_record(forest, config.p, form, rec.step)
+        want = reference_trace_record(forest, config.p, definite_form(f), rec.step)
         assert record_bytes(rec) == record_bytes(want), rec
-    return trace
+    return forest, trace
+
+
+def assert_records_reread(forest, f, p, counts):
+    """The records at the leaf counts ``counts``, read from the finished forest
+    by a fresh ``_LeafValues``, equal the reference records as bytes."""
+    values = engine._LeafValues(forest, f, p)
+    for n in counts:
+        rec = engine._trace_record(values, n - forest.n_roots)
+        want = reference_trace_record(forest, p, definite_form(f), rec.step)
+        assert rec.n_leaves == n and record_bytes(rec) == record_bytes(want), rec
 
 
 @st.composite
 def traced_config(draw):
-    """(field, config, record_at) over fields with and without a definite form,
-    p, both operators, both decisions and all three stop rules."""
+    """(field, config) over fields with and without a definite form, p, both
+    operators, both decisions and all three stop rules."""
     f = get_field(draw(st.sampled_from(["disk", "aniso-10", "aniso-100",
                                         "mixed-saddle", "expbump"])))
     p = draw(st.sampled_from([1.0, 2.0, 3.5, math.inf]))
@@ -461,41 +470,44 @@ def traced_config(draw):
     config = GreedyConfig(p=p, operator=operator,
                           decision=draw(st.sampled_from(engine.DECISIONS)),
                           stop=StopRule(kind, value), initial=initial, node_cap=400)
-    return f, config, draw(st.frozensets(st.integers(1, 3000), max_size=4))
+    return f, config
 
 
 class TestTraceRecords:
     @settings(max_examples=40, deadline=None)
     @given(traced_config())
     def test_records_match_full_remeasure(self, case):
-        f, config, record_at = case
+        f, config = case
         try:
-            trace = checked_greedy_run(f, config, record_at)
+            _, trace = checked_greedy_run(f, config)
         except RunawayRefinementError:  # a run stopped at the node cap has no trace
             return
         assert [r.step for r in trace] == list(range(len(trace)))
 
     def test_records_past_1024_leaves_match_full_remeasure(self):
         # past 1024 leaves, records skip many steps: each reads only the rows
-        # of its own step from the finished forest
-        trace = checked_greedy_run(get_field("aniso-10"), count_config(1500),
-                                   record_at=[1100, 1337])
-        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1100, 1337, 1500]
+        # of its own step from the finished forest, as any step's record can
+        f = get_field("aniso-10")
+        forest, trace = checked_greedy_run(f, count_config(1500))
+        assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1500]
+        assert_records_reread(forest, f, 2.0, [1025, 1100, 1337, 1500])
 
-    @pytest.mark.parametrize("label, config, record_at", [
+    # the cases keep the ids of their earlier, three-argument form
+    @pytest.mark.parametrize("label, config", [
         # the sigma path, p = inf
-        ("aniso-100", count_config(1024, p=math.inf, decision="lp-split"), None),
-        ("mixed-saddle", count_config(1024, p=1.0), None),  # an indefinite form
-        ("expbump", count_config(16384, initial="unit-square"), None),  # past 1024
-        ("disk", GreedyConfig(p=3.5, stop=StopRule("error-threshold", 1e-4)), None),
-        ("aniso-10", count_config(3000), {1500, 3000}),
-    ])
-    def test_records_equal_the_column_formula(self, label, config, record_at):
+        ("aniso-100", count_config(1024, p=math.inf, decision="lp-split")),
+        ("mixed-saddle", count_config(1024, p=1.0)),  # an indefinite form
+        ("expbump", count_config(16384, initial="unit-square")),  # past 1024
+        ("disk", GreedyConfig(p=3.5, stop=StopRule("error-threshold", 1e-4))),
+        ("aniso-10", count_config(3000)),
+    ], ids=["aniso-100-config0-None", "mixed-saddle-config1-None", "expbump-config2-None",
+            "disk-config3-None", "aniso-10-config4-record_at4"])
+    def test_records_equal_the_column_formula(self, label, config):
         # every returned record equals, by repr, the one the leaf mask
         # (child < 0) | (child >= n), fancy-index gathers and the array methods
         # make from per-node columns
         f = get_field(label)
-        forest, trace = greedy_run(f, config, record_at=record_at)
+        forest, trace = greedy_run(f, config)
         verts = forest.nodes["verts"]
         e = edge_vectors_of(verts)
         diam2 = (e * e).sum(axis=2).max(axis=1)
@@ -515,8 +527,6 @@ class TestTraceRecords:
                                       float(np.sqrt(diam2[leaves].max())), smean, smax)
             assert repr(rec) == repr(want)
         assert {math.isnan(rec.sigma_mean) for rec in trace} == {not definite}
-        if record_at:
-            assert {1500, 3000} <= {r.n_leaves for r in trace}
 
     def test_an_early_record_copies_no_column(self):
         # a record reads the first n = n_roots + 2 s rows of step s: a gathered
@@ -550,12 +560,13 @@ class TestTraceRecords:
     ], ids=["expbump-p2", "aniso-100-pinf"])
     def test_records_across_the_seam_match_full_remeasure(self, label, config):
         # the records up to 1024 leaves update one buffer of leaf columns, the
-        # later ones gather their leaves: 1025 is one step after the last
-        # updated record, yet gathered
-        trace = checked_greedy_run(get_field(label), config,
-                                   record_at={2, 1024, 1025, 1026, 1500, 3001})
-        assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == \
-            [1024, 1025, 1026, 1500, 2048, 3001, 4096]
+        # later ones gather their leaves; a fresh read of the finished forest
+        # gathers the record of any step, 1025 leaves (one step past the
+        # buffer's last record) included
+        f = get_field(label)
+        forest, trace = checked_greedy_run(f, config)
+        assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == [1024, 2048, 4096]
+        assert_records_reread(forest, f, config.p, [2, 1024, 1025, 1026, 1500, 3001])
 
     def test_each_node_measured_once(self, monkeypatch):
         rows = collections.Counter()
@@ -565,9 +576,9 @@ class TestTraceRecords:
         monkeypatch.setattr(engine, "sigma_batch", lambda form, verts:
                             rows.update(sigma=len(verts)) or sigmas(form, verts))
         forest, trace = greedy_run(get_field("aniso-10"),
-                                   count_config(1100, initial="unit-square"), record_at=[1050])
-        # records at 2..1024 leaves, at 1050 and at the final 1100
-        assert [r.n_leaves for r in trace] == [*range(2, 1025), 1050, 1100]
+                                   count_config(1100, initial="unit-square"))
+        # records at 2..1024 leaves and at the final 1100
+        assert [r.n_leaves for r in trace] == [*range(2, 1025), 1100]
         assert rows == {"diam2": len(forest.nodes), "sigma": len(forest.nodes)}
 
     def test_measuring_is_bounded(self, monkeypatch):

@@ -34,7 +34,7 @@ from test_engine import counted, record_bytes, reference_trace_record, traced_co
 FIELDS = ["disk", "aniso-10", "aniso-100", "mixed-saddle", "expbump"]
 
 
-def reference_greedy_run(f, config, record_at=None):
+def reference_greedy_run(f, config):
     """The greedy loop before batching: one leaf per iteration, each child
     scored on its own, each record re-measuring the leaves of the forest.
 
@@ -43,7 +43,6 @@ def reference_greedy_run(f, config, record_at=None):
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop
-    record_at = frozenset(int(n) for n in record_at) if record_at else frozenset()
     form = getattr(f, "form", None)
     if form is not None and not form.is_positive_definite:
         form = None
@@ -81,7 +80,7 @@ def reference_greedy_run(f, config, record_at=None):
             push(int(child[0]))
         step += 1
         n = forest.n_leaves
-        traced_last = n <= 1024 or n & (n - 1) == 0 or n in record_at
+        traced_last = n <= 1024 or n & (n - 1) == 0
         if traced_last:
             trace.append(reference_trace_record(forest, config.p, form, step))
     if not traced_last:
@@ -89,17 +88,17 @@ def reference_greedy_run(f, config, record_at=None):
     return forest, trace
 
 
-def assert_same_run(f, config, record_at=None):
+def assert_same_run(f, config):
     """``greedy_run`` makes the reference's nodes and trace records, as bytes,
     or raises its RunawayRefinementError; returns the forest or None."""
     try:
-        want_forest, want_trace = reference_greedy_run(f, config, record_at)
+        want_forest, want_trace = reference_greedy_run(f, config)
     except RunawayRefinementError as exc:
         with pytest.raises(RunawayRefinementError) as got:
-            greedy_run(f, config, record_at)
+            greedy_run(f, config)
         assert str(got.value) == str(exc)
         return None
-    forest, trace = greedy_run(f, config, record_at)
+    forest, trace = greedy_run(f, config)
     assert forest.nodes.tobytes() == want_forest.nodes.tobytes()
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
     return forest
@@ -137,10 +136,10 @@ def test_local_error_takes_one_triangle_or_a_batch():
 @settings(max_examples=60, deadline=None)
 @given(traced_config())
 def test_matches_one_leaf_loop(case):
-    # fields, p, operators, decisions, all three stop rules, record_at and
-    # node-cap failures
-    f, config, record_at = case
-    assert_same_run(f, config, record_at)
+    # fields, p, operators, decisions, all three stop rules and node-cap
+    # failures
+    f, config = case
+    assert_same_run(f, config)
 
 
 def test_rollbacks_keep_the_order(monkeypatch):
@@ -164,7 +163,7 @@ def test_rollbacks_keep_the_order(monkeypatch):
         forest, _ = greedy_run(f, config)
     assert any(bisected < scored for scored, bisected in batches)
     assert all(bisected >= 1 for _, bisected in batches)
-    assert forest.nodes.tobytes() == assert_same_run(f, config, record_at=[700]).nodes.tobytes()
+    assert forest.nodes.tobytes() == assert_same_run(f, config).nodes.tobytes()
 
 
 def test_steps_not_kept_reserve_no_rows(monkeypatch):
@@ -251,9 +250,9 @@ def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels
 def test_matches_one_leaf_loop_with_small_batch_caps(max_batch, case):
     # a small floor lets runs of a few hundred leaves grow the cap past it and
     # roll back large batches
-    f, config, record_at = case
+    f, config = case
     with mock.patch.object(engine, "_MAX_BATCH", max_batch):
-        assert_same_run(f, config, record_at)
+        assert_same_run(f, config)
 
 
 def test_ties_across_the_batch_boundary(monkeypatch):
