@@ -172,21 +172,49 @@ def cmd_sigma_study(args) -> int:
 
 # three-stop linear color map (blue -> pale yellow -> red)
 _CMAP = np.array([(43, 131, 186), (255, 255, 191), (215, 25, 28)])
-_POLYGON = ('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="%s" '
-           'stroke="#000000" stroke-width="0.5"/>')
-_SVG_SLICE = 1024  # polygons formatted at once: bounds the format's temporaries
+_SVG_SLICE = 1024  # polygons written at once: bounds the byte matrix
+# one polygon's bytes, a 0 for each of its numbers' 9 and a 1 for its fill's 7
+_POLYGON = np.frombuffer((b'<polygon points="%s,%s %s,%s %s,%s" fill="%s" stroke="#000000" '
+                          b'stroke-width="0.5"/>\n') % ((b"\0" * 9,) * 6 + (b"\1" * 7,)),
+                         np.uint8)
+_NUMBERS, _FILL = np.flatnonzero(_POLYGON == 0), np.flatnonzero(_POLYGON == 1)
+# ASCII digit tables, indexed by the integer part and by the thousandths
+_INT = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48  # "0000" ... "9999"
+_FRAC = np.c_[np.full(1000, 46, np.uint8), _INT[:1000, 1:]]  # ".000" ... ".999"
+_INT[:, :3][np.logical_and.accumulate(_INT[:, :3] == 48, axis=1)] = 0  # "0" ... "9999"
 
 
-def _color(t) -> list[str]:
-    """Hex colors of the values ``t`` (clipped to [0, 1]) on the color map."""
+def _color(t) -> np.ndarray:
+    """Colors ``#rrggbb`` of the values ``t`` (clipped to [0, 1]) on the color
+    map, one row of 7 ASCII bytes per value."""
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     if np.isnan(t).any():
         raise ValueError("cannot color a NaN value")
     upper = (t > 0.5).astype(int)  # which half of the map
     lo, hi = _CMAP[upper], _CMAP[upper + 1]
     rgb = np.rint(lo + (hi - lo) * (2.0 * t - upper)[:, None]).astype(int)  # ties to even
-    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    return ["#%06x" % c for c in packed.tolist()]
+    nibbles = np.stack([rgb >> 4, rgb & 15], axis=-1).reshape(-1, 6)
+    return np.c_[np.full(len(rgb), 35, np.uint8),
+                 np.frombuffer(b"0123456789abcdef", np.uint8)[nibbles]]
+
+
+def _decimal(x) -> np.ndarray:
+    """The bytes of ``'%.3f' % x`` for each x in [-0.0005, 1000.0005], 9 per
+    value (sign, integer digits, point and decimals), 0 where dropped.
+
+    Where ``x * 1000`` rounded onto a half, the sign of that product's exact
+    error (a Veltkamp split: 1000 has 7 bits) picks the side, and only a true
+    tie rounds half to even, as ``%`` does; -0.0 keeps its sign.
+    """
+    p = x * 1000.0
+    q = np.rint(p)
+    c = x * 134217729.0  # 2**27 + 1
+    high = c - (c - x)
+    error = (high * 1000.0 - p) + (x - high) * 1000.0  # x * 1000 - p, exactly
+    q = np.where((np.abs(p - q) == 0.5) & (error != 0.0), p + np.copysign(0.5, error), q)
+    whole, frac = np.divmod(np.abs(q).astype(np.int64), 1000)
+    sign = np.signbit(x) * np.uint8(45)
+    return np.concatenate([sign[..., None], _INT[whole], _FRAC[frac]], axis=-1)
 
 
 def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
@@ -195,11 +223,16 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
     The mesh bounding box maps to a 1000x1000 box with the y axis flipped
     to standard math orientation; ``values`` (one per leaf, in leaf-id
     order) drive the fill color, and ``legend`` labels the color bar.
+    Raises ValueError when the extent overflows.  Each slice of polygons is
+    one byte matrix, a row per polygon, of ``_decimal``'s coordinates, which
+    read as ``'%.3f' %`` writes them, and ``_color``'s fills.
     """
     verts = forest.leaf_vertex_array()
-    vmin = verts.reshape(-1, 2).min(axis=0)
-    vmax = verts.reshape(-1, 2).max(axis=0)
-    span = float(max(vmax[0] - vmin[0], vmax[1] - vmin[1], 1e-300))
+    vmin = verts.reshape(-1, 2).min(axis=0).tolist()
+    vmax = verts.reshape(-1, 2).max(axis=0).tolist()
+    span = max(vmax[0] - vmin[0], vmax[1] - vmin[1], 1e-300)  # Python floats: inf, no warning
+    if not np.isfinite(span):
+        raise ValueError(f"mesh extent overflows: the vertices span {vmin} to {vmax}")
     scale = 1000.0 / span
     xy = np.empty_like(verts)
     xy[..., 0] = (verts[..., 0] - vmin[0]) * scale
@@ -211,7 +244,7 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 1000 {height}" width="1000" height="{height}">',
     ]
-    fills = ["none"] * len(verts)
+    fills = np.broadcast_to(np.frombuffer(b"none\0\0\0", np.uint8), (len(verts), 7))
     if values is not None:
         values = np.asarray(values, dtype=float)
         if len(values) != len(verts):
@@ -219,18 +252,17 @@ def mesh_to_svg(forest, values=None, legend: str | None = None) -> str:
         lo, hi = float(values.min()), float(values.max())
         spread = hi - lo
         fills = _color((values - lo) / spread if spread > 0 else np.full(len(values), 0.5))
-    # one format per slice of polygons, as the mesh text is written
     coords = xy.reshape(-1, 6)
     for s in range(0, len(coords), _SVG_SLICE):
         part = coords[s:s + _SVG_SLICE]
-        rows = np.empty((len(part), 7), dtype=object)
-        rows[:, :6] = part
-        rows[:, 6] = fills[s:s + _SVG_SLICE]
-        lines.append("\n".join([_POLYGON] * len(rows)) % tuple(rows.ravel().tolist()))
+        m = np.repeat(_POLYGON[None], len(part), axis=0)
+        m[:, _NUMBERS] = _decimal(part).reshape(len(part), -1)
+        m[:, _FILL] = fills[s:s + _SVG_SLICE]
+        lines.append(m[m != 0].tobytes().decode("ascii")[:-1])
     if values is not None:
         for k, fill in enumerate(_color(np.arange(64) / 63)):
             lines.append(f'<rect x="{200 + 9.375 * k:.3f}" y="1020" '
-                         f'width="9.375" height="30" fill="{fill}"/>')
+                         f'width="9.375" height="30" fill="{fill.tobytes().decode()}"/>')
         label = legend or "value"
         lines.append(f'<text x="195" y="1044" font-size="20" '
                      f'text-anchor="end">{lo:.6g}</text>')

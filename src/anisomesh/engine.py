@@ -389,6 +389,22 @@ def greedy_run(f, config: GreedyConfig):
                 f"the node cap {config.node_cap}")
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
+    _bisect_greedily(forest, f, config)  # its batch arrays are freed before the trace
+
+    # leaf counts with a record: the first and the last, every count up to
+    # _EVERY_STEP and the powers of two
+    n_last = forest.n_leaves
+    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1),
+           *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
+    values = _LeafValues(forest, f, config.p)
+    trace = [_trace_record(values, n - forest.n_roots)
+             for n in sorted(due) if forest.n_roots <= n <= n_last]
+    return forest, trace
+
+
+def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:
+    """The batched greedy loop of ``greedy_run``, until the stop rule holds."""
+    stop = config.stop
     p, op, limit = config.p, config.operator, int(stop.value)
     levels = limit if stop.kind == "generation-levels" else math.inf
 
@@ -438,16 +454,6 @@ def greedy_run(f, config: GreedyConfig):
         first, second = forest.bisect_node(ids[:m], edges[:m])
         forest.nodes["error"][first], forest.nodes["error"][second] = e0[:m], e1[:m]
         k = m if m < len(ids) else min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
-
-    # leaf counts with a record: the first and the last, every count up to
-    # _EVERY_STEP and the powers of two
-    n_last = forest.n_leaves
-    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1),
-           *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
-    values = _LeafValues(forest, f, p)
-    trace = [_trace_record(values, n - forest.n_roots)
-             for n in sorted(due) if forest.n_roots <= n <= n_last]
-    return forest, trace
 
 
 def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,

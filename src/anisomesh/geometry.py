@@ -63,8 +63,9 @@ class Triangle:
     Parameters
     ----------
     vertices : array_like, shape (3, 2)
-        The vertices ``(z0, z1, z2)``.  Must be finite and in
-        counter-clockwise order (strictly positive signed area).
+        The vertices ``(z0, z1, z2)``.  Must be finite, with finite edge
+        vectors and area, and in counter-clockwise order (strictly
+        positive signed area).
     """
 
     __slots__ = ("_v", "_area")
@@ -75,7 +76,11 @@ class Triangle:
             raise ValueError(f"expected 3 vertices in the plane, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("triangle vertices must be finite")
-        area = areas_of(edge_vectors_of(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = edge_vectors_of(v)
+            area = areas_of(e)
+        if not (np.isfinite(e).all() and np.isfinite(area)):
+            raise ValueError("triangle edge vectors and area must be finite")
         if area <= 0.0:
             raise ValueError(f"triangle must have strictly positive signed area, got {area}")
         v.setflags(write=False)

@@ -1,11 +1,13 @@
 """CLI subcommands: runs, studies, rendering, exit codes, determinism."""
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import anisomesh
 from anisomesh import cli
@@ -291,8 +293,10 @@ def reference_mesh_to_svg(forest, values=None, legend=None):
 class TestSvgWriter:
     @pytest.fixture(scope="class")
     def forest(self):
+        # 2049 leaves: two full slices of polygons and a slice of one; the
+        # unit square's dyadic vertices put many coordinates on exact ties
         return greedy_run(get_field("expbump"), GreedyConfig(
-            stop=StopRule("target-count", 300), initial="unit-square"))[0]
+            stop=StopRule("target-count", 2049), initial="unit-square"))[0]
 
     @pytest.mark.parametrize("case", ["none", "spread", "constant"])
     def test_matches_per_polygon_reference(self, forest, case):
@@ -313,9 +317,25 @@ class TestSvgWriter:
             with pytest.raises(ValueError):
                 writer(forest, values)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-0.0005, 1000.0005),
+        st.floats(-0.0005, -0.0),  # -0.0 and tiny negatives print "-0.000"
+        st.floats(1000.0, 1000.0005),
+        # multiples of 1/1024, a third of them exact ties, and their neighbours
+        st.tuples(st.integers(0, 1024 * 1000), st.sampled_from([-math.inf, 0.0, math.inf]))
+        .map(lambda kd: math.nextafter(kd[0] / 1024, kd[1]) if kd[1] else kd[0] / 1024)),
+        min_size=1, max_size=40))
+    @example([0.0625, math.nextafter(0.0625, 0.0), math.nextafter(0.0625, 1.0)])
+    @example([-0.0, 0.0, -1e-13, -5e-324, -0.0005, 0.0005, 2.5e-3, 999.9995, 1000.0005])
+    def test_decimal_matches_percent_format(self, xs):
+        rows = cli._decimal(np.array(xs))
+        assert [r[r != 0].tobytes().decode() for r in rows] == ["%.3f" % x for x in xs]
+
     def test_color_map_matches_reference(self):
         t = np.concatenate([np.linspace(-0.5, 1.5, 4001), [0.25, 0.5, 0.75, -0.0]])
-        assert cli._color(t) == [reference_color(x) for x in t.tolist()]
+        assert [c.tobytes().decode() for c in cli._color(t)] == \
+            [reference_color(x) for x in t.tolist()]
 
 
 class TestRender:
@@ -423,6 +443,22 @@ class TestRender:
         assert "line 3: " in capsys.readouterr().err
         with pytest.raises(MeshFormatError, match="line 3: "):
             load_mesh(bad)
+
+    @pytest.mark.parametrize("mesh, message", [
+        # finite vertices, but the root's edge vectors and area overflow
+        ("v -1e308 -1e308\nv 1e308 -1e308\nv 0 1e308\nt 0 1 2 -1\nleaf 0\n",
+         "line 5: triangle edge vectors and area must be finite"),
+        # two valid roots whose joint extent overflows
+        ("v -1e308 0\nv -9.9e307 0\nv -1e308 1\nv 1e308 0\nv 1e308 1\nv 9.9e307 1\n"
+         "t 0 1 2 -1\nt 3 4 5 -1\nleaf 0\nleaf 1\n", "mesh extent overflows"),
+    ], ids=["root", "extent"])
+    def test_overflowing_mesh_fails(self, tmp_path, capsys, mesh, message):
+        # tier-1 turns warnings into errors: an overflow warning fails the test
+        path, svg = tmp_path / "mesh.txt", tmp_path / "m.svg"
+        path.write_text("aniso-mesh v1\n" + mesh)
+        assert run_cli("render", str(path), "--svg-out", str(svg)) == 1
+        assert message in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_svg_determinism(self, small_mesh, tmp_path):
         outs = []

@@ -554,6 +554,27 @@ class TestTraceRecords:
         assert peak(lambda: engine._trace_record(values, 8)) < column // 4
         assert peak(lambda: [engine._trace_record(values, s) for s in range(9)]) < column // 4
 
+    def test_trace_phase_stays_under_the_loop_peak(self, monkeypatch):
+        # the last batch's arrays are gone when the records are read, so the
+        # trace phase of a definite-form run (three rows per gathered record)
+        # does not set the run's peak
+        peaks = []
+
+        def measured(forest, f, p):
+            peaks.append(tracemalloc.get_traced_memory()[1])  # the loop's peak
+            tracemalloc.reset_peak()
+            return leaf_values(forest, f, p)
+
+        leaf_values = engine._LeafValues
+        monkeypatch.setattr(engine, "_LeafValues", measured)
+        tracemalloc.start()
+        try:
+            greedy_run(get_field("aniso-10"), count_config(2 ** 16, initial="unit-square"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize("label, config", [
         ("expbump", count_config(4096, initial="unit-square")),  # p = 2, no form
         ("aniso-100", count_config(4096, p=math.inf, decision="lp-split")),  # a definite form

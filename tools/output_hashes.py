@@ -1,7 +1,8 @@
 """Print the sha256 of every output of a fixed set of ``anisomesh`` commands.
 
 Run it with the tree to check on the path, for example
-``PYTHONPATH=src python3 tools/output_hashes.py``; it takes no options.
+``PYTHONPATH=$PWD/src python3 tools/output_hashes.py`` (the path must be
+absolute: the commands run in a temporary directory); it takes no options.
 Each command runs in a child process, in one temporary directory, so two
 trees can be compared by the text this prints: one line per output file and
 per standard output, and for a command that fails, its exit code and its
@@ -23,8 +24,13 @@ COMMANDS = [
     ("sigma-aniso-10", "sigma-study --field aniso-10 --levels 3"),
     ("expbump-16384", "run --field expbump --initial unit-square --target-n 16384"),
     ("expbump-16384-error", "render expbump-16384.mesh --color-by error --field expbump"),
+    ("expbump-16384-plain", "render expbump-16384.mesh"),
     ("mixed-saddle-p1", "run --field mixed-saddle --p 1 --target-n 1024"),
     ("aniso-100-pinf", "run --field aniso-100 --p inf --decision lp-split --target-n 1024"),
+    ("aniso-100-pinf-error", "render aniso-100-pinf.mesh --color-by error --p inf "
+                             "--field aniso-100"),
+    ("aniso-10-4096", "run --field aniso-10 --levels 12"),
+    ("aniso-10-4096-sigma", "render aniso-10-4096.mesh --color-by sigma --field aniso-10"),
     ("disk-eta", "run --field disk --eta 1e-4"),
     ("aniso-10-levels", "run --field aniso-10 --initial unit-square --levels 6"),
     ("gauss-ridge-l2-p1", "run --field gauss-ridge --operator l2-projection "
