@@ -9,7 +9,9 @@ scales as ``|det L|^(1/p)`` under a map with linear part L.
 batch of triangles, and every other error consumer (``local_error``, the
 quadrature decisions, global errors, error colouring) calls it.  For a
 QuadraticField it takes the interpolation error from the form on the edge
-vectors, without evaluating the field.
+vectors, without evaluating the field: exactly, in closed form, at p = 2
+and p = inf (where any other field's maximum is a sampled one), and by the
+error quadrature at any other p.
 
 The edge-decision functions score the three possible bisections of one
 triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
@@ -111,29 +113,32 @@ _WEIGHTS = np.tile(RULE_WEIGHTS / 4, 4)
 _LATTICE = [(i / 16, j / 16, (16 - i - j) / 16) for i in range(17) for j in range(17 - i)]
 _ERROR_NODES = np.vstack([_BARY, np.eye(3)])
 _ERROR_NODES_INF = np.vstack([_BARY, _LATTICE, np.eye(3)])
-
-
-def _bubbles(nodes: np.ndarray) -> np.ndarray:
-    """The rows ``l1 l2, l2 l0, l0 l1`` (3, m) of barycentric nodes (m, 3):
-    row ``k`` multiplies the form on edge ``k``, the edge opposite vertex k."""
-    return np.ascontiguousarray((nodes.take(NEXT, axis=1) * nodes.take(PREV, axis=1)).T)
-
-
-_BUBBLES, _BUBBLES_INF = _bubbles(_ERROR_NODES), _bubbles(_ERROR_NODES_INF)
+# The rows ``l1 l2, l2 l0, l0 l1`` (3, m) of the finite-p error nodes: row k
+# multiplies the form on edge k, the edge opposite vertex k.
+_BUBBLES = np.ascontiguousarray((_ERROR_NODES[:, NEXT] * _ERROR_NODES[:, PREV]).T)
 for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
-           _ERROR_NODES_INF, _BUBBLES, _BUBBLES_INF):
+           _ERROR_NODES_INF, _BUBBLES):
     _a.setflags(write=False)
-# Points per evaluation chunk in local_errors: 64 triangles at p = inf, 210
-# at finite p.  It bounds the (chunk, nodes) temporaries, so memory stays flat
-# however many triangles are scored, and gives every numpy call as much work.
+# Triangles per chunk in local_errors.  On the error nodes, 64 at p = inf and
+# 210 at finite p: it bounds the (chunk, nodes) temporaries, so memory stays
+# flat however many triangles are scored, and gives every numpy call as much
+# work.  The closed forms hold a few floats per triangle and take 1536, the
+# six children of 256 parents: a chunk peaks lower than one on the nodes.
 _POINTS = 64 * len(_ERROR_NODES_INF)
+_CLOSED = 1536
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _chunking(p: float):
-    """The error nodes at `p` and the triangles per chunk they allow."""
+def _chunking(f, p: float, op: str):
+    """How local_errors scores `f` at `p` under `op`: the QuadForm of a
+    quadratic field whose interpolation error is read from its form (else
+    None), the error nodes (None for the closed forms at p = 2 and p = inf)
+    and the triangles per chunk."""
+    form = f.form if op == "interpolation" and isinstance(f, QuadraticField) else None
+    if form is not None and (p == 2.0 or math.isinf(p)):
+        return form, None, _CLOSED
     nodes = _ERROR_NODES_INF if math.isinf(p) else _ERROR_NODES
-    return nodes, _POINTS // len(nodes)
+    return form, nodes, _POINTS // len(nodes)
 
 
 def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -213,33 +218,68 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([s ** e for s in x.tolist()])
 
 
-def _form_residual(e: np.ndarray, form, bubbles: np.ndarray) -> np.ndarray:
-    """``I_T f - f`` at the error nodes of each triangle, given its edge vectors
-    `e` (n, 3, 2), for a quadratic f with QuadForm `form`.
+def _form_residual(e: np.ndarray, form) -> np.ndarray:
+    """``I_T f - f`` at the finite-p error nodes of each triangle, given its
+    edge vectors `e` (n, 3, 2), for a quadratic f with QuadForm `form`.
 
     The affine part of f is interpolated exactly, and the form leaves
     ``l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)`` at the barycentric point l,
     with ``e_k`` the edge opposite vertex k: the form on the edge vectors
-    times the `bubbles` rows (3, m), added in that order.  Each value comes
+    times the `_BUBBLES` rows, added in that order.  Each value comes
     from its triangle's own numbers in one order, whatever the batch (a
     matrix product would not promise that).  einsum forms each product
     into the term buffer without the iteration buffers of a broadcasting
     multiply.
     """
     qe = form(e).T  # (3, n): the form on edge k of each triangle
-    res = np.einsum("i,j->ij", qe[0], bubbles[0])
+    res = np.einsum("i,j->ij", qe[0], _BUBBLES[0])
     term = np.empty_like(res)
     for k in (1, 2):
-        res += np.einsum("i,j->ij", qe[k], bubbles[k], out=term)
+        res += np.einsum("i,j->ij", qe[k], _BUBBLES[k], out=term)
     return res
 
 
-def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.ndarray:
-    """``local_errors`` of one chunk of at most _POINTS // len(nodes) triangles;
-    `form` is the field's QuadForm when the closed form applies."""
+def _form_norms(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) -> np.ndarray:
+    """The interpolation error of a quadratic field with QuadForm `form` in
+    closed form, from the form `q` (n, 3) on the edge vectors `e` (n, 3, 2):
+    the integral of its square at p = 2, its maximum at p = inf.
+
+    The residual ``r = sum_k q_k l_(k+1) l_(k+2)`` squared integrates to
+    ``|T| (sum q_k^2 + (sum q_k)^2) / 180``; on edge k it peaks at ``q_k / 4``.
+    Inside T it is stationary at ``l_k ~ q_k s_k``, ``s_k = -2 B(e_(k+1),
+    e_(k+2))`` with B the bilinear form, where it is ``q0 q1 q2 / D``, ``D =
+    16 det(Q) |T|^2``: taken so, neither cancels on needles.  Only for a
+    definite form, whose q_k share the sign of a20, is that point an
+    extremum, and it lies in T where every s_k has that sign too; an
+    indefinite form's is a saddle, and one of rank 1 has none.  Every value
+    is elementwise in its own triangle's numbers, whatever the batch.
+    """
+    q0, q1, q2 = q.T
+    # a NaN or an overflow is reported by the caller's checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 2.0:
+            t = q0 + q1 + q2
+            return (q0 * q0 + q1 * q1 + q2 * q2 + t * t) * area / 180.0
+        peak = np.abs(q).max(axis=1) * 0.25
+        if not form.det > 0.0:
+            return peak
+        x, y = e[..., 0], e[..., 1]  # B(e_(k+1), e_(k+2)), the second through Q e
+        b = x.take(NEXT, axis=1) * (form.a20 * x + form.a11 * y).take(PREV, axis=1)
+        b += y.take(NEXT, axis=1) * (form.a11 * x + form.a02 * y).take(PREV, axis=1)
+        inside = (b < 0.0 if form.a20 > 0.0 else b > 0.0).all(axis=1)
+        top = q0 / area * (q1 / area) * q2 / (16.0 * form.det)
+        return np.maximum(peak, np.abs(top, out=top), out=peak, where=inside)
+
+
+def _chunk_errors(v, f, p: float, op: str, form, nodes) -> np.ndarray:
+    """``local_errors`` of one chunk of triangles, at most as many as
+    ``_chunking`` allows; `form` and `nodes` are its other two values."""
     area, diam2, e = _check_shapes(v, "local_error")
-    if form is not None:
-        res = _form_residual(e, form, _BUBBLES_INF if math.isinf(p) else _BUBBLES)
+    if nodes is None:
+        res = form(e)  # (n, 3): the residual is zero, or finite, where these are
+        errs = _form_norms(res, e, area, form, p)
+    elif form is not None:
+        res = _form_residual(e, form)
     else:
         pts = _points(nodes, v)
         fx = np.asarray(f(pts[0], pts[1]), dtype=float)
@@ -266,19 +306,18 @@ def _chunk_errors(v, f, p: float, op: str, nodes: np.ndarray, form=None) -> np.n
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
-    # NaN and inf field values propagate into the errors; at finite p the sum
-    # of powers must also stay in the normal range, or the residual is lost
-    if math.isinf(p):
+    if nodes is not None and math.isinf(p):
         errs = res.max(axis=1)
-        ok = np.isfinite(errs)
-    else:
+    elif nodes is not None:
         res = res[:, :len(_WEIGHTS)]  # the nodes of the sum
         with np.errstate(over="ignore"):  # an overflow is reported below
             w = res ** p
             w *= _WEIGHTS
             errs = w.sum(axis=1)
             errs *= area
-        ok = (errs >= _TINY) & (errs < math.inf)
+    # NaN and inf field values propagate into the errors; at finite p the sum
+    # of powers must also stay in the normal range, or the residual is lost
+    ok = np.isfinite(errs) if math.isinf(p) else (errs >= _TINY) & (errs < math.inf)
     if not ok.all():
         bad = ~ok & res.any(axis=1)  # a residual of zeros sums to zero
         if bad.any():
@@ -295,10 +334,11 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
 
     ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
     the 16-point rule on 4 congruent subtriangles; p = inf takes the maximum
-    over those nodes, a barycentric lattice of order 16 and the vertices.
-    The interpolation error of a QuadraticField is taken at the same nodes
-    from the closed form of its ``form`` on the edge vectors, without
-    evaluating the field.
+    over those nodes, a barycentric lattice of order 16 and the vertices, a
+    sampled maximum.  The interpolation error of a QuadraticField is read
+    from its ``form`` on the edge vectors, without evaluating the field: at
+    p = 2 and p = inf in closed form, the exact integral and the exact
+    maximum; at any other p as the residual at the same nodes.
     Raises ValueError on flat triangles, on non-finite field values, and
     when at finite p the sum of the p-th powers of a finite residual that is
     not all zero underflows below the normal floats or overflows.
@@ -311,11 +351,10 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
     verts = np.asarray(verts, dtype=float)
     if verts.ndim != 3 or verts.shape[1:] != (3, 2):
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
-    nodes, chunk = _chunking(p)
-    form = f.form if op == "interpolation" and isinstance(f, QuadraticField) else None
+    form, nodes, chunk = _chunking(f, p, op)
     if len(verts) <= chunk:
-        return _chunk_errors(verts, f, p, op, nodes, form)
-    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, nodes, form)
+        return _chunk_errors(verts, f, p, op, form, nodes)
+    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, form, nodes)
                            for s in range(0, len(verts), chunk)])
 
 
@@ -342,13 +381,15 @@ def lp_sum(errs, p) -> float:
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     """Child errors of each bisection to the p-th power, summed (max for p = inf).
 
-    Takes as many parents at a time as one error chunk holds triangles, so
-    the repeated parents and their children stay a bounded temporary however
-    large the batch.
+    Takes as many parents at a time as one error chunk holds triangles (a
+    closed-form chunk, all six children of each), so the repeated parents
+    and their children stay a bounded temporary however large the batch.
     """
     v = np.asarray(verts, dtype=float)
     flat = v.reshape(-1, 3, 2)
-    chunk = _chunking(p)[1]
+    nodes, chunk = _chunking(f, p, op)[1:]
+    if nodes is None:
+        chunk //= 6
     edges = np.tile(np.arange(3), chunk)
     mass = np.empty((len(flat), 3))
     for s in range(0, len(flat), chunk):
