@@ -3,7 +3,11 @@
 Two linear operators map a function to an affine polynomial on a triangle:
 vertex interpolation and L2 projection.  Both reproduce affine functions
 and commute with affine changes of variables, so the local Lp error
-scales as ``|det L|^(1/p)`` under a map with linear part L.
+scales as ``|det L|^(1/p)`` under a map with linear part L.  Each is given
+by its values at the three vertices: the field's own, or for the
+projection one constant table ``_PROJ`` applied to the field's values at
+the quadrature nodes, because in the hat-function (barycentric) basis the
+Gram matrix is ``|T| (1 + d_ab) / 12`` on every triangle.
 
 ``local_errors`` is the one implementation of the local error: it scores a
 batch of triangles, and every other error consumer (``local_error``, the
@@ -50,8 +54,10 @@ __all__ = [
 
 OPERATORS = ("interpolation", "l2-projection")
 
-# Triangles flatter than this (area relative to diam^2) make the operators
-# numerically meaningless; bisection of valid parents never produces them.
+# Triangles whose area is at most this times diam^2, three coincident vertices
+# too, are rejected: their hat functions, and so both operators, are
+# numerically meaningless, and the vertex solve is singular or nearly so.
+# Bisection of valid parents never produces them.
 FLAT_RTOL = 1e-14
 
 
@@ -116,8 +122,13 @@ _ERROR_NODES_INF = np.vstack([_BARY, _LATTICE, np.eye(3)])
 # The rows ``l1 l2, l2 l0, l0 l1`` (3, m) of the finite-p error nodes: row k
 # multiplies the form on edge k, the edge opposite vertex k.
 _BUBBLES = np.ascontiguousarray((_ERROR_NODES[:, NEXT] * _ERROR_NODES[:, PREV]).T)
+# The L2 projection in the hat basis l0, l1, l2: on every triangle its Gram
+# matrix is |T| (1 + d_ab) / 12, which the quadrature integrates exactly, and
+# its inverse is (12 I - 3) / |T|.  So _PROJ (64, 3) takes a field's values at
+# the quadrature nodes to its projection's values at the three vertices.
+_PROJ = (_BARY * _WEIGHTS[:, None]) @ (12.0 * np.eye(3) - 3.0)
 for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
-           _ERROR_NODES_INF, _BUBBLES):
+           _ERROR_NODES_INF, _BUBBLES, _PROJ):
     _a.setflags(write=False)
 # Triangles per chunk in local_errors.  On the error nodes, 64 at p = inf and
 # 210 at finite p: it bounds the (chunk, nodes) temporaries, so memory stays
@@ -150,64 +161,43 @@ def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _check_shapes(v: np.ndarray, what: str):
-    """Areas, squared diameters and edge vectors of a vertex batch (n, 3, 2);
-    rejects flat ones."""
+    """Areas and edge vectors of a vertex batch (n, 3, 2); rejects flat ones,
+    and those whose vertices coincide."""
     e = edge_vectors_of(v)
     area = areas_of(e)
     ee = e * e
     diam2 = (ee[..., 0] + ee[..., 1]).max(axis=1)
-    flat = area < FLAT_RTOL * diam2
+    flat = area <= FLAT_RTOL * diam2
     if flat.any():
         i = int(flat.argmax())
         raise ValueError(f"{what}: triangle too flat (area {area[i]}, "
                          f"diam {math.sqrt(diam2[i])})")
-    return area, diam2, e
+    return area, e
+
+
+def _affine(v: np.ndarray, vals: np.ndarray) -> AffinePoly:
+    """The affine function taking the values `vals` at the vertices `v` (3, 2)."""
+    a = np.column_stack([np.ones(3), v[:, 0], v[:, 1]])
+    return AffinePoly(*np.linalg.solve(a, vals))
 
 
 def interpolate(t: Triangle, f) -> AffinePoly:
     """The affine function matching ``f`` at the three vertices."""
-    _check_shapes(t.vertices[None], "interpolate")
     v = t.vertices
-    a = np.column_stack([np.ones(3), v[:, 0], v[:, 1]])
-    coeff = np.linalg.solve(a, np.asarray(f(v[:, 0], v[:, 1]), dtype=float))
-    return AffinePoly(*coeff)
-
-
-def _project(v: np.ndarray, h: np.ndarray, pts: np.ndarray, fx: np.ndarray,
-             w: np.ndarray) -> np.ndarray:
-    """L2 projection per triangle in the local basis {1, (x-cx)/h, (y-cy)/h}.
-
-    ``h`` (n, 1) holds the diameters; the centred, scaled basis keeps the
-    Gram matrix well conditioned on thin triangles.  Fits the values fx at
-    the first len(w) points of the planes ``pts`` (2, n, m), the quadrature
-    nodes, and returns the (n, 3) coefficients.  ``pts`` becomes the offsets
-    of the points from the centroids, in place.
-    """
-    k = len(w)
-    pts -= v.mean(axis=1).T[..., None]
-    phi = np.empty((len(v), k, 3))
-    phi[..., 0] = 1.0
-    np.divide(pts[0, :, :k], h, out=phi[..., 1])
-    np.divide(pts[1, :, :k], h, out=phi[..., 2])
-    phi_w = (phi * w[:, None]).transpose(0, 2, 1)
-    try:
-        return np.linalg.solve(phi_w @ phi, phi_w @ fx[:, :k, None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("project_l2: singular Gram matrix") from exc
+    _check_shapes(v[None], "interpolate")
+    return _affine(v, np.asarray(f(v[:, 0], v[:, 1]), dtype=float))
 
 
 def project_l2(t: Triangle, f) -> AffinePoly:
     """L2(T)-orthogonal projection of ``f`` onto affine functions.
 
-    The Gram matrix and the load integrals use the error quadrature.
+    Its vertex values are ``_PROJ`` on the field's values at the error
+    quadrature's nodes, which integrate the load exactly for f of degree 7.
     """
-    v = t.vertices[None]
-    h = np.sqrt(_check_shapes(v, "project_l2")[1])[:, None]
-    pts = _points(_BARY, v)
-    alpha = _project(v, h, pts, np.asarray(f(pts[0], pts[1]), dtype=float), _WEIGHTS)[0]
-    (cx, cy), h = t.centroid, float(h[0, 0])
-    return AffinePoly(alpha[0] - alpha[1] * cx / h - alpha[2] * cy / h,
-                      alpha[1] / h, alpha[2] / h)
+    v = t.vertices
+    _check_shapes(v[None], "project_l2")
+    x, y = (_BARY @ v).T
+    return _affine(v, np.asarray(f(x, y), dtype=float) @ _PROJ)
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:
@@ -274,7 +264,7 @@ def _form_norms(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) 
 def _chunk_errors(v, f, p: float, op: str, form, nodes) -> np.ndarray:
     """``local_errors`` of one chunk of triangles, at most as many as
     ``_chunking`` allows; `form` and `nodes` are its other two values."""
-    area, diam2, e = _check_shapes(v, "local_error")
+    area, e = _check_shapes(v, "local_error")
     if nodes is None:
         res = form(e)  # (n, 3): the residual is zero, or finite, where these are
         errs = _form_norms(res, e, area, form, p)
@@ -283,26 +273,16 @@ def _chunk_errors(v, f, p: float, op: str, form, nodes) -> np.ndarray:
     else:
         pts = _points(nodes, v)
         fx = np.asarray(f(pts[0], pts[1]), dtype=float)
+        del pts  # freed first, so the residual can take its place on the heap
+        # the vertex values: the field's at the last three nodes, the vertices,
+        # or the projection's; one product per triangle keeps the residual
+        # bit-identical to nodes @ vals, whatever the batch
         if op == "interpolation":
-            del pts  # freed first, so the residual can take its place on the heap
-            # the last three nodes are the vertices; one matrix-vector product
-            # per triangle keeps the values bit-identical to nodes @ f(vertices)
-            res = np.matmul(nodes, fx[:, -3:, None])[..., 0]
-            np.subtract(fx, res, out=res)
+            vals = fx[:, -3:]
         else:
-            # fx - (a0 + a1 d0 / h + a2 d1 / h) in the offsets' planes, in that
-            # order; a0 and a1 change sides, and IEEE + and * commute exactly on
-            # numbers (a NaN raises below)
-            h = np.sqrt(diam2)[:, None]
-            a = _project(v, h, pts, fx, _WEIGHTS)
-            res, term = pts
-            res *= a[:, 1:2]
-            res /= h
-            res += a[:, :1]
-            term *= a[:, 2:3]
-            term /= h
-            res += term
-            np.subtract(fx, res, out=res)
+            vals = np.matmul(fx[:, None, :len(_WEIGHTS)], _PROJ)[:, 0]
+        res = np.matmul(nodes, vals[..., None])[..., 0]
+        np.subtract(fx, res, out=res)
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)

@@ -36,6 +36,7 @@ def test_package_all_resolves():
     ("approx", "decision_gain_convex"),
     ("approx", "_operator_node_values"),
     ("approx", "_projection_local"),
+    ("approx", "_project"),
     ("approx", "_check_shape"),
     ("approx", "_NODE_CACHE"),
     ("approx", "_error_nodes"),

@@ -103,13 +103,12 @@ def test_measures_match_longhand_formulas(v, q):
     if len(ccw) == 0:
         return
     area, diam2 = ref_check_shapes(ccw)
-    if (area < FLAT_RTOL * diam2).any():
+    if (area <= FLAT_RTOL * diam2).any():
         with pytest.raises(ValueError, match="too flat"):
             _check_shapes(ccw, "test")
     else:
         got = _check_shapes(ccw, "test")
-        assert same_bytes(got[0], area) and same_bytes(got[1], diam2)
-        assert same_bytes(got[2], ref_edges(ccw))
+        assert same_bytes(got[0], area) and same_bytes(got[1], ref_edges(ccw))
     for w in ccw:
         t = Triangle(w)
         assert same_bytes(t.area, ref_area(w))

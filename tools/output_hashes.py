@@ -37,6 +37,8 @@ COMMANDS = [
                           "--decision lp-split --target-n 512 --p 1"),
     ("gauss-ridge-l2-p2", "run --field gauss-ridge --operator l2-projection "
                           "--decision lp-split --target-n 512 --p 2"),
+    ("gauss-ridge-l2-pinf", "run --field gauss-ridge --operator l2-projection "
+                            "--decision lp-split --target-n 512 --p inf"),
     ("converge-expbump", "converge --field expbump --initial unit-square "
                          "--checkpoints 256,1024,4096"),
     ("converge-expbump-off", "converge --field expbump --initial unit-square "
