@@ -47,6 +47,7 @@ __all__ = [
     "local_errors",
     "local_error",
     "lp_sum",
+    "lp_root",
     "decision_l1",
     "decision_gains_convex",
     "decision_lp_split",
@@ -351,11 +352,28 @@ def local_error(t, f, p, op: str = "interpolation"):
 
 
 def lp_sum(errs, p) -> float:
-    """Global Lp error from local errors: their l^p norm, the max for p = inf."""
+    """Global Lp error from local errors: their l^p norm, the max for p = inf.
+    At finite p the sum of numpy's ``errs ** p`` is exact and rounded once
+    (``math.fsum``), so its bits do not depend on the order of the errors."""
     errs = np.asarray(errs, dtype=float)
     if math.isinf(p):
         return float(errs.max())
-    return float((errs ** p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):  # lp_root reports an overflow
+        powers = (errs ** p).tolist()
+    try:
+        total = math.fsum(powers)
+    except OverflowError:  # a partial sum past the float range
+        total = math.inf
+    return lp_root(total, p)
+
+
+def lp_root(total, p) -> float:
+    """``total ** (1 / p)`` for ``total`` the rounded sum of local errors'
+    p-th powers; ValueError, naming p, when it is past the float range."""
+    if total == math.inf:
+        raise ValueError(f"global error overflows at p = {p:g}: the sum of the local "
+                         f"errors to the p-th power exceeds the float range")
+    return total ** (1.0 / p)
 
 
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:

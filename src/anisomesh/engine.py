@@ -15,14 +15,14 @@ round-trip bit-exactly.
 """
 from __future__ import annotations
 
-# unused: bound so that perfbench's tracer, which rebinds ``engine.heapq``
-# to count heap operations, still installs; the greedy loop keeps no heap
+# unused: bound so that perfbench's tracer, which rebinds ``engine.heapq`` to
+# count heap operations, installs; the trace's heaps call the names below
 import heapq
 import math
 import numbers
 from array import array
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -240,7 +240,9 @@ def select_edge(verts, f, config: GreedyConfig):
     An int for one triangle (3, 2), an index array for a batch (n, 3, 2):
     the argmax of the exact error-reduction formula for the L1-interpolation
     decision on convexity-tagged fields, otherwise the argmin of the
-    child-quadrature decision values.  Ties pick the lowest index.
+    child-quadrature decision values.  Exact ties pick the lowest index; a
+    near-tie is decided by rounding, as between the mirror edges of an
+    input symmetric about x = y.
     """
     if config.decision == "lp-split":
         edges = np.argmin(approx.decision_lp_split(verts, f, config.p, config.operator),
@@ -255,10 +257,10 @@ def select_edge(verts, f, config: GreedyConfig):
 class _LeafValues:
     """What the trace records of a finished run reduce, one row per value:
     each node's error to the p-th power (its error at p = inf), its squared
-    diameter and, for a field with a positive-definite form, its sigma.
-    The records up to ``_EVERY_STEP`` leaves share ``held``, the current
-    leaves' columns in id order; ``made`` holds the rows of the nodes their
-    steps make, so no column of the whole forest is copied."""
+    diameter and, for a field with a positive-definite form, its sigma.  A
+    record sums the rows ``summed`` and takes the maxima of the rows
+    ``maxed``; ``ints`` and ``tops`` hold them for the nodes that the records
+    up to ``_EVERY_STEP`` leaves read, so these read each node once."""
 
     def __init__(self, forest, f, p):
         self.forest, self.p = forest, p
@@ -273,13 +275,16 @@ class _LeafValues:
             if sigma is not None:
                 sigma[i:i + _MAX_BATCH] = sigma_batch(form, rows)
         self.measures = (diam2,) if sigma is None else (diam2, sigma)
-        width = max(forest.n_roots, min(_EVERY_STEP, forest.n_leaves))
-        n = 2 * width - forest.n_roots  # rows of the mesh with ``width`` leaves
-        self.made = self.gather(np.ones(n, bool))
-        self.parents = forest.nodes["parent"][forest.n_roots:n:2].tolist()  # of steps 1, 2, ...
-        self.held = np.empty((len(self.made), width))
-        self.step = -1  # the step whose leaves ``held`` holds
-        self.split = []  # the leaves split by that step, ascending
+        # summed: the powers, sigma; maxed: the p = inf error, diam^2, sigma
+        self.summed = [0, 2][math.isinf(p):len(self.measures)]
+        self.maxed = [*range(math.isfinite(p), len(self.measures) + 1)]
+        n = 2 * max(forest.n_roots, min(_EVERY_STEP, forest.n_leaves)) - forest.n_roots
+        rows = self.gather(np.ones(n, bool))
+        self.ints = [_ints(rows[i]) for i in self.summed]
+        self.tops = [array("d", rows[i].tobytes()) for i in self.maxed]
+        self.child = array("Q", forest.nodes["child"][:n].view(np.uint64).tobytes())
+        self.parent = array("q", forest.nodes["parent"][:n].tobytes())
+        self.step = -1  # the step whose leaves the sums and heaps hold
 
     def gather(self, leaf) -> np.ndarray:
         """The rows of the nodes that the mask ``leaf`` over the first rows
@@ -290,48 +295,63 @@ class _LeafValues:
         # a temporary
         values[0] = self.forest.nodes["error"][:len(leaf)][leaf]
         if not math.isinf(self.p):
-            values[0] **= self.p
+            with np.errstate(over="ignore"):  # lp_root reports an overflow
+                values[0] **= self.p
         for row, column in zip(values[1:], self.measures):
             np.compress(leaf, column, out=row)
         return values
 
 
+def _ints(row: np.ndarray) -> tuple[list, int]:
+    """Ints ``k`` and a unit ``u < 0`` with ``row == k * 2 ** u`` exactly; a
+    power past the float range counts as ``2 ** 1024``."""
+    big = np.isinf(row)
+    m, e = np.frexp(np.where(big, 0.5, row))
+    e[big] = 1025
+    low = min(int(e.min()), 52)
+    return [k << s for k, s in zip(np.ldexp(m, 53).astype(np.int64).tolist(),
+                                   (e - low).tolist())], low - 53
+
+
 def _trace_record(values: _LeafValues, step) -> TraceRecord:
     """The record of the mesh after ``step`` bisections, whose leaves are
-    the first ``n = n_roots + 2 step`` rows not split among them.  The
-    record after the one in ``values.held`` updates it: the split leaf's
-    column goes, and its children, the largest ids, join at the end.  Any
-    other record gathers its leaves."""
-    forest = values.forest
+    the first ``n = n_roots + 2 step`` rows not split among them; its sums
+    are exact and rounded once, whatever the leaves' order.  Up to
+    ``_EVERY_STEP`` leaves, the record of step 0 or of the step after the
+    one before keeps int sums and lazy max-heaps, which a step's two
+    children join and their parent leaves.  Any other record gathers its
+    leaves."""
+    forest, p = values.forest, values.p
     n, m = forest.n_roots + 2 * step, forest.n_roots + step
-    if n <= values.made.shape[1] and step in (0, values.step + 1):
-        held = values.held
+    early = n <= len(values.child) and step in (0, values.step + 1)
+    if early:
+        a, b, c = n - 2, n - 1, values.parent[n - 1]
         if step:
-            parent = values.parents[step - 1]
-            j = parent - bisect_left(values.split, parent)  # its column: the leaves below it
-            insort(values.split, parent)
-            held[:, j:m - 2] = held[:, j + 1:m - 1]
-            held[:, m - 2:m] = values.made[:, n - 2:n]
-        else:
-            values.split.clear()
-            held[:, :m] = values.made[:, :m]
+            values.sums = [s + k[a] + k[b] - k[c] for s, (k, _) in zip(values.sums, values.ints)]
+            for heap, top in zip(values.heaps, values.tops):
+                heappush(heap, (-top[a], a))
+                heappush(heap, (-top[b], b))
+        else:  # the roots; a sorted list is a heap
+            values.sums = [sum(k[:m]) for k, _ in values.ints]
+            values.heaps = [sorted((-v, i) for i, v in enumerate(top[:m])) for top in values.tops]
         values.step = step
-        leaf = held[:, :m]
+        for heap in values.heaps:
+            while values.child[heap[0][1]] < n:  # split by this step or before
+                heappop(heap)
+        tops = [-heap[0][0] for heap in values.heaps]
     else:
         # a leaf's child is -1, the largest unsigned value, or made after the
         # step; the unsigned view of the column compares without a copy
         leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
-    # the reductions of lp_sum, .mean() and .max() over a re-measure of the
-    # leaves, the same bytes: a sum over a 1-D row in id order; a maximum is
-    # the same in any order, so one call takes them all
-    top = np.maximum.reduce(leaf, axis=1)
-    p = values.p
-    error = top[0] if math.isinf(p) else np.add.reduce(leaf[0]) ** (1.0 / p)
-    if len(leaf) > 2:
-        smean, smax = float(np.add.reduce(leaf[2]) / m), float(top[2])
-    else:
-        smean = smax = math.nan
-    return TraceRecord(step, m, float(error), float(np.sqrt(top[1])), smean, smax)
+        tops = np.maximum.reduce(leaf, axis=1)[values.maxed].tolist()
+    try:  # int / int rounds correctly, as fsum does, which reads a row without a list
+        sums = ([s / (1 << -u) for s, (_, u) in zip(values.sums, values.ints)] if early else
+                [math.fsum(leaf[i]) for i in values.summed])
+    except OverflowError:  # only a sum of powers passes the float range
+        sums = [math.inf]
+    error = tops.pop(0) if math.isinf(p) else approx.lp_root(sums.pop(0), p)
+    smean, smax = (sums[0] / m, tops[1]) if sums else (math.nan, math.nan)
+    return TraceRecord(step, m, error, math.sqrt(tops[0]), smean, smax)
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -353,11 +373,11 @@ def greedy_run(f, config: GreedyConfig):
 
     Returns ``(forest, trace)``.  Trace records are emitted at step 0,
     every step while the mesh has at most 1024 leaves, at powers of two
-    beyond that, and at the final step; the record of any other step is
-    read from the returned forest by ``_trace_record``, as the rate study
-    reads its checkpoints.  Raises RunawayRefinementError at the node cap,
-    and before refining when a target-count or generation-levels run
-    cannot fit under it.
+    beyond that, and at the final step.  The loop keeps no trace state:
+    ``_trace_record`` reads every record from the finished forest, as the
+    rate study reads its checkpoints.  Raises RunawayRefinementError at
+    the node cap, and before refining when a target-count or
+    generation-levels run cannot fit under it.
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's record array (``np.partition``, then ``lexsort`` by error and
@@ -368,12 +388,6 @@ def greedy_run(f, config: GreedyConfig):
     or a sixteenth of the leaves, whichever is more, and falls to the
     number kept.  Forest, trace and errors are those of the one-leaf loop,
     bit for bit.
-
-    The loop keeps no trace state: rows are made in step order and never
-    change, so the records are read from the finished forest, after every
-    node is measured once.  Consecutive records differ by one bisection:
-    up to 1024 leaves, each record updates one small buffer of leaf
-    columns in id order, and the others gather their leaves.
     """
     forest = RefinementForest(initial_mesh(config.initial))
     stop = config.stop

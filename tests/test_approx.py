@@ -735,6 +735,28 @@ class TestQuadraticExact:
             local_error_quadratic_exact(REF, QuadraticField("saddle", 1, 0, -1))
 
 
+class TestLpSum:
+    def test_an_overflowing_sum_names_p(self):
+        # the sum of finite powers overflows, or one power alone does; the
+        # maximum at p = inf does not
+        with pytest.raises(ValueError, match=r"global error overflows at p = 1:"):
+            approx.lp_sum([1.5e308, 1.5e308], 1)
+        with pytest.raises(ValueError, match=r"global error overflows at p = 2:"):
+            approx.lp_sum([1e200, 1.0], 2.0)
+        assert approx.lp_sum([1.5e308, 1.5e308], math.inf) == 1.5e308
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 2.0, 3.5]))
+    def test_bits_do_not_depend_on_the_order(self, seed, p):
+        # the exact sum of numpy's powers, rounded once, whatever the order
+        rng = np.random.default_rng(seed)
+        errs = rng.random(3000) * 10.0 ** rng.integers(-6, 3, 3000)
+        want = float(sum(map(Fraction, (errs ** p).tolist()))) ** (1 / p)
+        assert approx.lp_sum(errs, p) == want
+        for _ in range(3):
+            assert approx.lp_sum(rng.permutation(errs), p) == want
+
+
 class TestDecisions:
     def test_gain_reference_values(self):
         assert decision_gains_convex(REF.vertices, DISK)[0] == pytest.approx(1 / 12, rel=1e-13)

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -406,7 +407,7 @@ def reference_trace_record(forest, p, form, step):
     verts = leaves["verts"]
     if form is not None:
         s = sigma_batch(form, verts)
-        smean, smax = float(s.mean()), float(s.max())
+        smean, smax = math.fsum(s) / len(s), float(s.max())
     else:
         smean = smax = math.nan
     e = edge_vectors_of(verts)
@@ -519,7 +520,7 @@ class TestTraceRecords:
             leaves = np.flatnonzero((child < 0) | (child >= n))
             if sigma is not None:
                 s = sigma[leaves]
-                smean, smax = float(s.mean()), float(s.max())
+                smean, smax = math.fsum(s) / len(s), float(s.max())
             else:
                 smean = smax = math.nan
             want = engine.TraceRecord(rec.step, len(leaves),
@@ -548,8 +549,11 @@ class TestTraceRecords:
                 tracemalloc.stop()
 
         values = engine._LeafValues(forest, f, 2.0)
-        assert values.made.shape == (3, 2 * 1024 - forest.n_roots)
-        assert values.held.shape == (3, 1024)
+        # the sums of the powers and of sigma; the maxima of diam^2 and sigma
+        assert (values.summed, values.maxed) == ([0, 2], [1, 2])
+        early = 2 * 1024 - forest.n_roots
+        rows = [*(ints for ints, _ in values.ints), *values.tops, values.child, values.parent]
+        assert [len(row) for row in rows] == [early] * 6
         engine._trace_record(values, 8)  # no record before it: gathered
         assert peak(lambda: engine._trace_record(values, 8)) < column // 4
         assert peak(lambda: [engine._trace_record(values, s) for s in range(9)]) < column // 4
@@ -580,14 +584,54 @@ class TestTraceRecords:
         ("aniso-100", count_config(4096, p=math.inf, decision="lp-split")),  # a definite form
     ], ids=["expbump-p2", "aniso-100-pinf"])
     def test_records_across_the_seam_match_full_remeasure(self, label, config):
-        # the records up to 1024 leaves update one buffer of leaf columns, the
-        # later ones gather their leaves; a fresh read of the finished forest
-        # gathers the record of any step, 1025 leaves (one step past the
-        # buffer's last record) included
+        # the records up to 1024 leaves update the sums and heaps of the one
+        # before, the later ones gather their leaves; a fresh read of the
+        # finished forest gathers the record of any step, 1025 leaves (one
+        # step past the last updated record) included
         f = get_field(label)
         forest, trace = checked_greedy_run(f, config)
         assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == [1024, 2048, 4096]
         assert_records_reread(forest, f, config.p, [2, 1024, 1025, 1026, 1500, 3001])
+
+    @pytest.mark.parametrize("label", ["disk", "mixed-saddle"])  # definite, indefinite
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_records_equal_the_rational_sums(self, label, p):
+        # a record's error is the exact sum of numpy's powers of its leaves'
+        # errors, rounded once, to the power 1/p, and its sigma_mean the exact
+        # sum of sigma, rounded once, over the leaf count: the updated records
+        # of the trace and the gathered ones of a fresh read alike
+        f = get_field(label)
+        form = definite_form(f)
+        forest, trace = greedy_run(f, count_config(1100, p=p, initial="unit-square"))
+        values = engine._LeafValues(forest, f, p)
+        for rec in trace[:150:7] + [engine._trace_record(values, n - forest.n_roots)
+                                    for n in (40, 1100)]:
+            n = forest.n_roots + 2 * rec.step
+            child = forest.nodes["child"][:n]
+            leaves = np.flatnonzero((child < 0) | (child >= n))
+            powers = forest.nodes["error"][leaves] ** p
+            assert rec.global_error == float(sum(map(Fraction, powers.tolist()))) ** (1 / p)
+            if form is None:
+                assert math.isnan(rec.sigma_mean)
+                continue
+            s = sigma_batch(form, forest.nodes["verts"][leaves]).tolist()
+            assert rec.sigma_mean == float(sum(map(Fraction, s))) / len(s)
+
+    @pytest.mark.parametrize("p, error", [(1.0, 1.5e308), (2.0, 1e200)])
+    def test_an_overflowing_record_names_p(self, p, error):
+        # two roots, one of them bisected, whose errors' p-th powers sum past
+        # the float range (at p = 2 each power alone overflows): the record of
+        # step 0 updates the sums, that of step 1 gathers its leaves, and both
+        # raise ValueError naming p, which the CLI reports with exit code 1
+        forest = RefinementForest(initial_mesh("unit-square"))
+        forest.bisect_node(np.array([0]), np.array([0]))
+        forest.nodes["error"] = error
+        for step in (0, 1):
+            values = engine._LeafValues(forest, get_field("expbump"), p)
+            with pytest.raises(ValueError, match=f"global error overflows at p = {p:g}:"):
+                engine._trace_record(values, step)
+        values = engine._LeafValues(forest, get_field("expbump"), math.inf)
+        assert engine._trace_record(values, 1).global_error == error
 
     def test_each_node_measured_once(self, monkeypatch):
         rows = collections.Counter()

@@ -32,6 +32,8 @@ COMMANDS = [
     ("aniso-10-4096", "run --field aniso-10 --levels 12"),
     ("aniso-10-4096-sigma", "render aniso-10-4096.mesh --color-by sigma --field aniso-10"),
     ("disk-eta", "run --field disk --eta 1e-4"),
+    # the one finite p besides 1 and 2, where numpy's power and libm's differ
+    ("disk-p3.5", "run --field disk --p 3.5 --target-n 512"),
     ("aniso-10-levels", "run --field aniso-10 --initial unit-square --levels 6"),
     ("gauss-ridge-l2-p1", "run --field gauss-ridge --operator l2-projection "
                           "--decision lp-split --target-n 512 --p 1"),
