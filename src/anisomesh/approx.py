@@ -9,9 +9,10 @@ projection one constant table ``_PROJ`` applied to the field's values at
 the quadrature nodes, because in the hat-function (barycentric) basis the
 Gram matrix is ``|T| (1 + d_ab) / 12`` on every triangle.
 
-``local_errors`` is the one implementation of the local error: it scores a
-batch of triangles, and every other error consumer (``local_error``, the
-quadrature decisions, global errors, error colouring) calls it.  For a
+``_masses`` is the one implementation of the local error: it scores a batch
+of triangles by their error masses ``int_T |f - A_T f|^p``, which the
+quadrature decisions add, and ``local_errors`` roots them for every other
+error consumer (``local_error``, global errors, error colouring).  For a
 QuadraticField it takes the interpolation error from the form on the edge
 vectors, without evaluating the field: exactly, in closed form, at p = 2
 and p = inf (where any other field's maximum is a sampled one), and by the
@@ -131,7 +132,7 @@ _PROJ = (_BARY * _WEIGHTS[:, None]) @ (12.0 * np.eye(3) - 3.0)
 for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
            _ERROR_NODES_INF, _BUBBLES, _PROJ):
     _a.setflags(write=False)
-# Triangles per chunk in local_errors.  On the error nodes, 64 at p = inf and
+# Triangles per chunk in _masses.  On the error nodes, 64 at p = inf and
 # 210 at finite p: it bounds the (chunk, nodes) temporaries, so memory stays
 # flat however many triangles are scored, and gives every numpy call as much
 # work.  The closed forms hold a few floats per triangle and take 1536, the
@@ -142,7 +143,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _chunking(f, p: float, op: str):
-    """How local_errors scores `f` at `p` under `op`: the QuadForm of a
+    """How _masses scores `f` at `p` under `op`: the QuadForm of a
     quadratic field whose interpolation error is read from its form (else
     None), the error nodes (None for the closed forms at p = 2 and p = inf)
     and the triangles per chunk."""
@@ -201,14 +202,6 @@ def project_l2(t: Triangle, f) -> AffinePoly:
     return _affine(v, np.asarray(f(x, y), dtype=float) @ _PROJ)
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """``x ** e`` taken per scalar, by libm's pow: numpy's array power can
-    differ from it in the last bit.  At e = 1 it is x, which ``x ** 1.0`` is."""
-    if e == 1.0:
-        return x
-    return np.array([s ** e for s in x.tolist()])
-
-
 def _form_residual(e: np.ndarray, form) -> np.ndarray:
     """``I_T f - f`` at the finite-p error nodes of each triangle, given its
     edge vectors `e` (n, 3, 2), for a quadratic f with QuadForm `form`.
@@ -230,7 +223,7 @@ def _form_residual(e: np.ndarray, form) -> np.ndarray:
     return res
 
 
-def _form_norms(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) -> np.ndarray:
+def _form_masses(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) -> np.ndarray:
     """The interpolation error of a quadratic field with QuadForm `form` in
     closed form, from the form `q` (n, 3) on the edge vectors `e` (n, 3, 2):
     the integral of its square at p = 2, its maximum at p = inf.
@@ -262,13 +255,13 @@ def _form_norms(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) 
         return np.maximum(peak, np.abs(top, out=top), out=peak, where=inside)
 
 
-def _chunk_errors(v, f, p: float, op: str, form, nodes) -> np.ndarray:
-    """``local_errors`` of one chunk of triangles, at most as many as
+def _chunk_masses(v, f, p: float, op: str, form, nodes) -> np.ndarray:
+    """``_masses`` of one chunk of triangles, at most as many as
     ``_chunking`` allows; `form` and `nodes` are its other two values."""
     area, e = _check_shapes(v, "local_error")
     if nodes is None:
         res = form(e)  # (n, 3): the residual is zero, or finite, where these are
-        errs = _form_norms(res, e, area, form, p)
+        mass = _form_masses(res, e, area, form, p)
     elif form is not None:
         res = _form_residual(e, form)
     else:
@@ -288,41 +281,43 @@ def _chunk_errors(v, f, p: float, op: str, form, nodes) -> np.ndarray:
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
     if nodes is not None and math.isinf(p):
-        errs = res.max(axis=1)
+        mass = res.max(axis=1)
     elif nodes is not None:
         res = res[:, :len(_WEIGHTS)]  # the nodes of the sum
         with np.errstate(over="ignore"):  # an overflow is reported below
             w = res ** p
             w *= _WEIGHTS
-            errs = w.sum(axis=1)
-            errs *= area
-    # NaN and inf field values propagate into the errors; at finite p the sum
+            mass = w.sum(axis=1)
+            mass *= area
+    # NaN and inf field values propagate into the masses; at finite p the sum
     # of powers must also stay in the normal range, or the residual is lost
-    ok = np.isfinite(errs) if math.isinf(p) else (errs >= _TINY) & (errs < math.inf)
+    ok = np.isfinite(mass) if math.isinf(p) else (mass >= _TINY) & (mass < math.inf)
     if not ok.all():
         bad = ~ok & res.any(axis=1)  # a residual of zeros sums to zero
         if bad.any():
             i = int(bad.argmax())
             what = ("is not finite" if not np.isfinite(res[i]).all() else
-                    f"{'underflows' if errs[i] < _TINY else 'overflows'} at p = {p:g}")
+                    f"{'underflows' if mass[i] < _TINY else 'overflows'} at p = {p:g}")
             raise ValueError(f"local error of field {getattr(f, 'label', f)!r} {what} "
                              f"on triangle {v[i].tolist()}")
-    return errs if math.isinf(p) else _pow(errs, 1.0 / p)
+    return mass
 
 
-def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
-    """Local Lp errors ``||f - A_T f||_{Lp(T)}`` of a batch of triangles.
+def _masses(verts, f, p, op: str) -> np.ndarray:
+    """The error masses ``int_T |f - A_T f|^p`` of a batch of triangles, the
+    p-th powers of their local Lp errors; at p = inf the errors themselves.
 
-    ``verts`` has shape (n, 3, 2); returns the n errors.  Finite p uses
-    the 16-point rule on 4 congruent subtriangles; p = inf takes the maximum
-    over those nodes, a barycentric lattice of order 16 and the vertices, a
-    sampled maximum.  The interpolation error of a QuadraticField is read
-    from its ``form`` on the edge vectors, without evaluating the field: at
-    p = 2 and p = inf in closed form, the exact integral and the exact
-    maximum; at any other p as the residual at the same nodes.
-    Raises ValueError on flat triangles, on non-finite field values, and
-    when at finite p the sum of the p-th powers of a finite residual that is
-    not all zero underflows below the normal floats or overflows.
+    ``verts`` has shape (n, 3, 2); returns the n masses.  Finite p sums
+    ``w |r|^p |T|`` over the 16-point rule on 4 congruent subtriangles, with
+    r the residual; p = inf takes the maximum of ``|r|`` over those nodes, a
+    barycentric lattice of order 16 and the vertices, a sampled maximum.
+    The interpolation error of a QuadraticField is read from its ``form``
+    on the edge vectors, without evaluating the field: at p = 2 and p = inf
+    in closed form, the exact integral and the exact maximum; at any other
+    p as the residual at the same nodes.  Raises ValueError on flat
+    triangles, on non-finite field values, and when at finite p the mass
+    of a finite residual that is not all zero underflows below the normal
+    floats or overflows.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
@@ -334,9 +329,17 @@ def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
         raise ValueError(f"expected vertices of shape (n, 3, 2), got {verts.shape}")
     form, nodes, chunk = _chunking(f, p, op)
     if len(verts) <= chunk:
-        return _chunk_errors(verts, f, p, op, form, nodes)
-    return np.concatenate([_chunk_errors(verts[s:s + chunk], f, p, op, form, nodes)
+        return _chunk_masses(verts, f, p, op, form, nodes)
+    return np.concatenate([_chunk_masses(verts[s:s + chunk], f, p, op, form, nodes)
                            for s in range(0, len(verts), chunk)])
+
+
+def local_errors(verts, f, p, op: str = "interpolation") -> np.ndarray:
+    """Local Lp errors ``||f - A_T f||_{Lp(T)}`` of a batch of triangles
+    (n, 3, 2): the ``_masses`` at p = inf, else their root by numpy's array
+    power, which is ``np.sqrt`` at p = 2 and the masses at p = 1."""
+    mass = _masses(verts, f, p, op)
+    return mass if math.isinf(float(p)) else mass ** (1.0 / float(p))
 
 
 def local_error(t, f, p, op: str = "interpolation"):
@@ -354,7 +357,8 @@ def local_error(t, f, p, op: str = "interpolation"):
 def lp_sum(errs, p) -> float:
     """Global Lp error from local errors: their l^p norm, the max for p = inf.
     At finite p the sum of numpy's ``errs ** p`` is exact and rounded once
-    (``math.fsum``), so its bits do not depend on the order of the errors."""
+    (``math.fsum``), so its bits do not depend on the order of the errors;
+    ``lp_root`` takes its root."""
     errs = np.asarray(errs, dtype=float)
     if math.isinf(p):
         return float(errs.max())
@@ -369,15 +373,18 @@ def lp_sum(errs, p) -> float:
 
 def lp_root(total, p) -> float:
     """``total ** (1 / p)`` for ``total`` the rounded sum of local errors'
-    p-th powers; ValueError, naming p, when it is past the float range."""
+    p-th powers, by numpy's power as ``local_errors`` roots its masses:
+    ``sqrt`` at p = 2.  ValueError, naming p, when it is past the float range."""
     if total == math.inf:
         raise ValueError(f"global error overflows at p = {p:g}: the sum of the local "
                          f"errors to the p-th power exceeds the float range")
-    return total ** (1.0 / p)
+    return float(np.array(total) ** (1.0 / p))
 
 
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
-    """Child errors of each bisection to the p-th power, summed (max for p = inf).
+    """The children's error masses of each bisection added, their maximum at
+    p = inf: the p-th power of the two children's Lp error, taken without a
+    root or a power.
 
     Takes as many parents at a time as one error chunk holds triangles (a
     closed-form chunk, all six children of each), so the repeated parents
@@ -393,17 +400,8 @@ def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     for s in range(0, len(flat), chunk):
         parents = np.repeat(flat[s:s + chunk], 3, axis=0)
         children = np.stack(bisect(parents, edges[:len(parents)]), axis=1)
-        errs = local_errors(children.reshape(-1, 3, 2), f, p, op)
-        if math.isinf(p):
-            mass[s:s + chunk] = errs.reshape(-1, 3, 2).max(axis=2)
-            continue
-        try:
-            errs = _pow(errs, p)
-        except OverflowError:  # the largest power, of a child of parent k // 6
-            k = int(errs.argmax())
-            raise ValueError(f"the child errors of triangle {flat[s + k // 6].tolist()} "
-                             f"overflow at p = {p:g}") from None
-        mass[s:s + chunk] = errs.reshape(-1, 3, 2).sum(axis=2)
+        m = _masses(children.reshape(-1, 3, 2), f, p, op).reshape(-1, 3, 2)
+        mass[s:s + chunk] = m.max(axis=2) if math.isinf(p) else m.sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 
 
@@ -432,7 +430,8 @@ def decision_gains_convex(verts, f) -> np.ndarray:
 
 
 def decision_lp_split(verts, f, p, op: str = "interpolation") -> np.ndarray:
-    """Error mass after bisection: sum of child errors to the p-th power.
+    """Error mass after bisection: the two children's masses
+    ``int |f - A f|^p`` added, the p-th power of their joint Lp error.
 
     For p = inf, the maximum of the two child errors.
     """

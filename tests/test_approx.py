@@ -25,8 +25,8 @@ from anisomesh.approx import (
     project_l2,
 )
 from anisomesh.fields import QuadraticField, ScalarField, builtin_catalog, get_field
-from anisomesh.geometry import (Triangle, areas_of, bisect, q_longest_edge_index,
-                                reference_triangle)
+from anisomesh.geometry import (Triangle, areas_of, bisect, edge_vectors_of,
+                                q_longest_edge_index, reference_triangle)
 
 from test_geometry import random_pd_form, random_triangle
 
@@ -284,14 +284,15 @@ def reference_local_error(t, f, p, op, subdiv=1):
     res = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float) - nodes
     if math.isinf(p):
         return float(np.abs(res).max())
-    return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+    return float(np.array(t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
 
 
 def closed_form_local_error(t, f, p):
     """Per-triangle interpolation error of a quadratic field at a finite p
     other than 2 from its form on the edge vectors: ``I_T f - f = l1 l2 q(e0)
     + l2 l0 q(e1) + l0 l1 q(e2)`` at the error nodes, ``e_k`` the edge
-    opposite vertex k.  The vertex nodes, where it vanishes, are left out."""
+    opposite vertex k.  The vertex nodes, where it vanishes, are left out.
+    The root is numpy's array power, as the kernel's."""
     bary, w = error_nodes(p)
     q, v = f.form, t.vertices
     res = np.zeros(len(bary))
@@ -300,7 +301,7 @@ def closed_form_local_error(t, f, p):
         x, y = v[j] - v[i]
         qe = q.a20 * x * x + 2.0 * q.a11 * x * y + q.a02 * y * y
         res = res + qe * (bary[:, i] * bary[:, j])
-    return float((t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
+    return float(np.array(t.area * (w * np.abs(res[: len(w)]) ** p).sum()) ** (1.0 / p))
 
 
 def _exact_residual(v, f):
@@ -403,7 +404,7 @@ def strided_local_errors(verts, f, p, op):
             errs += res.max(axis=1).tolist()
         else:
             sums = (res[:, :k] ** p * _WEIGHTS).sum(axis=1) * area
-            errs += [s ** (1.0 / p) for s in sums.tolist()]
+            errs += (sums ** (1.0 / p)).tolist()
     return np.array(errs)
 
 
@@ -564,15 +565,14 @@ class TestLocalErrorsKernel:
         zero = QuadraticField("zero", 0.0, 0.0, 0.0)
         assert local_errors(np.array([REF.vertices]), zero, p, op).tolist() == [0.0]
 
-    def test_child_powers_beyond_the_float_range_rejected(self, monkeypatch):
-        # a decision raises ValueError, not OverflowError, when the p-th power of
-        # a child error leaves the float range; here those of the second parent
-        # (children 6 to 11)
-        monkeypatch.setattr(approx, "local_errors",
-                            lambda v, f, p, op: np.where(np.arange(len(v)) < 6, 1.0, 1e200))
+    @pytest.mark.filterwarnings("error")
+    def test_child_mass_beyond_the_float_range_rejected(self):
+        # a decision adds its children's masses, whose range the kernel checks:
+        # the first child of edge 0 overflows, and no warning escapes
         with pytest.raises(ValueError, match=re.escape(
-                f"child errors of triangle {(REF.vertices + 1.0).tolist()} overflow at p = 2")):
-            decision_lp_split(np.array([REF.vertices, REF.vertices + 1.0]), DISK, 2.0)
+                "local error of field 'disk' overflows at p = 2000 on triangle "
+                "[[1.0, 1.0], [11.0, 1.0], [6.0, 6.0]]")):
+            decision_lp_split(REF.vertices * 10.0 + 1.0, DISK, 2000.0)
 
     def test_flat_triangle_rejected(self):
         # a sliver, and three coincident vertices (zero area and diameter):
@@ -751,10 +751,46 @@ class TestLpSum:
         # the exact sum of numpy's powers, rounded once, whatever the order
         rng = np.random.default_rng(seed)
         errs = rng.random(3000) * 10.0 ** rng.integers(-6, 3, 3000)
-        want = float(sum(map(Fraction, (errs ** p).tolist()))) ** (1 / p)
+        want = approx.lp_root(float(sum(map(Fraction, (errs ** p).tolist()))), p)
         assert approx.lp_sum(errs, p) == want
         for _ in range(3):
             assert approx.lp_sum(rng.permutation(errs), p) == want
+
+    def test_p2_root_is_sqrt(self):
+        # numpy's power at 1/2 is the correctly rounded sqrt; libm's pow is not
+        values = np.random.default_rng(0).random(10 ** 5).tolist()
+        assert [approx.lp_root(x, 2.0) for x in values] == list(map(math.sqrt, values))
+
+
+def closed_form_mass(verts, f):
+    """The exact mass ``int_T (f - I_T f)^2`` of a quadratic field on each
+    triangle of `verts` (n, 3, 2): ``(sum q^2 + (sum q)^2) |T| / 180`` of the
+    form q on the edge vectors."""
+    e = edge_vectors_of(verts)
+    q0, q1, q2 = f.form(e).T
+    t = q0 + q1 + q2
+    return (q0 * q0 + q1 * q1 + q2 * q2 + t * t) * areas_of(e) / 180.0
+
+
+class TestMasses:
+    """At p = 2 a quadratic field's errors are the square roots of its exact
+    masses, and a decision adds the children's masses with no root taken."""
+
+    @pytest.fixture(scope="class")
+    def verts(self):
+        rng = np.random.default_rng(10)
+        return np.array([random_triangle(rng).vertices for _ in range(3000)])
+
+    def test_errors_are_the_sqrt_of_the_masses(self, verts):
+        f = get_field("aniso-10")
+        want = np.sqrt(closed_form_mass(verts, f))
+        assert local_errors(verts, f, 2.0).tobytes() == want.tobytes()
+
+    def test_lp_split_adds_the_childrens_masses(self, verts):
+        f = get_field("aniso-10")
+        want = np.stack([sum(closed_form_mass(c, f) for c in bisect(verts, np.full(len(verts), k)))
+                         for k in range(3)], axis=1)
+        assert decision_lp_split(verts, f, 2.0).tobytes() == want.tobytes()
 
 
 class TestDecisions:
@@ -822,8 +858,8 @@ class TestDecisions:
 
 def reference_split(t, f, p, e, op="interpolation"):
     """One edge's decision value from its two children, one bisection at a time."""
-    e1, e2 = local_errors(np.stack(bisect(t.vertices, e)), f, p, op).tolist()
-    return max(e1, e2) if math.isinf(p) else e1 ** p + e2 ** p
+    m1, m2 = approx._masses(np.stack(bisect(t.vertices, e)), f, p, op).tolist()
+    return max(m1, m2) if math.isinf(p) else m1 + m2
 
 
 class TestBatchedDecisions:
@@ -870,7 +906,7 @@ class TestBatchedDecisions:
         rng = np.random.default_rng(14)
         f = get_field("mixed-saddle")
         verts = np.array([random_triangle(rng).vertices for _ in range(5000)])
-        rows = {"bisect": [], "local_errors": []}
+        rows = {"bisect": [], "_masses": []}
         for name in rows:
             real = getattr(approx, name)
             monkeypatch.setattr(approx, name, lambda v, *args, real=real, seen=rows[name]:
@@ -881,8 +917,8 @@ class TestBatchedDecisions:
         chunk = chunk_of(p, f) // (6 if math.isinf(p) else 1)
         assert 5000 > 2 * chunk  # the batch straddles at least two chunk boundaries
         assert sum(rows["bisect"]) == 3 * 5000 and max(rows["bisect"]) <= 3 * chunk
-        assert sum(rows["local_errors"]) == 6 * 5000
-        assert max(rows["local_errors"]) <= 6 * chunk
+        assert sum(rows["_masses"]) == 6 * 5000
+        assert max(rows["_masses"]) <= 6 * chunk
         monkeypatch.undo()
         some = rng.choice(5000, 40, replace=False)
         assert np.array_equal(batch[some], [decision_lp_split(v, f, p) for v in verts[some]])

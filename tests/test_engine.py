@@ -597,7 +597,7 @@ class TestTraceRecords:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_records_equal_the_rational_sums(self, label, p):
         # a record's error is the exact sum of numpy's powers of its leaves'
-        # errors, rounded once, to the power 1/p, and its sigma_mean the exact
+        # errors, rounded once, rooted by lp_root, and its sigma_mean the exact
         # sum of sigma, rounded once, over the leaf count: the updated records
         # of the trace and the gathered ones of a fresh read alike
         f = get_field(label)
@@ -609,8 +609,8 @@ class TestTraceRecords:
             n = forest.n_roots + 2 * rec.step
             child = forest.nodes["child"][:n]
             leaves = np.flatnonzero((child < 0) | (child >= n))
-            powers = forest.nodes["error"][leaves] ** p
-            assert rec.global_error == float(sum(map(Fraction, powers.tolist()))) ** (1 / p)
+            powers = (forest.nodes["error"][leaves] ** p).tolist()
+            assert rec.global_error == approx.lp_root(float(sum(map(Fraction, powers))), p)
             if form is None:
                 assert math.isnan(rec.sigma_mean)
                 continue

@@ -41,6 +41,11 @@ COMMANDS = [
                           "--decision lp-split --target-n 512 --p 2"),
     ("gauss-ridge-l2-pinf", "run --field gauss-ridge --operator l2-projection "
                             "--decision lp-split --target-n 512 --p inf"),
+    # lp-split on quadratic fields at finite p != 1: the children's masses
+    # in closed form at p = 2, by the error quadrature at p = 3.5
+    ("aniso-10-split-p2", "run --field aniso-10 --p 2 --decision lp-split --target-n 512"),
+    ("mixed-saddle-split-p3.5", "run --field mixed-saddle --p 3.5 --decision lp-split "
+                                "--target-n 512"),
     ("converge-expbump", "converge --field expbump --initial unit-square "
                          "--checkpoints 256,1024,4096"),
     ("converge-expbump-off", "converge --field expbump --initial unit-square "
