@@ -74,7 +74,7 @@ class SigmaStats:
     count: int
     mean: float
     max: float
-    fraction_above: float  # share of leaves with sigma >= threshold
+    fraction_above: float  # share of leaves with sigma >= SIGMA_THRESHOLD
     mean_pow_r0: float     # mean of sigma ** R0
 
 
@@ -89,15 +89,13 @@ class ConvergencePoint:
     ratio: float    # product / target
 
 
-def _leaf_stats(form: QuadForm, verts: np.ndarray, level: int,
-                threshold: float) -> SigmaStats:
+def _leaf_stats(form: QuadForm, verts: np.ndarray, level: int) -> SigmaStats:
     s = sigma_batch(form, verts)
     return SigmaStats(level, len(s), float(s.mean()), float(s.max()),
-                      float((s >= threshold).mean()), float((s ** R0).mean()))
+                      float((s >= SIGMA_THRESHOLD).mean()), float((s ** R0).mean()))
 
 
-def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
-                threshold: float = SIGMA_THRESHOLD) -> list[SigmaStats]:
+def sigma_study(f: QuadraticField, roots=None, levels: int = 5) -> list[SigmaStats]:
     """Track sigma_q while uniformly refining every triangle.
 
     One reported level is three bisection sweeps (the leaf count grows by
@@ -110,17 +108,15 @@ def sigma_study(f: QuadraticField, roots=None, levels: int = 5,
         raise ValueError("sigma study needs a quadratic field with PD form")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if not math.isfinite(threshold):
-        raise ValueError(f"sigma threshold must be finite, got {threshold}")
     roots = engine.initial_mesh(roots if roots is not None else "ref-triangle")
     config = GreedyConfig()
     forest = RefinementForest(roots)
     engine._check_levels_fit(forest.n_roots, forest.n_roots, levels, config.node_cap,
                              sweeps_per_level=3)
-    stats = [_leaf_stats(f.form, forest.leaf_vertex_array(), 0, threshold)]
+    stats = [_leaf_stats(f.form, forest.leaf_vertex_array(), 0)]
     for level in range(1, levels + 1):
         engine.uniform_refine(forest, f, config, 3)
-        stats.append(_leaf_stats(f.form, forest.leaf_vertex_array(), level, threshold))
+        stats.append(_leaf_stats(f.form, forest.leaf_vertex_array(), level))
     return stats
 
 

@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--field", type=_parse_field, required=True)
     sig.add_argument("--levels", type=int, default=5,
                      help="3-bisection levels (leaf count x8 per level)")
-    sig.add_argument("--threshold", type=float, default=analysis.SIGMA_THRESHOLD)
     sig.add_argument("--initial", choices=engine.INITIAL_MESHES,
                      default=GreedyConfig.initial)
     sig.add_argument("--csv-out", required=True)
@@ -163,8 +162,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sigma_study(args) -> int:
-    stats = analysis.sigma_study(args.field, roots=args.initial,
-                                 levels=args.levels, threshold=args.threshold)
+    stats = analysis.sigma_study(args.field, roots=args.initial, levels=args.levels)
     _atomic_write(args.csv_out, analysis.sigma_csv(stats))
     print(f"final_fraction_above={stats[-1].fraction_above!r}")
     return 0

@@ -531,20 +531,18 @@ def save_mesh(forest: RefinementForest, path) -> None:
         fh.writelines(_mesh_text_slices(forest))
 
 
-# The strict line grammar, parsed in bulk: a directive, then its fields, each
-# one space and a token: -?[0-9]+ for `t` and `leaf` (the int64 parse saturates,
-# so a value of 10**18 or more in size sends its piece line by line), [0-9.e+-]
-# for `v` (parsed by Python's `float`).
+# The line grammar, parsed in bulk: a directive, then its fields, each one space
+# and a token: -?[0-9]+ for `t` and `leaf` (the int64 parse saturates, so a value
+# of 10**18 or more in size fails), [0-9.e+-]+ for `v` (parsed by Python's `float`).
 _DIRECTIVES = {"v": 2, "t": 4, "leaf": 1}  # fields of each directive
 _PIECE = 2 * _MAX_BATCH  # lines per bulk parse, at most
 
 
 def _read_lines(text: str):
     """The ``v``, ``t`` and ``leaf`` rows of a mesh text, line number first, and its
-    line count.  A run of one directive's lines is cut into pieces; a piece is parsed
-    in bulk when its every line is in the strict grammar and the parse is exact.  Other
-    pieces, and the lines of no directive, are read line by line by the rules of
-    ``str.split``, ``int`` and ``float``; the first line at fault raises."""
+    line count.  A run of one directive's lines is cut into pieces, each parsed in
+    bulk.  A line of no directive, and a piece with a line outside the grammar or a
+    parse that is not exact, raise MeshFormatError naming the first line at fault."""
     if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
         text = "\n".join(text.splitlines())  # every line break a newline
     text = text if text.endswith("\n") else text + "\n"
@@ -553,60 +551,46 @@ def _read_lines(text: str):
     starts = np.concatenate(([0], ends[:-1] + 1))
     if text[:ends[0]].strip() != MESH_HEADER:
         raise MeshFormatError(f"line 1: expected header {MESH_HEADER!r}")
-    kind = np.full(len(ends), -1, np.int8)  # a directive's index, or -1: read alone
+    kind = np.full(len(ends), -1, np.int8)  # a directive's index, or -1
     for k, word in enumerate(_DIRECTIVES):  # a line's newline ends any match
         kind[np.logical_and.reduce([b.take(starts + j, mode="clip") == c
                                     for j, c in enumerate(word.encode() + b" ")])] = k
     blocks = [[np.empty((0, n + 1), int if k else float)]  # each directive's rows, in line order
               for k, n in enumerate(_DIRECTIVES.values())]
 
-    def read_alone(i, j):  # lines i..j-1; each directive's rows join blocks as one array
-        lone = [array("d"), array("q"), array("q")]  # each directive's rows, flat
-        for ln in range(i + 1, j + 1):
-            raw = text[starts[ln - 1]:ends[ln - 1]]
-            fields = raw.split()
-            if fields and ln > 1:  # not a blank line, nor the header
-                try:
-                    if _DIRECTIVES.get(fields[0]) != len(fields) - 1:
-                        raise ValueError("unrecognized directive")
-                    k = list(_DIRECTIVES).index(fields[0])
-                    lone[k].append(ln)
-                    lone[k].extend(map(int if k else float, fields[1:]))
-                except (ValueError, OverflowError) as exc:  # overflow: an int beyond 64 bits
-                    raise MeshFormatError(f"line {ln}: {exc} in {raw!r}") from None
-        for block, rows, n in zip(blocks, lone, _DIRECTIVES.values()):
-            block.append(np.reshape(rows, (-1, n + 1)))
-
-    bounds = np.concatenate(([0], np.flatnonzero(kind[1:] != kind[:-1]) + 1, [len(kind)])).tolist()
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        k = kind[r0]
-        if k < 0:  # lines of no directive
-            read_alone(r0, r1)
-            continue
+    def parse(i, j, k):  # the values of lines i..j-1, of directive k, or None
         word, n_fields = list(_DIRECTIVES.items())[k]
+        rel = starts[i:j] - starts[i]
+        piece = b[starts[i]:ends[j - 1] + 1].copy()
+        for c in range(len(word)):  # the directive's letters read as line breaks
+            piece[rel + c] = 10
+        digit, minus, space = piece - 48 < 10, piece == 45, piece == 32
+        token = digit | minus | (k == 0) & ((piece == 46) | (piece == 101) | (piece == 43))
+        wrong = ~(token | space | (piece == 10))
+        wrong[:-1] |= space[:-1] & ~token[1:]  # a space starts a token
+        if k:  # a minus only starts an int token, before a digit
+            wrong[1:-1] |= minus[1:-1] & ~(space[:-2] & digit[2:])
+        if wrong.any() or (np.add.reduceat(space, rel, dtype=np.int32) != n_fields).any():
+            return None
+        raw = piece.tobytes()
+        try:
+            rows = (np.fromstring(raw, np.int64, sep=" ") if k else
+                    np.array(raw.decode().split(), float)).reshape(j - i, n_fields)
+        except ValueError:
+            return None
+        return None if k and ((rows >= 10 ** 18) | (rows <= -10 ** 18)).any() else rows
+
+    # runs of lines of one kind after the header
+    bounds = np.concatenate(([1], np.flatnonzero(kind[2:] != kind[1:-1]) + 2, [len(kind)]))
+    for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         for i in range(r0, r1, _PIECE):  # a piece of lines i..j-1
-            j = min(i + _PIECE, r1)
-            rel = starts[i:j] - starts[i]
-            piece = b[starts[i]:ends[j - 1] + 1].copy()
-            for c in range(len(word)):  # the directive's letters read as line breaks
-                piece[rel + c] = 10
-            digit, minus, space = piece - 48 < 10, piece == 45, piece == 32
-            token = digit | minus | (k == 0) & ((piece == 46) | (piece == 101) | (piece == 43))
-            wrong = ~(token | space | (piece == 10))
-            wrong[:-1] |= space[:-1] & ~token[1:]  # a space starts a token
-            if k:  # a minus only starts an int token, before a digit
-                wrong[1:-1] |= minus[1:-1] & ~(space[:-2] & digit[2:])
-            rows = None  # the piece's values, when every line parses exactly in bulk
-            if not wrong.any() and (np.add.reduceat(space, rel, dtype=np.int32) == n_fields).all():
-                raw = piece.tobytes()
-                try:
-                    rows = (np.fromstring(raw, np.int64, sep=" ") if k else
-                            np.array(raw.decode().split(), float)).reshape(j - i, n_fields)
-                except ValueError:
-                    pass
-            if rows is None or k and ((rows >= 10 ** 18) | (rows <= -10 ** 18)).any():
-                read_alone(i, j)  # the first line at fault names itself
-                continue
+            j, k = min(i + _PIECE, r1), int(kind[i])
+            rows = None if k < 0 else parse(i, j, k)
+            if rows is None:  # the piece's first line at fault is sought only now
+                m = next(m for m in range(i, j) if k < 0 or parse(m, m + 1, k) is None)
+                raise MeshFormatError(
+                    f"line {m + 1}: expected 'v x y', 't i j k parent' or 'leaf n', "
+                    f"one space apart, in {text[starts[m]:ends[m]]!r}")
             blocks[k].append(np.column_stack((np.arange(i + 1, j + 1), rows)))
     return (*map(np.concatenate, blocks), len(ends))
 
@@ -682,7 +666,9 @@ def mesh_from_text(text: str) -> RefinementForest:
             nodes["verts"][first + k], nodes["level"][first + k] = verts, level
         made = np.concatenate((first, first + 1))
         above = made[nodes["child"][made] >= 0]
-    bad = np.flatnonzero((nodes["verts"] != stored).any(axis=(1, 2)))
+    # bit for bit: 0.0 and -0.0 are distinct vertices
+    bad = np.flatnonzero((nodes["verts"].view(np.uint64) != stored.view(np.uint64))
+                         .any(axis=(1, 2)))
     if len(bad):
         i = int(bad[0])
         raise MeshFormatError(

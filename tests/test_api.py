@@ -85,7 +85,9 @@ def test_error_quadrature_is_not_an_option(name):
 
 
 def test_sigma_study_takes_no_config():
-    assert "config" not in inspect.signature(anisomesh.sigma_study).parameters
+    # nor a threshold: fraction_above counts against SIGMA_THRESHOLD
+    assert list(inspect.signature(anisomesh.sigma_study).parameters) == \
+        ["f", "roots", "levels"]
 
 
 def test_rate_study_inputs_take_no_options():

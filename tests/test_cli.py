@@ -203,6 +203,12 @@ class TestSigmaStudy:
             assert "quadratic" in err and "a positive-definite form is needed" in err
             assert not (tmp_path / "s.csv").exists()
 
+    def test_threshold_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sigma-study", "--field", "aniso-10", "--levels", "1",
+                    "--threshold", "5", "--csv-out", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2
+
     def test_levels_over_node_cap_exit_3_before_refining(self, tmp_path, capsys,
                                                          monkeypatch):
         calls = []
@@ -218,15 +224,6 @@ class TestSigmaStudy:
         assert "40 levels (120 bisection sweeps)" in err
         assert not csv.exists()
         assert calls == []
-
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_exit_1(self, tmp_path, capsys, threshold):
-        csv = tmp_path / "s.csv"
-        code = run_cli("sigma-study", "--field", "aniso-10", "--levels", "1",
-                       f"--threshold={threshold}", "--csv-out", str(csv))
-        assert code == 1
-        assert "threshold must be finite" in capsys.readouterr().err
-        assert not csv.exists()
 
 
 @pytest.fixture()

@@ -51,6 +51,10 @@ COMMANDS = [
     ("converge-expbump-off", "converge --field expbump --initial unit-square "
                              "--checkpoints 64,1500,3001"),
     ("converge-disk-pinf", "converge --field disk --p inf --checkpoints 100,1500"),
+    # the rate target integrates gauss-ridge's analytic hessian, which no other
+    # command here calls
+    ("converge-gauss-ridge", "converge --field gauss-ridge --initial unit-square "
+                             "--checkpoints 64,256"),
     ("cap-target", "run --field disk --target-n 8 --node-cap 3"),
     ("cap-levels", "run --field disk --levels 30"),
 ]
