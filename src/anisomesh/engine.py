@@ -9,20 +9,19 @@ leaf's error and edge depend on that leaf only, so the loop replays this
 order in batches of leaves, which it picks by partial sort of the forest's
 error column, not from a heap, and scores before it writes the steps it
 keeps; the trace is read from the finished forest, whose rows are in step
-order, and the records of consecutive steps by one bisection each.  Meshes
+order, the records up to 1024 leaves from tables made in one pass.  Meshes
 serialize to a plain-text format with 17-significant-digit decimals so runs
 round-trip bit-exactly.
 """
 from __future__ import annotations
 
 # unused: bound so that perfbench's tracer, which rebinds ``engine.heapq`` to
-# count heap operations, installs; the trace's heaps call the names below
+# count heap operations, installs
 import heapq
 import math
 import numbers
-from array import array
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from itertools import accumulate
 
 import numpy as np
 
@@ -259,8 +258,8 @@ class _LeafValues:
     each node's error to the p-th power (its error at p = inf), its squared
     diameter and, for a field with a positive-definite form, its sigma.  A
     record sums the rows ``summed`` and takes the maxima of the rows
-    ``maxed``; ``ints`` and ``tops`` hold them for the nodes that the records
-    up to ``_EVERY_STEP`` leaves read, so these read each node once."""
+    ``maxed``; for each step up to ``_EVERY_STEP`` leaves, the tables
+    ``sums`` (exact, as ints in one unit per row) and ``tops`` hold them."""
 
     def __init__(self, forest, f, p):
         self.forest, self.p = forest, p
@@ -278,13 +277,17 @@ class _LeafValues:
         # summed: the powers, sigma; maxed: the p = inf error, diam^2, sigma
         self.summed = [0, 2][math.isinf(p):len(self.measures)]
         self.maxed = [*range(math.isfinite(p), len(self.measures) + 1)]
-        n = 2 * max(forest.n_roots, min(_EVERY_STEP, forest.n_leaves)) - forest.n_roots
+        r = forest.n_roots
+        steps = max(0, min(_EVERY_STEP, forest.n_leaves) - r) + 1  # the early ones
+        n = r + 2 * steps - 2  # the nodes they read
         rows = self.gather(np.ones(n, bool))
-        self.ints = [_ints(rows[i]) for i in self.summed]
-        self.tops = [array("d", rows[i].tobytes()) for i in self.maxed]
-        self.child = array("Q", forest.nodes["child"][:n].view(np.uint64).tobytes())
-        self.parent = array("q", forest.nodes["parent"][:n].tobytes())
-        self.step = -1  # the step whose leaves the sums and heaps hold
+        parent = forest.nodes["parent"][r:n:2].tolist()
+        self.sums = [_step_sums(row, r, parent) for row in rows[self.summed]]
+        # a node is a leaf from the step that makes it (0 for a root) to the one that splits it
+        born = np.maximum(np.arange(-r, n - r) // 2 + 1, 0)
+        child = forest.nodes["child"][:n]
+        split = np.where((child < 0) | (child >= n), steps, (child - r) // 2 + 1)
+        self.tops = np.array([_range_max(rows[i], born, split, steps) for i in self.maxed]).T
 
     def gather(self, leaf) -> np.ndarray:
         """The rows of the nodes that the mask ``leaf`` over the first rows
@@ -302,50 +305,57 @@ class _LeafValues:
         return values
 
 
-def _ints(row: np.ndarray) -> tuple[list, int]:
-    """Ints ``k`` and a unit ``u < 0`` with ``row == k * 2 ** u`` exactly; a
-    power past the float range counts as ``2 ** 1024``."""
+def _step_sums(row: np.ndarray, r: int, parent: list) -> tuple[list, int]:
+    """Each step's exact sum of ``row`` over its leaves, as ints ``k`` in a
+    unit ``u < 0`` (the sum is ``k * 2 ** u``; a power past the float range
+    counts as ``2 ** 1024``): step 0 has the ``r`` roots, and step s > 0
+    adds nodes r + 2 s - 2 and r + 2 s - 1 and loses ``parent[s - 1]``."""
     big = np.isinf(row)
     m, e = np.frexp(np.where(big, 0.5, row))
     e[big] = 1025
     low = min(int(e.min()), 52)
-    return [k << s for k, s in zip(np.ldexp(m, 53).astype(np.int64).tolist(),
-                                   (e - low).tolist())], low - 53
+    k = [i << s for i, s in zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e - low).tolist())]
+    change = (a + b - k[c] for a, b, c in zip(k[r::2], k[r + 1::2], parent))
+    return list(accumulate(change, initial=sum(k[:r]))), low - 53
+
+
+def _range_max(values, start, stop, size) -> np.ndarray:
+    """For each step ``s < size``, the largest of the non-negative ``values``
+    whose interval ``[start, stop)`` holds ``s`` (0.0 above -0.0), or -0.0
+    where none does.  Each interval sets the two power-of-two blocks of a
+    sparse table that cover it, which are then pushed down level by level;
+    such floats' bits order as ints, so a max moves no bit."""
+    keep = start < stop
+    start, stop, key = start[keep], stop[keep], values[keep].view(np.int64)
+    level = np.frexp(stop - start)[1] - 1  # the longest block that fits
+    table = np.full((size.bit_length(), size), -0.0).view(np.int64)  # the least key
+    np.maximum.at(table, (level, start), key)
+    np.maximum.at(table, (level, stop - (1 << level)), key)
+    for j in range(len(table) - 1, 0, -1):
+        h = 1 << (j - 1)
+        np.maximum(table[j - 1], table[j], out=table[j - 1])
+        np.maximum(table[j - 1, h:], table[j, :size - h], out=table[j - 1, h:])
+    return table[0].view(np.float64)
 
 
 def _trace_record(values: _LeafValues, step) -> TraceRecord:
     """The record of the mesh after ``step`` bisections, whose leaves are
     the first ``n = n_roots + 2 step`` rows not split among them; its sums
-    are exact and rounded once, whatever the leaves' order.  Up to
-    ``_EVERY_STEP`` leaves, the record of step 0 or of the step after the
-    one before keeps int sums and lazy max-heaps, which a step's two
-    children join and their parent leaves.  Any other record gathers its
-    leaves."""
+    are exact and rounded once, whatever the leaves' order.  An early
+    step's record reads its row of the tables, in any order; any other
+    record gathers its leaves."""
     forest, p = values.forest, values.p
     n, m = forest.n_roots + 2 * step, forest.n_roots + step
-    early = n <= len(values.child) and step in (0, values.step + 1)
+    early = step < len(values.tops)
     if early:
-        a, b, c = n - 2, n - 1, values.parent[n - 1]
-        if step:
-            values.sums = [s + k[a] + k[b] - k[c] for s, (k, _) in zip(values.sums, values.ints)]
-            for heap, top in zip(values.heaps, values.tops):
-                heappush(heap, (-top[a], a))
-                heappush(heap, (-top[b], b))
-        else:  # the roots; a sorted list is a heap
-            values.sums = [sum(k[:m]) for k, _ in values.ints]
-            values.heaps = [sorted((-v, i) for i, v in enumerate(top[:m])) for top in values.tops]
-        values.step = step
-        for heap in values.heaps:
-            while values.child[heap[0][1]] < n:  # split by this step or before
-                heappop(heap)
-        tops = [-heap[0][0] for heap in values.heaps]
+        tops = values.tops[step].tolist()
     else:
         # a leaf's child is -1, the largest unsigned value, or made after the
         # step; the unsigned view of the column compares without a copy
         leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
         tops = np.maximum.reduce(leaf, axis=1)[values.maxed].tolist()
     try:  # int / int rounds correctly, as fsum does, which reads a row without a list
-        sums = ([s / (1 << -u) for s, (_, u) in zip(values.sums, values.ints)] if early else
+        sums = ([k[step] / (1 << -u) for k, u in values.sums] if early else
                 [math.fsum(leaf[i]) for i in values.summed])
     except OverflowError:  # only a sum of powers passes the float range
         sums = [math.inf]
@@ -375,9 +385,9 @@ def greedy_run(f, config: GreedyConfig):
     every step while the mesh has at most 1024 leaves, at powers of two
     beyond that, and at the final step.  The loop keeps no trace state:
     ``_trace_record`` reads every record from the finished forest, as the
-    rate study reads its checkpoints.  Raises RunawayRefinementError at
-    the node cap, and before refining when a target-count or
-    generation-levels run cannot fit under it.
+    rate study reads its checkpoints, the early ones from step tables.
+    Raises RunawayRefinementError at the node cap, and before refining when
+    a target-count or generation-levels run cannot fit under it.
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's record array (``np.partition``, then ``lexsort`` by error and

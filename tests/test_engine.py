@@ -485,6 +485,31 @@ class TestTraceRecords:
             return
         assert [r.step for r in trace] == list(range(len(trace)))
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="ROADMAP item 5: at p = inf the decision stalls on a needle, "
+                              "which local_error rejects as too flat")
+    def test_a_drawn_pinf_run_does_not_stall_on_a_needle(self):
+        # a case of traced_config: the convex expbump, l2-projection, lp-split,
+        # an error threshold and the node cap 400 on three counter-clockwise
+        # roots; the run raises "triangle too flat" from select_edge
+        roots = [[(0.4405639744660511, 0.4011268167604226),
+                  (0.18524958205663844, 0.32159720683503723),
+                  (0.4523659194581665, 0.0961822246357954)],
+                 [(0.39027745368538536, 0.9552758857697622),
+                  (0.27110485213212154, 0.05223251982414301),
+                  (0.9387749626641189, 0.740267821380265)],
+                 [(0.6213560012049176, 0.5840415267592534),
+                  (0.5318886443746429, 0.859494850105384),
+                  (0.5627066851978025, 0.04756825334869952)]]
+        config = GreedyConfig(p=math.inf, operator="l2-projection", decision="lp-split",
+                              stop=StopRule("error-threshold",
+                                            float.fromhex("0x1.315fec7c3f020p-1")),
+                              initial=tuple(map(Triangle, roots)), node_cap=400)
+        try:
+            checked_greedy_run(get_field("expbump"), config)
+        except RunawayRefinementError:  # as the drawn runs: the node cap may end it
+            pass
+
     def test_records_past_1024_leaves_match_full_remeasure(self):
         # past 1024 leaves, records skip many steps: each reads only the rows
         # of its own step from the finished forest, as any step's record can
@@ -531,10 +556,11 @@ class TestTraceRecords:
 
     def test_an_early_record_copies_no_column(self):
         # a record reads the first n = n_roots + 2 s rows of step s: a gathered
-        # record's mask and gathers are O(n) bytes, an updated one's O(1), while
-        # a copy of one forest column is 8 bytes per node; the records of steps
-        # 0 ... 8 and a gathered one of step 8 must stay far below that; the
-        # rows kept for the updated records span the mesh of 1024 leaves only
+        # record's mask and gathers are O(n) bytes, an early one reads one row
+        # of the step tables, while a copy of one forest column is 8 bytes per
+        # node; the records of steps 0 ... 8 and a gathered one of step 1024
+        # must stay far below that; the tables span the steps up to 1024
+        # leaves only, not the forest
         f = get_field("aniso-10")
         forest, _ = greedy_run(f, count_config(16384))
         column = 8 * len(forest.nodes)
@@ -551,12 +577,58 @@ class TestTraceRecords:
         values = engine._LeafValues(forest, f, 2.0)
         # the sums of the powers and of sigma; the maxima of diam^2 and sigma
         assert (values.summed, values.maxed) == ([0, 2], [1, 2])
-        early = 2 * 1024 - forest.n_roots
-        rows = [*(ints for ints, _ in values.ints), *values.tops, values.child, values.parent]
-        assert [len(row) for row in rows] == [early] * 6
-        engine._trace_record(values, 8)  # no record before it: gathered
-        assert peak(lambda: engine._trace_record(values, 8)) < column // 4
+        early = 1024 - forest.n_roots + 1  # steps 0 ... 1023
+        assert [len(sums) for sums, _ in values.sums] == [early] * 2
+        assert values.tops.shape == (early, 2)
+        engine._trace_record(values, 1024)  # past the tables: gathered
+        assert peak(lambda: engine._trace_record(values, 1024)) < column // 4
         assert peak(lambda: [engine._trace_record(values, s) for s in range(9)]) < column // 4
+
+    def test_range_max_matches_brute_force(self):
+        # seeded random intervals, some empty, some one step long and some
+        # running to the last step, over values with ties, -0.0 and 0.0 and
+        # inf: each step's maximum over the intervals holding it, bit for bit,
+        # with 0.0 above -0.0 and -0.0 where no interval holds the step
+        rng = np.random.default_rng(30)
+        pool = np.array([0.0, -0.0, 5e-324, 0.5, 1.0, 1.0, 3.25, math.inf, 7.0])
+        for size in (1, 2, 3, 5, 8, 64, 100, 1024):
+            m = rng.integers(1, 2 * size + 2)
+            start = rng.integers(0, size + 1, m)
+            kind = rng.integers(0, 4, m)
+            stop = np.select([kind == 0, kind == 1, kind == 2],
+                             [start, np.minimum(start + 1, size), np.full(m, size)],
+                             rng.integers(start, size + 1))
+            values = rng.choice(pool, m)
+            got = engine._range_max(values, start, stop, size)
+            for s in range(size):
+                held = [v for v, a, b in zip(values.tolist(), start, stop) if a <= s < b]
+                want = max(held, key=lambda v: (v, math.copysign(1.0, v)), default=-0.0)
+                assert got[s].tobytes() == np.float64(want).tobytes(), (size, s)
+
+    @pytest.mark.parametrize("label", ["disk", "mixed-saddle"])  # definite, indefinite
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_records_read_in_any_order(self, label, p):
+        # a fresh read takes early and gathered records in shuffled order,
+        # across the seam between 1024 and 1025 leaves
+        f = get_field(label)
+        forest, _ = greedy_run(f, count_config(1100, p=p, initial="unit-square"))
+        rng = np.random.default_rng(30)
+        counts = [2, 3, 4, 512, 1023, 1024, 1025, 1026, 1100,
+                  *rng.integers(2, 1101, 24).tolist()]
+        rng.shuffle(counts)
+        assert_records_reread(forest, f, p, counts)
+
+    def test_records_of_more_than_1024_roots(self):
+        # 2048 roots: step 0 is the only early step, and every other record
+        # gathers its leaves
+        f = get_field("aniso-10")
+        roots = uniform_refine(RefinementForest(initial_mesh("unit-square")), f,
+                               GreedyConfig(), 10).leaf_vertex_array()
+        config = count_config(2100, initial=tuple(map(Triangle, roots)))
+        forest, trace = checked_greedy_run(f, config)
+        assert [r.n_leaves for r in trace] == [2048, 2100]
+        assert len(engine._LeafValues(forest, f, 2.0).tops) == 1
+        assert_records_reread(forest, f, 2.0, [2100, 2049, 2048, 2077])
 
     def test_trace_phase_stays_under_the_loop_peak(self, monkeypatch):
         # the last batch's arrays are gone when the records are read, so the
@@ -584,10 +656,9 @@ class TestTraceRecords:
         ("aniso-100", count_config(4096, p=math.inf, decision="lp-split")),  # a definite form
     ], ids=["expbump-p2", "aniso-100-pinf"])
     def test_records_across_the_seam_match_full_remeasure(self, label, config):
-        # the records up to 1024 leaves update the sums and heaps of the one
-        # before, the later ones gather their leaves; a fresh read of the
-        # finished forest gathers the record of any step, 1025 leaves (one
-        # step past the last updated record) included
+        # the records up to 1024 leaves read the step tables, the later ones
+        # gather their leaves; a fresh read of the finished forest reads the
+        # record of any step, 1025 leaves (one step past the tables) included
         f = get_field(label)
         forest, trace = checked_greedy_run(f, config)
         assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == [1024, 2048, 4096]
@@ -598,8 +669,8 @@ class TestTraceRecords:
     def test_records_equal_the_rational_sums(self, label, p):
         # a record's error is the exact sum of numpy's powers of its leaves'
         # errors, rounded once, rooted by lp_root, and its sigma_mean the exact
-        # sum of sigma, rounded once, over the leaf count: the updated records
-        # of the trace and the gathered ones of a fresh read alike
+        # sum of sigma, rounded once, over the leaf count: the records read
+        # from the step tables and the gathered ones alike
         f = get_field(label)
         form = definite_form(f)
         forest, trace = greedy_run(f, count_config(1100, p=p, initial="unit-square"))
@@ -619,11 +690,12 @@ class TestTraceRecords:
 
     @pytest.mark.parametrize("p, error", [(1.0, 1.5e308), (2.0, 1e200)])
     def test_an_overflowing_record_names_p(self, p, error):
-        # two roots, one of them bisected, whose errors' p-th powers sum past
+        # 1026 roots, one of them bisected, whose errors' p-th powers sum past
         # the float range (at p = 2 each power alone overflows): the record of
-        # step 0 updates the sums, that of step 1 gathers its leaves, and both
-        # raise ValueError naming p, which the CLI reports with exit code 1
-        forest = RefinementForest(initial_mesh("unit-square"))
+        # step 0 reads the step tables, that of step 1, past 1024 leaves,
+        # gathers its leaves, and both raise ValueError naming p, which the
+        # CLI reports with exit code 1
+        forest = RefinementForest(initial_mesh("unit-square") * 513)
         forest.bisect_node(np.array([0]), np.array([0]))
         forest.nodes["error"] = error
         for step in (0, 1):

@@ -29,6 +29,9 @@ COMMANDS = [
     ("aniso-100-pinf", "run --field aniso-100 --p inf --decision lp-split --target-n 1024"),
     ("aniso-100-pinf-error", "render aniso-100-pinf.mesh --color-by error --p inf "
                              "--field aniso-100"),
+    # an error threshold at p = inf with sigma, whose trace runs past the
+    # records of every step into the gathered ones (2496 leaves)
+    ("aniso-100-pinf-eta", "run --field aniso-100 --p inf --decision lp-split --eta 5e-3"),
     ("aniso-10-4096", "run --field aniso-10 --levels 12"),
     ("aniso-10-4096-sigma", "render aniso-10-4096.mesh --color-by sigma --field aniso-10"),
     ("disk-eta", "run --field disk --eta 1e-4"),
