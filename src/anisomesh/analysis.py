@@ -30,6 +30,7 @@ __all__ = [
     "hessian_tau_norm",
     "sigma_study",
     "convergence_study",
+    "require_convex",
     "equivalence_constant_probe",
     "random_pd_form",
     "random_triangle",
@@ -143,15 +144,30 @@ def hessian_tau_norm(f: ScalarField, roots, tau: float) -> float:
     return integral ** (1.0 / tau)
 
 
+def require_convex(f: ScalarField, roots) -> None:
+    """Raise ValueError unless ``f`` is known to be convex on every root
+    Triangle: a QuadraticField with a convex form, or a convexity-tagged
+    field whose check box holds the roots."""
+    if not f.is_convex:
+        raise ValueError(f"convergence study expects a convexity-tagged field, "
+                         f"got {f.label!r}")
+    if not f.convex_on(np.array([t.vertices for t in roots])).all():
+        (x0, x1), (y0, y1) = f.check_box
+        raise ValueError(f"field {f.label!r} is convex only on its check box "
+                         f"[{x0:g}, {x1:g}] x [{y0:g}, {y1:g}], which the initial "
+                         f"triangles leave")
+
+
 def convergence_study(f: ScalarField, config: GreedyConfig,
                       checkpoints) -> list[ConvergencePoint]:
     """Greedy refinement with the product N * error recorded at checkpoints.
 
-    The field must be convexity-tagged (the regime where the greedy
-    algorithm provably meets the optimal rate) and carry a hessian for the
-    target norm.  Checkpoints are increasing leaf counts.  One run to the
-    last checkpoint makes them all: each checkpoint's error is the trace
-    record of its step, read from the finished forest.
+    The field must be known to be convex on the initial triangles (the
+    regime where the greedy algorithm provably meets the optimal rate; see
+    ``require_convex``) and carry a hessian for the target norm.
+    Checkpoints are increasing leaf counts.  One run to the last checkpoint
+    makes them all: each checkpoint's error is the trace record of its
+    step, read from the finished forest.
     """
     counts = []
     for value in checkpoints:  # by StopRule's rule: a string is not integral, nor nan or inf
@@ -164,9 +180,8 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
         counts.append(int(value))
     if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    if not f.is_convex:
-        raise ValueError("convergence study expects a convexity-tagged field")
     roots = engine.initial_mesh(config.initial)
+    require_convex(f, roots)
     if counts[0] < len(roots):
         raise ValueError(f"checkpoint {counts[0]} below the initial leaf count")
     target = hessian_tau_norm(f, roots, tau_from_p(config.p))

@@ -13,17 +13,22 @@ Gram matrix is ``|T| (1 + d_ab) / 12`` on every triangle.
 of triangles by their error masses ``int_T |f - A_T f|^p``, which the
 quadrature decisions add, and ``local_errors`` roots them for every other
 error consumer (``local_error``, global errors, error colouring).  For a
-QuadraticField it takes the interpolation error from the form on the edge
-vectors, without evaluating the field: exactly, in closed form, at p = 2
-and p = inf (where any other field's maximum is a sampled one), and by the
-error quadrature at any other p.
+QuadraticField it takes the interpolation error from the form's values on
+the edge vectors, without evaluating the field: exactly, in closed form,
+at p = 2 and p = inf (where any other field's maximum is a sampled one),
+and by the error quadrature at any other p.
 
 The edge-decision functions score the three possible bisections of one
 triangle (3, 2) or of each triangle of a batch (n, 3, 2), returning shape
 (3,) or (n, 3).  For convex integrands the L1-interpolation error
 reduction has the closed form ``|T|/3 * (midpoint convexity gap)``, which
-the refinement engine uses whenever the field is convexity-tagged;
-otherwise decisions fall back to quadrature over the children.
+the refinement engine uses where the field is known to be convex;
+otherwise decisions add the masses of the children.  A QuadraticField
+under interpolation reads its six children's form values from the
+parent's by the median identity (``_median_split``), bisecting none, and
+feeds them to the same form kernel as a leaf's; so its decision values
+differ from those of the bisected children in the last bits.  Every other
+field or operator bisects the candidates and scores them with ``_masses``.
 
 Areas, edge vectors, edge midpoints and the edge labels come from
 ``geometry`` (``edge_vectors_of``, ``areas_of``, ``NEXT``/``PREV``).
@@ -129,8 +134,11 @@ _BUBBLES = np.ascontiguousarray((_ERROR_NODES[:, NEXT] * _ERROR_NODES[:, PREV]).
 # its inverse is (12 I - 3) / |T|.  So _PROJ (64, 3) takes a field's values at
 # the quadrature nodes to its projection's values at the three vertices.
 _PROJ = (_BARY * _WEIGHTS[:, None]) @ (12.0 * np.eye(3) - 3.0)
+# The columns of the six candidate children's values, three each, in the
+# (q / 4, m, q) of their parent (see _median_split), by edge then child.
+_SPLIT = np.array([[k, 3 + k, 6 + PREV[k], k, 6 + NEXT[k], 3 + k] for k in range(3)]).ravel()
 for _a in (RULE_NODES, RULE_WEIGHTS, _CORNERS, _BARY, _WEIGHTS, _ERROR_NODES,
-           _ERROR_NODES_INF, _BUBBLES, _PROJ):
+           _ERROR_NODES_INF, _BUBBLES, _PROJ, _SPLIT):
     _a.setflags(write=False)
 # Triangles per chunk in _masses.  On the error nodes, 64 at p = inf and
 # 210 at finite p: it bounds the (chunk, nodes) temporaries, so memory stays
@@ -162,18 +170,23 @@ def _points(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _reject_flat(area: np.ndarray, diam2: np.ndarray, what: str):
+    """Rejects the first triangle whose area is at most FLAT_RTOL times its
+    squared diameter."""
+    flat = area <= FLAT_RTOL * diam2
+    if flat.any():
+        i = int(flat.argmax())
+        raise ValueError(f"{what}: triangle too flat (area {area[i]}, "
+                         f"diam {math.sqrt(diam2[i])})")
+
+
 def _check_shapes(v: np.ndarray, what: str):
     """Areas and edge vectors of a vertex batch (n, 3, 2); rejects flat ones,
     and those whose vertices coincide."""
     e = edge_vectors_of(v)
     area = areas_of(e)
     ee = e * e
-    diam2 = (ee[..., 0] + ee[..., 1]).max(axis=1)
-    flat = area <= FLAT_RTOL * diam2
-    if flat.any():
-        i = int(flat.argmax())
-        raise ValueError(f"{what}: triangle too flat (area {area[i]}, "
-                         f"diam {math.sqrt(diam2[i])})")
+    _reject_flat(area, (ee[..., 0] + ee[..., 1]).max(axis=1), what)
     return area, e
 
 
@@ -202,9 +215,9 @@ def project_l2(t: Triangle, f) -> AffinePoly:
     return _affine(v, np.asarray(f(x, y), dtype=float) @ _PROJ)
 
 
-def _form_residual(e: np.ndarray, form) -> np.ndarray:
-    """``I_T f - f`` at the finite-p error nodes of each triangle, given its
-    edge vectors `e` (n, 3, 2), for a quadratic f with QuadForm `form`.
+def _form_residual(q: np.ndarray) -> np.ndarray:
+    """``I_T f - f`` at the finite-p error nodes of each triangle, for a
+    quadratic f whose form takes the values `q` (n, 3) on its edge vectors.
 
     The affine part of f is interpolated exactly, and the form leaves
     ``l1 l2 q(e0) + l2 l0 q(e1) + l0 l1 q(e2)`` at the barycentric point l,
@@ -215,7 +228,7 @@ def _form_residual(e: np.ndarray, form) -> np.ndarray:
     into the term buffer without the iteration buffers of a broadcasting
     multiply.
     """
-    qe = form(e).T  # (3, n): the form on edge k of each triangle
+    qe = q.T  # (3, n): the form on edge k of each triangle
     res = np.einsum("i,j->ij", qe[0], _BUBBLES[0])
     term = np.empty_like(res)
     for k in (1, 2):
@@ -223,20 +236,32 @@ def _form_residual(e: np.ndarray, form) -> np.ndarray:
     return res
 
 
-def _form_masses(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float) -> np.ndarray:
+def _bilinear(e: np.ndarray, form) -> np.ndarray:
+    """``B(e_(k+1), e_(k+2))`` (n, 3) of the edge vectors `e` (n, 3, 2), with
+    B the bilinear form of the QuadForm `form`, the second vector through
+    ``Q e``."""
+    x, y = e[..., 0], e[..., 1]
+    b = x.take(NEXT, axis=1) * (form.a20 * x + form.a11 * y).take(PREV, axis=1)
+    b += y.take(NEXT, axis=1) * (form.a11 * x + form.a02 * y).take(PREV, axis=1)
+    return b
+
+
+def _form_masses(q: np.ndarray, b, area: np.ndarray, form, p: float) -> np.ndarray:
     """The interpolation error of a quadratic field with QuadForm `form` in
-    closed form, from the form `q` (n, 3) on the edge vectors `e` (n, 3, 2):
-    the integral of its square at p = 2, its maximum at p = inf.
+    closed form, from the form's values `q` (n, 3) on the edge vectors: the
+    integral of its square at p = 2, its maximum at p = inf, where a
+    definite form also needs `b` (n, 3), of the signs of ``B(e_(k+1),
+    e_(k+2))`` with B the bilinear form (None otherwise).
 
     The residual ``r = sum_k q_k l_(k+1) l_(k+2)`` squared integrates to
     ``|T| (sum q_k^2 + (sum q_k)^2) / 180``; on edge k it peaks at ``q_k / 4``.
     Inside T it is stationary at ``l_k ~ q_k s_k``, ``s_k = -2 B(e_(k+1),
-    e_(k+2))`` with B the bilinear form, where it is ``q0 q1 q2 / D``, ``D =
-    16 det(Q) |T|^2``: taken so, neither cancels on needles.  Only for a
-    definite form, whose q_k share the sign of a20, is that point an
-    extremum, and it lies in T where every s_k has that sign too; an
-    indefinite form's is a saddle, and one of rank 1 has none.  Every value
-    is elementwise in its own triangle's numbers, whatever the batch.
+    e_(k+2))``, where it is ``q0 q1 q2 / D``, ``D = 16 det(Q) |T|^2``: taken
+    so, neither cancels on needles.  Only for a definite form, whose q_k
+    share the sign of a20, is that point an extremum, and it lies in T where
+    every s_k has that sign too; an indefinite form's is a saddle, and one
+    of rank 1 has none.  Every value is elementwise in its own triangle's
+    numbers, whatever the batch.
     """
     q0, q1, q2 = q.T
     # a NaN or an overflow is reported by the caller's checks
@@ -245,50 +270,39 @@ def _form_masses(q: np.ndarray, e: np.ndarray, area: np.ndarray, form, p: float)
             t = q0 + q1 + q2
             return (q0 * q0 + q1 * q1 + q2 * q2 + t * t) * area / 180.0
         peak = np.abs(q).max(axis=1) * 0.25
-        if not form.det > 0.0:
+        if b is None:
             return peak
-        x, y = e[..., 0], e[..., 1]  # B(e_(k+1), e_(k+2)), the second through Q e
-        b = x.take(NEXT, axis=1) * (form.a20 * x + form.a11 * y).take(PREV, axis=1)
-        b += y.take(NEXT, axis=1) * (form.a11 * x + form.a02 * y).take(PREV, axis=1)
         inside = (b < 0.0 if form.a20 > 0.0 else b > 0.0).all(axis=1)
         top = q0 / area * (q1 / area) * q2 / (16.0 * form.det)
         return np.maximum(peak, np.abs(top, out=top), out=peak, where=inside)
 
 
-def _chunk_masses(v, f, p: float, op: str, form, nodes) -> np.ndarray:
-    """``_masses`` of one chunk of triangles, at most as many as
-    ``_chunking`` allows; `form` and `nodes` are its other two values."""
-    area, e = _check_shapes(v, "local_error")
-    if nodes is None:
-        res = form(e)  # (n, 3): the residual is zero, or finite, where these are
-        mass = _form_masses(res, e, area, form, p)
-    elif form is not None:
-        res = _form_residual(e, form)
-    else:
-        pts = _points(nodes, v)
-        fx = np.asarray(f(pts[0], pts[1]), dtype=float)
-        del pts  # freed first, so the residual can take its place on the heap
-        # the vertex values: the field's at the last three nodes, the vertices,
-        # or the projection's; one product per triangle keeps the residual
-        # bit-identical to nodes @ vals, whatever the batch
-        if op == "interpolation":
-            vals = fx[:, -3:]
-        else:
-            vals = np.matmul(fx[:, None, :len(_WEIGHTS)], _PROJ)[:, 0]
-        res = np.matmul(nodes, vals[..., None])[..., 0]
-        np.subtract(fx, res, out=res)
+def _node_masses(res: np.ndarray, area: np.ndarray, p: float):
+    """The masses of the residuals `res` (n, m) at the error nodes, made
+    absolute in place, and the residuals they read: the maximum at p = inf,
+    else the quadrature of ``|r|^p`` over the first ``len(_WEIGHTS)`` nodes."""
     # in place: few large blocks are alive at once, so the allocator does not
     # give the heap top back and fault it in again on every chunk
     np.abs(res, out=res)
-    if nodes is not None and math.isinf(p):
-        mass = res.max(axis=1)
-    elif nodes is not None:
-        res = res[:, :len(_WEIGHTS)]  # the nodes of the sum
-        with np.errstate(over="ignore"):  # an overflow is reported below
+    if math.isinf(p):
+        return res.max(axis=1), res
+    res = res[:, :len(_WEIGHTS)]  # the nodes of the sum
+    with np.errstate(over="ignore"):  # an overflow is reported by _checked
+        if p == 1.0:  # numpy's power at p = 1 is a copy, which the product makes
+            w = res * _WEIGHTS
+        else:
             w = res ** p
             w *= _WEIGHTS
-            mass = w.sum(axis=1)
-            mass *= area
+        mass = w.sum(axis=1)
+        mass *= area
+    return mass, res
+
+
+def _checked(mass: np.ndarray, res: np.ndarray, f, p: float, triangle) -> np.ndarray:
+    """`mass`, unless a triangle's is not finite or, at finite p, out of the
+    normal range while its residual `res` (or form values) is not all zero:
+    then ValueError naming the first such, whose vertices ``triangle(i)``
+    gives."""
     # NaN and inf field values propagate into the masses; at finite p the sum
     # of powers must also stay in the normal range, or the residual is lost
     ok = np.isfinite(mass) if math.isinf(p) else (mass >= _TINY) & (mass < math.inf)
@@ -299,8 +313,41 @@ def _chunk_masses(v, f, p: float, op: str, form, nodes) -> np.ndarray:
             what = ("is not finite" if not np.isfinite(res[i]).all() else
                     f"{'underflows' if mass[i] < _TINY else 'overflows'} at p = {p:g}")
             raise ValueError(f"local error of field {getattr(f, 'label', f)!r} {what} "
-                             f"on triangle {v[i].tolist()}")
+                             f"on triangle {triangle(i).tolist()}")
     return mass
+
+
+def _form_chunk(q, b, area, f, p: float, nodes, triangle) -> np.ndarray:
+    """The interpolation masses of a chunk of triangles of the QuadraticField
+    `f`, from the form's values `q` on their edge vectors (and `b`, see
+    ``_form_masses``): in closed form when `nodes` is None, else the
+    residual at the finite-p error nodes; ``triangle(i)`` names a failure."""
+    if nodes is None:
+        return _checked(_form_masses(q, b, area, f.form, p), q, f, p, triangle)
+    return _checked(*_node_masses(_form_residual(q), area, p), f, p, triangle)
+
+
+def _chunk_masses(v, f, p: float, op: str, form, nodes) -> np.ndarray:
+    """``_masses`` of one chunk of triangles, at most as many as
+    ``_chunking`` allows; `form` and `nodes` are its other two values."""
+    area, e = _check_shapes(v, "local_error")
+    if form is not None:
+        # the residual is zero, or finite, where the form's values are
+        b = _bilinear(e, form) if math.isinf(p) and form.det > 0.0 else None
+        return _form_chunk(form(e), b, area, f, p, nodes, v.__getitem__)
+    pts = _points(nodes, v)
+    fx = np.asarray(f(pts[0], pts[1]), dtype=float)
+    del pts  # freed first, so the residual can take its place on the heap
+    # the vertex values: the field's at the last three nodes, the vertices,
+    # or the projection's; one product per triangle keeps the residual
+    # bit-identical to nodes @ vals, whatever the batch
+    if op == "interpolation":
+        vals = fx[:, -3:]
+    else:
+        vals = np.matmul(fx[:, None, :len(_WEIGHTS)], _PROJ)[:, 0]
+    res = np.matmul(nodes, vals[..., None])[..., 0]
+    np.subtract(fx, res, out=res)
+    return _checked(*_node_masses(res, area, p), f, p, v.__getitem__)
 
 
 def _masses(verts, f, p, op: str) -> np.ndarray:
@@ -381,26 +428,76 @@ def lp_root(total, p) -> float:
     return float(np.array(total) ** (1.0 / p))
 
 
+def _median_split(q: np.ndarray) -> np.ndarray:
+    """The values (6 n, 3) on the edge vectors of the six candidate children,
+    in ``bisect``'s order (by parent, edge, then child), of a quadratic
+    form taking the values `q` (n, 3) on the parents' edge vectors.
+
+    Bisecting edge k halves it and joins its midpoint to vertex k, on which
+    the form takes ``m_k = (q_(k+1) + q_(k+2)) / 2 - q_k / 4`` (Apollonius):
+    child 0 has ``(q_k / 4, m_k, q_(k+2))`` on its edges, child 1 ``(q_k / 4,
+    q_(k+1), m_k)``.
+    """
+    quarter = 0.25 * q
+    median = 0.5 * (q.take(NEXT, axis=1) + q.take(PREV, axis=1)) - quarter
+    return np.concatenate((quarter, median, q), axis=1).take(_SPLIT, axis=1).reshape(-1, 3)
+
+
+def _form_children(parents: np.ndarray, f, p: float, nodes) -> np.ndarray:
+    """The interpolation masses (6 n,) of the six candidate children of each
+    parent (n, 3, 2) of the QuadraticField `f`, in ``bisect``'s order, read
+    from the parent's form (``_median_split``), of half its area; a flat
+    child, by the Euclidean form's split, is rejected as the kernel rejects
+    it.  At p = inf child 0 of edge k has the bilinear signs of ``(b_k -
+    q_(k+2), b_(k+1), b_(k+2) - b_(k+1))`` and child 1 of ``(b_k - q_(k+1),
+    b_(k+1) - b_(k+2), b_(k+2))``, ``b_k = B(e_(k+1), e_(k+2))`` the parent's:
+    none a difference of the q, which cancels on needles.
+    """
+    form = f.form
+    e = edge_vectors_of(parents)
+    ee = e * e
+    area = np.repeat(0.5 * areas_of(e), 6)
+    _reject_flat(area, _median_split(ee[..., 0] + ee[..., 1]).max(axis=1), "local_error")
+    q = form(e)
+    b = None
+    if math.isinf(p) and form.det > 0.0:
+        b = _bilinear(e, form)
+        b1, b2 = b.take(NEXT, axis=1), b.take(PREV, axis=1)
+        b = np.stack((b - q.take(PREV, axis=1), b1, b2 - b1, b - q.take(NEXT, axis=1),
+                      b1 - b2, b2), axis=2).reshape(-1, 3)
+
+    def triangle(i):  # child i's vertices, made only to name a failure
+        return bisect(parents[i // 6], (i // 2) % 3)[i % 2]
+
+    return _form_chunk(_median_split(q), b, area, f, p, nodes, triangle)
+
+
 def _children_mass(verts, f, p: float, op: str) -> np.ndarray:
     """The children's error masses of each bisection added, their maximum at
     p = inf: the p-th power of the two children's Lp error, taken without a
     root or a power.
 
-    Takes as many parents at a time as one error chunk holds triangles (a
-    closed-form chunk, all six children of each), so the repeated parents
-    and their children stay a bounded temporary however large the batch.
+    A QuadraticField under interpolation reads them from each parent's form
+    (``_form_children``); any other field bisects the candidates.  Takes as
+    many parents at a time as one error chunk holds triangles (for a
+    quadratic field, as one holds their six children), so the repeated
+    parents and their children stay a bounded temporary however large the
+    batch.
     """
     v = np.asarray(verts, dtype=float)
     flat = v.reshape(-1, 3, 2)
-    nodes, chunk = _chunking(f, p, op)[1:]
-    if nodes is None:
+    form, nodes, chunk = _chunking(f, p, op)
+    if form is not None:
         chunk //= 6
-    edges = np.tile(np.arange(3), chunk)
     mass = np.empty((len(flat), 3))
     for s in range(0, len(flat), chunk):
-        parents = np.repeat(flat[s:s + chunk], 3, axis=0)
-        children = np.stack(bisect(parents, edges[:len(parents)]), axis=1)
-        m = _masses(children.reshape(-1, 3, 2), f, p, op).reshape(-1, 3, 2)
+        if form is not None:
+            m = _form_children(flat[s:s + chunk], f, p, nodes)
+        else:
+            parents = np.repeat(flat[s:s + chunk], 3, axis=0)
+            children = np.stack(bisect(parents, np.tile(np.arange(3), len(parents) // 3)), axis=1)
+            m = _masses(children.reshape(-1, 3, 2), f, p, op)
+        m = m.reshape(-1, 3, 2)
         mass[s:s + chunk] = m.max(axis=2) if math.isinf(p) else m.sum(axis=2)
     return mass.reshape(v.shape[:-2] + (3,))
 

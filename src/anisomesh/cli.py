@@ -312,6 +312,12 @@ def main(argv=None) -> int:
                     else "sigma coloring needs --form or a quadratic --field")
             print(f"error: {what}: a positive-definite form is needed", file=sys.stderr)
             return 2
+    if args.command == "converge":
+        try:  # a usage error, reported before any work
+            analysis.require_convex(args.field, engine.initial_mesh(args.initial))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     handler = {
         "run": cmd_run,
         "converge": cmd_converge,

@@ -9,7 +9,9 @@ leaf's error and edge depend on that leaf only, so the loop replays this
 order in batches of leaves, which it picks by partial sort of the forest's
 error column, not from a heap, and scores before it writes the steps it
 keeps; the trace is read from the finished forest, whose rows are in step
-order, the records up to 1024 leaves from tables made in one pass.  Meshes
+order: the records up to 1024 leaves are built all at once from tables
+made in one pass (exact sums divided once per step, the roots and
+sigma_mean as one array each), the later ones gather their leaves.  Meshes
 serialize to a plain-text format with 17-significant-digit decimals so runs
 round-trip bit-exactly.
 """
@@ -237,19 +239,27 @@ def select_edge(verts, f, config: GreedyConfig):
     """Edge whose bisection the decision function prefers.
 
     An int for one triangle (3, 2), an index array for a batch (n, 3, 2):
-    the argmax of the exact error-reduction formula for the L1-interpolation
-    decision on convexity-tagged fields, otherwise the argmin of the
-    child-quadrature decision values.  Exact ties pick the lowest index; a
-    near-tie is decided by rounding, as between the mirror edges of an
-    input symmetric about x = y.
+    for the L1-interpolation decision, the argmax of the exact
+    error-reduction formula on the triangles where the field is known to be
+    convex (``convex_on``), otherwise the argmin of the child-quadrature
+    decision values, row by row, so that a batch's make-up cannot change a
+    leaf's edge.  Exact ties pick the lowest index; a near-tie is decided
+    by rounding, as between the mirror edges of an input symmetric about
+    x = y.
     """
+    v = np.asarray(verts, dtype=float)
     if config.decision == "lp-split":
-        edges = np.argmin(approx.decision_lp_split(verts, f, config.p, config.operator),
-                          axis=-1)
-    elif getattr(f, "is_convex", False):
-        edges = np.argmax(approx.decision_gains_convex(verts, f), axis=-1)
-    else:
-        edges = np.argmin(approx.decision_l1(verts, f), axis=-1)
+        edges = np.argmin(approx.decision_lp_split(v, f, config.p, config.operator), axis=-1)
+        return int(edges) if edges.ndim == 0 else edges
+    convex = f.convex_on(v) if hasattr(f, "convex_on") else np.zeros(v.shape[:-2], bool)
+    if convex.all():
+        edges = np.argmax(approx.decision_gains_convex(v, f), axis=-1)
+    elif not convex.any():
+        edges = np.argmin(approx.decision_l1(v, f), axis=-1)
+    else:  # a batch with rows of both kinds
+        edges = np.empty(len(v), np.intp)
+        edges[convex] = np.argmax(approx.decision_gains_convex(v[convex], f), axis=-1)
+        edges[~convex] = np.argmin(approx.decision_l1(v[~convex], f), axis=-1)
     return int(edges) if edges.ndim == 0 else edges
 
 
@@ -259,7 +269,9 @@ class _LeafValues:
     diameter and, for a field with a positive-definite form, its sigma.  A
     record sums the rows ``summed`` and takes the maxima of the rows
     ``maxed``; for each step up to ``_EVERY_STEP`` leaves, the tables
-    ``sums`` (exact, as ints in one unit per row) and ``tops`` hold them."""
+    ``sums`` (exact, as ints in one unit per row) and ``tops`` hold them,
+    and the column of ``early`` (4, steps) the fields of its record after
+    its step and leaf count, made in one pass over the tables."""
 
     def __init__(self, forest, f, p):
         self.forest, self.p = forest, p
@@ -288,6 +300,14 @@ class _LeafValues:
         child = forest.nodes["child"][:n]
         split = np.where((child < 0) | (child >= n), steps, (child - r) // 2 + 1)
         self.tops = np.array([_range_max(rows[i], born, split, steps) for i in self.maxed]).T
+        # each exact sum rounded once; the roots as one array by numpy's power,
+        # as lp_root takes one, and sigma_mean as one division by the leaf counts
+        sums = [_rounded(k, u) for k, u in self.sums]
+        tops = list(self.tops.T)
+        error = tops.pop(0) if math.isinf(p) else sums.pop(0) ** (1.0 / p)
+        smean, smax = (sums[0] / np.arange(r, r + steps), tops[1]) if sums else \
+            (np.full(steps, math.nan),) * 2
+        self.early = np.array([error, np.sqrt(tops[0]), smean, smax])
 
     def gather(self, leaf) -> np.ndarray:
         """The rows of the nodes that the mask ``leaf`` over the first rows
@@ -338,30 +358,52 @@ def _range_max(values, start, stop, size) -> np.ndarray:
     return table[0].view(np.float64)
 
 
+def _rounded(k: list, u: int) -> np.ndarray:
+    """The exact sums ``k * 2 ** u`` of ``_step_sums`` as floats, each
+    rounded once (int / int rounds correctly, as fsum does); inf past the
+    float range, which only a sum of powers reaches."""
+    d, out = 1 << -u, []
+    for i in k:
+        try:
+            out.append(i / d)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
 def _trace_record(values: _LeafValues, step) -> TraceRecord:
     """The record of the mesh after ``step`` bisections, whose leaves are
     the first ``n = n_roots + 2 step`` rows not split among them; its sums
     are exact and rounded once, whatever the leaves' order.  An early
-    step's record reads its row of the tables, in any order; any other
-    record gathers its leaves."""
+    step's record is its column of ``values.early``, read in any order;
+    any other record gathers its leaves."""
     forest, p = values.forest, values.p
     n, m = forest.n_roots + 2 * step, forest.n_roots + step
-    early = step < len(values.tops)
-    if early:
-        tops = values.tops[step].tolist()
-    else:
-        # a leaf's child is -1, the largest unsigned value, or made after the
-        # step; the unsigned view of the column compares without a copy
-        leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
-        tops = np.maximum.reduce(leaf, axis=1)[values.maxed].tolist()
-    try:  # int / int rounds correctly, as fsum does, which reads a row without a list
-        sums = ([k[step] / (1 << -u) for k, u in values.sums] if early else
-                [math.fsum(leaf[i]) for i in values.summed])
+    if step < values.early.shape[1]:
+        return _early_records(values, slice(step, step + 1))[0]
+    # a leaf's child is -1, the largest unsigned value, or made after the
+    # step; the unsigned view of the column compares without a copy
+    leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
+    tops = np.maximum.reduce(leaf, axis=1)[values.maxed].tolist()
+    try:
+        sums = [math.fsum(leaf[i]) for i in values.summed]
     except OverflowError:  # only a sum of powers passes the float range
         sums = [math.inf]
     error = tops.pop(0) if math.isinf(p) else approx.lp_root(sums.pop(0), p)
     smean, smax = (sums[0] / m, tops[1]) if sums else (math.nan, math.nan)
     return TraceRecord(step, m, error, math.sqrt(tops[0]), smean, smax)
+
+
+def _early_records(values: _LeafValues, steps: slice) -> list:
+    """The records of the early steps ``steps``, in step order, from their
+    columns of ``values.early``; lp_root's ValueError, naming p, if an
+    error is past the float range (at finite p, only a sum of powers is)."""
+    columns = values.early[:, steps]
+    if math.isfinite(values.p) and np.isinf(columns[0]).any():
+        approx.lp_root(math.inf, values.p)
+    r = values.forest.n_roots
+    return [TraceRecord(step, r + step, *row) for step, row in
+            zip(range(values.early.shape[1])[steps], columns.T.tolist())]
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -384,8 +426,10 @@ def greedy_run(f, config: GreedyConfig):
     Returns ``(forest, trace)``.  Trace records are emitted at step 0,
     every step while the mesh has at most 1024 leaves, at powers of two
     beyond that, and at the final step.  The loop keeps no trace state:
-    ``_trace_record`` reads every record from the finished forest, as the
-    rate study reads its checkpoints, the early ones from step tables.
+    every record is read from the finished forest, as the rate study reads
+    its checkpoints: the early ones at once by ``_early_records``, from step
+    tables, and the later ones by ``_trace_record``, which gathers their
+    leaves.
     Raises RunawayRefinementError at the node cap, and before refining when
     a target-count or generation-levels run cannot fit under it.
 
@@ -415,14 +459,17 @@ def greedy_run(f, config: GreedyConfig):
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     _bisect_greedily(forest, f, config)  # its batch arrays are freed before the trace
 
-    # leaf counts with a record: the first and the last, every count up to
-    # _EVERY_STEP and the powers of two
     n_last = forest.n_leaves
     due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1),
            *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
     values = _LeafValues(forest, f, config.p)
-    trace = [_trace_record(values, n - forest.n_roots)
-             for n in sorted(due) if forest.n_roots <= n <= n_last]
+    trace = _early_records(values, slice(None))
+    # leaf counts with a record: the first and the last, every count up to
+    # _EVERY_STEP and the powers of two; the early ones are all of those up
+    # to its last, the later ones gather their leaves
+    first = forest.n_roots + len(trace)
+    trace += [_trace_record(values, n - forest.n_roots)
+              for n in sorted(due) if first <= n <= n_last]
     return forest, trace
 
 

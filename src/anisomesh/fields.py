@@ -19,7 +19,9 @@ is called as given.
 
 Convexity tags are declared, not inferred; ``check_box`` is the rectangle
 on which the declaration is grid-checked (and on which demo runs make
-sense for fields that are only locally convex).
+sense for fields that are only locally convex), and ``convex_on`` holds
+the tag on the triangles inside it only.  A QuadraticField's tag, derived
+from its form, holds everywhere.
 """
 from __future__ import annotations
 
@@ -85,6 +87,17 @@ class ScalarField:
     def is_convex(self) -> bool:
         return self.convexity in ("strictly-convex", "convex")
 
+    def convex_on(self, verts) -> np.ndarray:
+        """Whether the convexity tag is known to hold on each triangle of
+        ``verts`` (..., 3, 2): on those whose vertices lie in ``check_box``,
+        the rectangle where the tag was checked."""
+        v = np.asarray(verts, dtype=float)
+        if not self.is_convex:
+            return np.zeros(v.shape[:-2], bool)
+        (x0, x1), (y0, y1) = self.check_box
+        x, y = v[..., 0], v[..., 1]
+        return ((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)).all(axis=-1)
+
     def __repr__(self):
         return f"<ScalarField {self.label!r} ({self.convexity})>"
 
@@ -130,6 +143,10 @@ class QuadraticField(ScalarField):
 
         super().__init__(label, func, hess, convexity=tag,
                          convexity_margin=margin, check_box=check_box)
+
+    def convex_on(self, verts) -> np.ndarray:
+        """A quadratic's tag, from its form, holds on the whole plane."""
+        return np.full(np.shape(verts)[:-2], self.is_convex)
 
     def __repr__(self):
         return f"<QuadraticField {self.label!r} coeffs={self.coeffs}>"

@@ -212,6 +212,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(get_field("mixed-saddle"), cfg, [8, 16])
 
+    @pytest.mark.parametrize("initial", ["ref-triangle", "unit-square"])
+    def test_rejects_roots_off_the_check_box(self, initial):
+        # gauss-ridge's tag holds on its check box only, off both CLI domains
+        with pytest.raises(ValueError, match=r"'gauss-ridge' is convex only on its check "
+                                             r"box \[1, 2\] x \[0, 0\.5\]"):
+            convergence_study(get_field("gauss-ridge"), GreedyConfig(initial=initial), [8, 16])
+
     def test_checkpoint_below_the_roots_fails_before_refining(self, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("refined before checking the checkpoints")

@@ -338,7 +338,16 @@ def exact_local_error(v, f, p):
 
 def exact_norm(v, f, p):
     """The exact interpolation error of a QuadraticField at p = 2 or
-    p = inf, in rational arithmetic on the float vertices `v`.
+    p = inf, in rational arithmetic on the float vertices `v` (see
+    ``exact_mass``), rounded once and rooted."""
+    mass = float(exact_mass(v, f, p))
+    return mass ** 0.5 if p == 2.0 else mass
+
+
+def exact_mass(v, f, p):
+    """The exact interpolation error mass of a QuadraticField, as a Fraction,
+    on the vertices `v` (floats or Fractions): the integral of the squared
+    residual at p = 2, its maximum at p = inf.
 
     The residual is ``r = sum_k q_k l_(k+1) l_(k+2)`` with ``q_k`` four
     times its value at the midpoint of edge k.  At p = 2 its square is
@@ -359,7 +368,7 @@ def exact_norm(v, f, p):
                     a[i] += 1
                 mass += q[j] * q[k] * Fraction(
                     2 * factorial(a[0]) * factorial(a[1]) * factorial(a[2]), factorial(6))
-        return float(area * mass) ** 0.5
+        return area * mass
     assert math.isinf(p)
     best = max(abs(qk) for qk in q) / 4
     # r(l0, l1) = A l0^2 + B l0 l1 + C l1^2 + d l0 + e l1 + g
@@ -374,7 +383,7 @@ def exact_norm(v, f, p):
         l0, l1 = (b_ * e - 2 * c_ * d) / det, (b_ * d - 2 * a_ * e) / det
         if l0 >= 0 and l1 >= 0 and l0 + l1 <= 1:
             best = max(best, abs(residual(l0, l1)))
-    return float(best)
+    return best
 
 
 def chunk_of(p, f, op="interpolation"):
@@ -643,7 +652,8 @@ class TestClosedForm:
     def test_needles_match_exact_arithmetic(self, f, p):
         # on a needle the float area, a cross product of two nearly parallel
         # edge vectors in some vertex orders, is off by about eps * diam^2 /
-        # area relative, and the p = 2 mass and the inside value inherit it
+        # area relative, and the p = 2 mass and the inside value inherit it;
+        # so do the decision values of needle parents
         rng = np.random.default_rng(87)
         verts = needles(rng, 60, f)
         got = local_errors(verts, f, p)
@@ -651,6 +661,23 @@ class TestClosedForm:
         e = verts.take([2, 0, 1], axis=1) - verts.take([1, 2, 0], axis=1)
         kappa = (e * e).sum(axis=2).max(axis=1) / areas_of(e)
         assert kappa.min() > 1e5  # aniso-100's squeezed spikes; 2e6 for the rest
+        assert (np.abs(got - want) <= 4.0 * np.finfo(float).eps * kappa * want).all()
+        # the decision values of the first 20, whose children come from the
+        # parent's form by the median identity, against the exact masses of
+        # the exactly bisected children: a child's area is half its parent's,
+        # and it holds no edge longer, so the same bound holds (under 0.15 eps
+        # kappa measured); no bilinear value is a difference of form values
+        verts, kappa = verts[:20], kappa[:20, None]
+        got = decision_lp_split(verts, f, p)
+        want = []
+        for v in verts:
+            z = [(Fraction(x), Fraction(y)) for x, y in v]
+            for k in range(3):
+                i, j = (k + 1) % 3, (k + 2) % 3
+                mid = ((z[i][0] + z[j][0]) / 2, (z[i][1] + z[j][1]) / 2)
+                pair = [exact_mass([z[k], z[i], mid], f, p), exact_mass([z[k], mid, z[j]], f, p)]
+                want.append(float(max(pair) if math.isinf(p) else sum(pair)))
+        want = np.reshape(want, (-1, 3))
         assert (np.abs(got - want) <= 4.0 * np.finfo(float).eps * kappa * want).all()
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -787,10 +814,11 @@ class TestMasses:
         assert local_errors(verts, f, 2.0).tobytes() == want.tobytes()
 
     def test_lp_split_adds_the_childrens_masses(self, verts):
+        # the children's masses of a quadratic field come from the parent's
+        # form by the median identity, and the decision adds them
         f = get_field("aniso-10")
-        want = np.stack([sum(closed_form_mass(c, f) for c in bisect(verts, np.full(len(verts), k)))
-                         for k in range(3)], axis=1)
-        assert decision_lp_split(verts, f, 2.0).tobytes() == want.tobytes()
+        want = [median_split_value(v, f, 2.0, e) for v in verts for e in range(3)]
+        assert decision_lp_split(verts, f, 2.0).tobytes() == np.array(want).tobytes()
 
 
 class TestDecisions:
@@ -862,6 +890,64 @@ def reference_split(t, f, p, e, op="interpolation"):
     return max(m1, m2) if math.isinf(p) else m1 + m2
 
 
+def median_children(v, f, e):
+    """The two children of bisecting edge `e` of the triangle `v` (3, 2) of
+    a QuadraticField, read from the parent's form in Python floats, as the
+    kernel's median identity reads them: each child's form values on its
+    edges, its area and, for a definite form, values with the signs of its
+    bilinear values ``B(e_(k+1), e_(k+2))``.
+
+    The parent has form values ``q_k`` on its edges and bilinear values
+    ``b_k``.  Child 0 keeps ``q_e / 4``, the median's ``m = (q_(e+1) +
+    q_(e+2)) / 2 - q_e / 4`` and ``q_(e+2)``, child 1 ``q_e / 4``,
+    ``q_(e+1)`` and ``m``; their bilinear values are ``((b_e - q_(e+2)) / 2,
+    b_(e+1) / 2, (b_(e+2) - b_(e+1)) / 4)`` and ``((b_e - q_(e+1)) / 2,
+    (b_(e+1) - b_(e+2)) / 4, b_(e+2) / 2)``, whose signs are those of the
+    numerators.
+    """
+    a20, a11, a02 = f.form.a20, f.form.a11, f.form.a02
+    edge = [v[(k + 2) % 3] - v[(k + 1) % 3] for k in range(3)]
+    q = [float(f.form(x)) for x in edge]
+    b = [float(x[0] * (a20 * y[0] + a11 * y[1]) + x[1] * (a11 * y[0] + a02 * y[1]))
+         for x, y in ((edge[(k + 1) % 3], edge[(k + 2) % 3]) for k in range(3))]
+    area = 0.5 * float(areas_of(np.array(edge)))
+    i, j = (e + 1) % 3, (e + 2) % 3
+    quarter = 0.25 * q[e]
+    median = 0.5 * (q[i] + q[j]) - quarter
+    signs = [(b[e] - q[j], b[i], b[j] - b[i]), (b[e] - q[i], b[i] - b[j], b[j])]
+    return [((quarter, median, q[j]), area, signs[0]), ((quarter, q[i], median), area, signs[1])]
+
+
+def form_mass(qs, area, signs, f, p):
+    """The interpolation error mass of a triangle of a QuadraticField from
+    its form values `qs`, its area and, at p = inf, its bilinear signs, by
+    the kernel's formulas in Python floats: the closed forms at p = 2 and
+    p = inf, else the residual at the error nodes."""
+    q0, q1, q2 = qs
+    if p == 2.0:
+        t = q0 + q1 + q2
+        return (q0 * q0 + q1 * q1 + q2 * q2 + t * t) * area / 180.0
+    if math.isinf(p):
+        peak = max(map(abs, qs)) * 0.25
+        form = f.form
+        if not form.det > 0.0 or not all(x < 0.0 if form.a20 > 0.0 else x > 0.0 for x in signs):
+            return peak
+        return max(peak, abs(q0 / area * (q1 / area) * q2 / (16.0 * form.det)))
+    bary, w = error_nodes(p)
+    res = np.zeros(len(bary))
+    for k, qk in enumerate(qs):
+        res = res + qk * (bary[:, (k + 1) % 3] * bary[:, (k + 2) % 3])
+    return float((np.abs(res) ** p * w).sum() * area)
+
+
+def median_split_value(v, f, p, e):
+    """The decision value of bisecting edge `e` of `v` for a QuadraticField
+    under interpolation, from ``median_children``: the two masses added, or
+    their maximum at p = inf."""
+    m1, m2 = (form_mass(qs, area, signs, f, p) for qs, area, signs in median_children(v, f, e))
+    return max(m1, m2) if math.isinf(p) else m1 + m2
+
+
 class TestBatchedDecisions:
     """One call scores the three edges of one triangle or of a batch."""
 
@@ -870,11 +956,16 @@ class TestBatchedDecisions:
 
     @pytest.mark.parametrize("p, op", CASES)
     def test_lp_split_matches_per_edge_reference(self, p, op):
+        # a quadratic field's interpolation children come from the parent's
+        # form (the median identity); the projection's are bisected
         rng = np.random.default_rng(11)
         f = get_field("mixed-saddle")
         for _ in range(5):
             t = random_triangle(rng)
-            want = [reference_split(t, f, p, e, op) for e in range(3)]
+            if op == "interpolation":
+                want = [median_split_value(t.vertices, f, p, e) for e in range(3)]
+            else:
+                want = [reference_split(t, f, p, e, op) for e in range(3)]
             assert decision_lp_split(t.vertices, f, p, op).tolist() == want
 
     def test_l1_matches_per_edge_reference(self):
@@ -902,26 +993,152 @@ class TestBatchedDecisions:
     @pytest.mark.parametrize("p", [1.0, math.inf])
     def test_large_batch_is_decided_in_bounded_chunks(self, monkeypatch, p):
         # a greedy batch can hold thousands of leaves: the decision must not
-        # build all their 3 n candidate parents and 6 n children at once
+        # build all their 3 n candidate parents and 6 n children at once.  The
+        # projection bisects the candidates of as many parents as one error
+        # chunk holds triangles; a quadratic field's interpolation reads the
+        # six children of as many parents as one chunk holds children from
+        # their form, bisecting none
         rng = np.random.default_rng(14)
         f = get_field("mixed-saddle")
         verts = np.array([random_triangle(rng).vertices for _ in range(5000)])
-        rows = {"bisect": [], "_masses": []}
+        rows = {"bisect": [], "_masses": [], "_form_children": []}
         for name in rows:
             real = getattr(approx, name)
             monkeypatch.setattr(approx, name, lambda v, *args, real=real, seen=rows[name]:
                                 seen.append(len(v)) or real(v, *args))
-        batch = decision_lp_split(verts, f, p)
-        # as many parents as one error chunk holds triangles: at p = inf the
-        # closed form's chunk, which takes all six children of each
-        chunk = chunk_of(p, f) // (6 if math.isinf(p) else 1)
+        projected = decision_lp_split(verts, f, p, "l2-projection")
+        chunk = chunk_of(p, f, "l2-projection")
         assert 5000 > 2 * chunk  # the batch straddles at least two chunk boundaries
         assert sum(rows["bisect"]) == 3 * 5000 and max(rows["bisect"]) <= 3 * chunk
         assert sum(rows["_masses"]) == 6 * 5000
         assert max(rows["_masses"]) <= 6 * chunk
+        for seen in rows.values():
+            seen.clear()
+        batch = decision_lp_split(verts, f, p)
+        chunk = chunk_of(p, f) // 6
+        assert 5000 > 2 * chunk
+        assert rows["bisect"] == rows["_masses"] == []
+        assert sum(rows["_form_children"]) == 5000 and max(rows["_form_children"]) <= chunk
         monkeypatch.undo()
         some = rng.choice(5000, 40, replace=False)
-        assert np.array_equal(batch[some], [decision_lp_split(v, f, p) for v in verts[some]])
+        for got, op in ((batch, "interpolation"), (projected, "l2-projection")):
+            assert np.array_equal(got[some], [decision_lp_split(v, f, p, op) for v in verts[some]])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_temporaries_of_the_form_path(self, p):
+        # the form path holds one chunk of parents' children at a time: its
+        # peak on 40 chunks' parents is that on one chunk's and the decision
+        # values, 24 bytes per parent (granted 32)
+        rng = np.random.default_rng(15)
+        f = get_field("aniso-100")
+        n = chunk_of(p, f) // 6
+        verts = np.array([random_triangle(rng).vertices for _ in range(40 * n)])
+
+        def peak(v):
+            decision_lp_split(v, f, p)  # numpy's first-call set-up is not the decision's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                decision_lp_split(v, f, p)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one = peak(verts[:n])
+        assert peak(verts) <= one + 32 * len(verts)
+        # a chunk holds a few values per child (under 16 floats measured,
+        # granted 24), and at finite p other than 2 the residual at the error
+        # nodes and its weighted copy, under four (6 n, nodes) blocks
+        floats = 24 if p in (2.0, math.inf) else 4 * len(approx._ERROR_NODES)
+        assert one <= 8 * 6 * n * floats
+
+
+class TestFormChildren:
+    """The six candidate children of a quadratic field's parent, read from
+    its form by the median identity, against the bisected children, exact
+    arithmetic and the optimal per-triangle error."""
+
+    FORMS = [get_field("aniso-100"), get_field("mixed-saddle"), get_field("disk"),
+             QuadraticField("tilted", 2.0, 0.7, 0.5, 0.3, -1.2, 0.8),
+             QuadraticField("rank-1", 1.0, 0.0, 0.0),
+             QuadraticField("negative-definite", -2.0, 0.5, -1.0, 0.3, 0.1, 2.0)]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    @pytest.mark.parametrize("f", FORMS, ids=lambda f: f.label)
+    def test_bits_and_argmins_near_the_bisected_children(self, f, p):
+        """Both paths start from the parent's vertices.  Bisection rounds the
+        midpoint, then each child's edge vectors, form values and area; the
+        median identity rounds a few operations on the parent's form values.
+        With vertices in the unit square, every form value is at most ``S =
+        |Q| diam^2`` (``|Q| = |a20| + 2 |a11| + |a02|``), so a child's form
+        values differ between the paths by a few ``eps S`` and its area by a
+        few ``eps diam^2``: relatively, a few ``eps kappa``, ``kappa = diam^2 /
+        |T|``.  The residual, ``sum q_k l_(k+1) l_(k+2)``, is at most ``S / 3``,
+        so a decision value, two children's masses added or their maximum,
+        moves by at most ``B = 16 eps kappa p |T| (S / 3)^p`` at finite p (the
+        p-th power is p times as sensitive), and ``16 eps kappa S / 3`` at
+        p = inf.  Measured: under 1/40 of B at every p.  Where the two
+        smallest values of a parent are more than 2 B apart, both paths pick
+        the same edge.
+        """
+        rng = np.random.default_rng(101)
+        verts = np.array([random_triangle(rng).vertices for _ in range(300)])
+        got = decision_lp_split(verts, f, p)
+        want = np.array([[reference_split(Triangle(v), f, p, e) for e in range(3)] for v in verts])
+        e = edge_vectors_of(verts)
+        diam2 = (e * e).sum(axis=2).max(axis=1)
+        area = areas_of(e)
+        a20, a11, a02 = f.form.a20, f.form.a11, f.form.a02
+        s = (abs(a20) + 2 * abs(a11) + abs(a02)) * diam2 / 3.0
+        eps = np.finfo(float).eps
+        bound = 16 * eps * diam2 / area * (s if math.isinf(p) else p * area * s ** p)
+        assert (np.abs(got - want) <= bound[:, None]).all()
+        lowest = np.sort(want, axis=1)
+        clear = lowest[:, 1] - lowest[:, 0] > 2 * bound
+        assert clear.mean() > 0.9
+        assert (got.argmin(axis=1) == want.argmin(axis=1))[clear].all()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("f", [f for f in FORMS if f.form.det > 0.0], ids=lambda f: f.label)
+    def test_no_child_below_the_optimal_error(self, f, p):
+        # the smallest interpolation error of a triangle of area A for a
+        # definite form is K_p 2 sqrt(det Q) A^(1/tau), 1/tau = 1/p + 1, which
+        # the triangle equilateral in the form's metric attains: no child of
+        # random triangles, needles or equilateral ones reads less, up to
+        # rounding; equilateral parents have children near it
+        k = {1.0: 1 / (2 * math.sqrt(3)), 2.0: 2 / math.sqrt(45), math.inf: 2 / (3 * math.sqrt(3))}
+        rng = np.random.default_rng(103)
+        ell = np.linalg.cholesky(np.linalg.inv(f.form.matrix * np.sign(f.form.a20)))
+        equilateral = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]) @ ell.T
+        verts = np.concatenate([[random_triangle(rng).vertices for _ in range(200)],
+                                needles(rng, 40, f), equilateral[None] * 1e-3 + 0.5])
+        form, nodes = approx._chunking(f, p, "interpolation")[:2]
+        mass = approx._form_children(verts, f, p, nodes)
+        error = mass if math.isinf(p) else mass ** (1.0 / p)
+        area = np.repeat(0.5 * areas_of(edge_vectors_of(verts)), 6)
+        tau = 1.0 if math.isinf(p) else p / (p + 1.0)
+        least = k[p] * 2.0 * math.sqrt(form.det) * area ** (1.0 / tau)
+        assert (error >= least * (1.0 - 1e-9)).all()
+        assert error[-6:].min() < 1.5 * least[-6:].min()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_too_flat_child_raises_the_kernels_text(self, p):
+        # the parent is not too flat (area 2^-46, diam 1), but every child
+        # that keeps its base is (area 2^-47): the decision fails on the
+        # first of them, edge 0's child 0, with the text the kernel gives
+        # that child, whose dyadic area and diameter both paths read exactly
+        parent = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0 ** -45]])
+        child = bisect(parent, 0)[0]
+        for f in (DISK, get_field("mixed-saddle")):
+            with pytest.raises(ValueError) as kernel:
+                local_errors(child[None], f, p)
+            assert str(kernel.value) == "local_error: triangle too flat " \
+                                        "(area 7.105427357601002e-15, diam 1.0)"
+            assert local_errors(parent[None], f, p) > 0.0
+            for decide in (lambda v: decision_lp_split(v, f, p), lambda v: decision_l1(v, f)):
+                with pytest.raises(ValueError) as decision:
+                    decide(np.stack([REF.vertices, parent]))
+                assert str(decision.value) == str(kernel.value)
 
 
 class TestAffineCommutation:

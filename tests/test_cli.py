@@ -182,6 +182,26 @@ class TestConverge:
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("initial", ["ref-triangle", "unit-square"])
+    def test_field_convex_only_off_the_domain_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                    initial):
+        # gauss-ridge is tagged convex on its check box, which neither CLI
+        # domain lies in: a usage error, before any refinement
+        monkeypatch.setattr(cli.engine, "greedy_run", None)
+        csv = tmp_path / "conv.csv"
+        code = run_cli("converge", "--field", "gauss-ridge", "--initial", initial,
+                       "--checkpoints", "64,256", "--csv-out", str(csv))
+        assert code == 2 and not csv.exists()
+        assert capsys.readouterr().err == (
+            "error: field 'gauss-ridge' is convex only on its check box [1, 2] x [0, 0.5], "
+            "which the initial triangles leave\n")
+
+    def test_untagged_field_exit_2(self, tmp_path, capsys):
+        code = run_cli("converge", "--field", "mixed-saddle", "--checkpoints", "64,256",
+                       "--csv-out", str(tmp_path / "conv.csv"))
+        assert code == 2
+        assert "expects a convexity-tagged field, got 'mixed-saddle'" in capsys.readouterr().err
+
 
 class TestSigmaStudy:
     def test_rows(self, tmp_path, capsys):

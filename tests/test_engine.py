@@ -254,6 +254,49 @@ class TestSelectEdge:
         assert select_edge(verts, f, cfg).tolist() == \
             [select_edge(v, f, cfg) for v in verts]
 
+    def test_convex_gain_only_inside_the_check_box(self):
+        # gauss-ridge is tagged convex only in its check box [1, 2] x [0, 0.5]:
+        # in a batch of leaves inside it and outside it, each leaf takes its
+        # own rule, the closed-form gain inside and the quadrature outside,
+        # and the edge it would take alone
+        f = get_field("gauss-ridge")
+        box = [Triangle([(1.0, 0.0), (2.0, 0.0), (2.0, 0.5)]),
+               Triangle([(1.0, 0.0), (2.0, 0.5), (1.0, 0.5)])]
+        verts = np.concatenate([
+            uniform_refine(RefinementForest(roots), f, GreedyConfig(), 2).leaf_vertex_array()
+            for roots in (box, initial_mesh("unit-square"))])
+        verts = verts[np.random.default_rng(7).permutation(len(verts))]
+        convex = f.convex_on(verts)
+        assert 0 < convex.sum() < len(verts)
+        edges = select_edge(verts, f, GreedyConfig())
+        assert edges.tolist() == [select_edge(v, f, GreedyConfig()) for v in verts]
+        gains = approx.decision_gains_convex(verts[convex], f)
+        assert (edges[convex] == gains.argmax(axis=1)).all()
+        assert (edges[~convex] == approx.decision_l1(verts[~convex], f).argmin(axis=1)).all()
+
+    @pytest.mark.parametrize("initial", engine.INITIAL_MESHES)
+    @pytest.mark.parametrize("label", [f.label for f in builtin_catalog() if f.is_convex])
+    def test_every_parent_takes_the_quadratures_edge(self, label, initial):
+        # a p = 2 l1-interp run of each tagged catalog field from each CLI
+        # domain: where the closed-form gain decides, its edge is
+        # decision_l1's argmin up to a near-tie; gauss-ridge, whose check box
+        # neither domain lies in, is decided by decision_l1 itself
+        f = get_field(label)
+        forest, _ = greedy_run(f, count_config(256, initial=initial))
+        nodes = forest.nodes
+        parents = np.flatnonzero(nodes["child"] >= 0)
+        verts = nodes["verts"][parents]
+        # child 0 of a bisection starts at the vertex opposite the bisected edge
+        first = nodes["verts"][nodes["child"][parents], 0]
+        edges = (verts == first[:, None]).all(axis=2).argmax(axis=1)
+        values = approx.decision_l1(verts, f)
+        best = values.min(axis=1)
+        chosen = values[np.arange(len(edges)), edges]
+        convex = f.convex_on(verts)
+        assert not convex.any() if label == "gauss-ridge" else convex.all()
+        assert (edges[~convex] == values[~convex].argmin(axis=1)).all()
+        assert (chosen[convex] <= best[convex] * (1.0 + 1e-9)).all()
+
     @pytest.mark.parametrize("name, cfg", DECISION_CASES, ids=DECISION_IDS)
     def test_one_decision_call_per_batch(self, name, cfg, monkeypatch):
         verts = uniform_refine(RefinementForest(initial_mesh("unit-square")), DISK,

@@ -83,6 +83,23 @@ def test_quadratic_tags_and_margin():
     assert QuadraticField("slab", 1.0, 0.0, 0.0).convexity == "convex"
 
 
+def test_convex_on_the_check_box_only():
+    # a tagged field is known convex on the triangles inside its check box,
+    # edges included; a quadratic's tag, from its form, holds everywhere;
+    # an untagged field is convex nowhere
+    ridge = get_field("gauss-ridge")
+    inside = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.5]])
+    across = inside - [0.5, 0.0]
+    assert ridge.convex_on(inside) and not ridge.convex_on(across)
+    assert ridge.convex_on(np.stack([inside, across, inside])).tolist() == [True, False, True]
+    far = across + 100.0
+    assert get_field("disk").convex_on(np.stack([inside, far])).tolist() == [True, True]
+    assert QuadraticField("slab", 1.0, 0.0, 0.0).convex_on(far)
+    assert not get_field("mixed-saddle").convex_on(inside)
+    plain = ScalarField("plain", lambda x, y: x * y)
+    assert plain.convex_on(np.stack([inside])).tolist() == [False]
+
+
 def test_hessian_fd_quadratics():
     bowl = ScalarField("bowl", lambda x, y: x * x + y * y)
     assert np.abs(hessian_fd(bowl, (0.3, -0.4)) - 2 * np.eye(2)).max() <= 1e-5

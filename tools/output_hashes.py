@@ -49,13 +49,19 @@ COMMANDS = [
     ("aniso-10-split-p2", "run --field aniso-10 --p 2 --decision lp-split --target-n 512"),
     ("mixed-saddle-split-p3.5", "run --field mixed-saddle --p 3.5 --decision lp-split "
                                 "--target-n 512"),
+    # the indefinite form's p = inf children: the edge peaks only
+    ("mixed-saddle-split-pinf", "run --field mixed-saddle --p inf --decision lp-split "
+                                "--target-n 1024"),
+    # mirror ties: the two roots and their children are symmetric about x = y
+    ("disk-split-p1", "run --field disk --p 1 --decision lp-split --initial unit-square "
+                      "--target-n 1024"),
     ("converge-expbump", "converge --field expbump --initial unit-square "
                          "--checkpoints 256,1024,4096"),
     ("converge-expbump-off", "converge --field expbump --initial unit-square "
                              "--checkpoints 64,1500,3001"),
     ("converge-disk-pinf", "converge --field disk --p inf --checkpoints 100,1500"),
-    # the rate target integrates gauss-ridge's analytic hessian, which no other
-    # command here calls
+    # gauss-ridge is known convex only on its check box, which both CLI
+    # domains leave: a usage error before any work
     ("converge-gauss-ridge", "converge --field gauss-ridge --initial unit-square "
                              "--checkpoints 64,256"),
     ("cap-target", "run --field disk --target-n 8 --node-cap 3"),
