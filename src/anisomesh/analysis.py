@@ -187,6 +187,7 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
     target = hessian_tau_norm(f, roots, tau_from_p(config.p))
     forest, _ = engine.greedy_run(f, replace(config, stop=StopRule("target-count", counts[-1])))
     values = engine._LeafValues(forest, f, config.p)
+    values.later = values.reduce(n - len(roots) for n in counts)
     points = []
     for n in counts:
         error = engine._trace_record(values, n - len(roots)).global_error

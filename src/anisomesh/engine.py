@@ -1,19 +1,21 @@
 """Refinement forest and the greedy bisection loop.
 
-The forest is an append-only store of triangles: the initial triangulation
-forms the roots, every bisection adds two children, and the leaves are the
-current triangulation; a row, once written, never changes.  The greedy loop
-repeatedly bisects the leaf with the largest local Lp error, choosing the
-edge through a decision function; leaves tie by earliest creation.  A
-leaf's error and edge depend on that leaf only, so the loop replays this
-order in batches of leaves, which it picks by partial sort of the forest's
-error column, not from a heap, and scores before it writes the steps it
-keeps; the trace is read from the finished forest, whose rows are in step
-order: the records up to 1024 leaves are built all at once from tables
-made in one pass (exact sums divided once per step, the roots and
-sigma_mean as one array each), the later ones gather their leaves.  Meshes
-serialize to a plain-text format with 17-significant-digit decimals so runs
-round-trip bit-exactly.
+The forest is an append-only store of triangles, one contiguous column per
+field: the initial triangulation forms the roots, every bisection adds two
+children, and the leaves are the current triangulation; a node's triangle,
+once written, never changes.  The greedy loop repeatedly bisects the leaf
+with the largest local Lp error, choosing the edge through a decision
+function; leaves tie by earliest creation.  A leaf's error and edge depend
+on that leaf only, so the loop replays this order in batches of leaves,
+which it picks by partial sort of the forest's error column, not from a
+heap, and scores before it writes the steps it keeps, each bisected once; the trace is read from the finished forest,
+whose nodes are in step order: the records up to 1024 leaves are built all
+at once from tables made in one pass (exact sums divided once per step,
+the roots and sigma_mean as one array each), the later ones are reduced
+together a slice of nodes at a time.  Runs whose final node count is
+known (target-count, uniform refinement, a loaded mesh) size the columns
+once.  Meshes serialize to a plain-text format with 17-significant-digit
+decimals so runs round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ class GreedyConfig:
             raise ValueError(f"node cap must be an integer >= 3, got {self.node_cap!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
     """Per-step diagnostics of a refinement run."""
 
@@ -133,42 +135,74 @@ class TraceRecord:
     sigma_max: float
 
 
-NODE_DTYPE = np.dtype([("verts", float, (3, 2)), ("parent", np.int64),
-                       ("level", np.int64), ("child", np.int64), ("error", float)])
+# the forest's columns: each node's entry is of this dtype and shape
+_COLUMNS = {"verts": (np.float64, (3, 2)), "parent": (np.int64, ()), "level": (np.int64, ()),
+            "child": (np.int64, ()), "error": (np.float64, ())}
+
+
+class _Columns:
+    """The forest's columns by name, each cut to the node count; assigning
+    to a name writes into its column."""
+
+    __slots__ = ("_columns", "_n")
+    __iter__ = None  # no rows: a column is read by its name
+
+    def __init__(self, columns: dict, n: int):
+        self._columns, self._n = columns, n
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._columns[name][:self._n]
+
+    def __setitem__(self, name: str, value) -> None:
+        self._columns[name][:self._n] = value
+
+    def __len__(self) -> int:
+        return self._n
 
 
 class RefinementForest:
     """Append-only binary forest of triangles; leaves form the triangulation.
 
-    ``nodes`` is a record array (NODE_DTYPE) in creation order, roots first.
-    ``child`` is the id of a node's first child (siblings are consecutive),
-    -1 for a leaf; ``error`` is the cached local error, nan until computed.
+    ``nodes`` maps each column name of ``_COLUMNS`` to one contiguous array
+    over the nodes, in creation order, roots first; ``len(nodes)`` is the
+    node count.  ``child`` is the id of a node's first child (siblings are
+    consecutive), -1 for a leaf; ``error`` is the cached local error, nan
+    until computed.  The columns grow by doubling, unless a run that knows
+    its final node count sizes them once (``_resize``).
     """
 
     def __init__(self, roots):
-        self._buf = np.empty(0, NODE_DTYPE)
-        self._n = 0
         verts = np.array([t.vertices for t in roots]).reshape(-1, 3, 2)
         if not len(verts):
             raise ValueError("forest needs at least one root triangle")
+        self._columns = {name: np.empty((len(verts), *shape), dtype)
+                         for name, (dtype, shape) in _COLUMNS.items()}
+        self._n = 0
         self._reserve(len(verts))
         self.nodes["verts"], self.nodes["parent"], self.nodes["level"] = verts, -1, 0
         self.n_roots = self._n
 
+    def _resize(self, size: int) -> None:
+        """New columns of ``size >= len(nodes)`` rows, holding the nodes."""
+        grown = {}
+        for name, (dtype, shape) in _COLUMNS.items():
+            grown[name] = np.empty((size, *shape), dtype)
+            grown[name][:self._n] = self._columns[name][:self._n]
+        self._columns = grown
+
     def _reserve(self, count: int) -> int:
-        """Append ``count`` leaf rows and return the first id; the caller sets their
+        """Append ``count`` leaves and return the first id; the caller sets their
         verts, parent and level."""
-        first, self._n = self._n, self._n + count
-        if self._n > len(self._buf):
-            grown = np.empty(max(2 * len(self._buf), self._n), NODE_DTYPE)
-            grown["child"], grown["error"] = -1, math.nan  # rows are born leaves
-            grown[:first] = self._buf[:first]
-            self._buf = grown
+        first, n = self._n, self._n + count
+        if n > len(self._columns["child"]):
+            self._resize(max(2 * len(self._columns["child"]), n))
+        self._n = n
+        self._columns["child"][first:n], self._columns["error"][first:n] = -1, math.nan
         return first
 
     @property
-    def nodes(self) -> np.ndarray:
-        return self._buf[:self._n]
+    def nodes(self) -> _Columns:
+        return _Columns(self._columns, self._n)
 
     @property
     def n_leaves(self) -> int:
@@ -181,12 +215,14 @@ class RefinementForest:
         """Vertices of all leaves, shape (n_leaves, 3, 2), in id order."""
         return self.nodes["verts"][self.nodes["child"] < 0]
 
-    def bisect_node(self, node_id, edge_index):
+    def bisect_node(self, node_id, edge_index, *, children=None):
         """Split an array of distinct leaves at the given edges.
 
         Returns the ids of child 0 and child 1, arrays in the order of
         ``node_id``.  An id that is not an integer in ``[0, len(nodes))``, a non-leaf
-        or a repeated id raises ValueError, changing nothing.
+        or a repeated id raises ValueError, changing nothing.  ``children``,
+        for the greedy loop, are the two vertex arrays that ``bisect`` made of
+        these leaves at these edges; they are written as they are.
         """
         ids = np.asarray(node_id)
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
@@ -194,20 +230,22 @@ class RefinementForest:
                              f"of shape {ids.shape}")
         if ((ids < 0) | (ids >= self._n)).any():
             raise ValueError(f"node ids must lie in [0, {self._n})")
-        rows = self.nodes[ids]
-        bad = rows["child"] >= 0
+        nodes = self.nodes
+        bad = nodes["child"][ids] >= 0
         if np.count_nonzero(bad):
             raise ValueError(f"node {ids[bad][0]} is already bisected")
         if (np.diff(np.sort(ids)) == 0).any():
             raise ValueError("a node id is given twice")
-        children = bisect(rows["verts"], edge_index)  # a bad edge index changes nothing
+        if children is None:  # a bad edge index changes nothing
+            children = bisect(nodes["verts"][ids], edge_index)
+        level = nodes["level"][ids] + 1
         first = self._reserve(2 * ids.size)
-        level = rows["level"] + 1
-        for k, verts in enumerate(children):
-            new = self._buf[first + k:self._n:2]  # child k of each node, in node order
-            new["verts"], new["parent"], new["level"] = verts, ids, level
+        for k, verts in enumerate(children):  # child k of each node, in node order
+            rows = slice(first + k, self._n, 2)
+            self._columns["verts"][rows] = verts
+            self._columns["parent"][rows], self._columns["level"][rows] = ids, level
         firsts = np.arange(first, self._n, 2)
-        self._buf["child"][ids] = firsts
+        self._columns["child"][ids] = firsts
         return firsts, firsts + 1
 
 
@@ -271,28 +309,25 @@ class _LeafValues:
     ``maxed``; for each step up to ``_EVERY_STEP`` leaves, the tables
     ``sums`` (exact, as ints in one unit per row) and ``tops`` hold them,
     and the column of ``early`` (4, steps) the fields of its record after
-    its step and leaf count, made in one pass over the tables."""
+    its step and leaf count, made in one pass over the tables from ``head``,
+    the values of the nodes those steps read.  Later records are reduced a
+    slice of nodes at a time (``reduce``); ``later`` holds those a run
+    reduced ahead, by step."""
 
     def __init__(self, forest, f, p):
         self.forest, self.p = forest, p
-        verts = forest.nodes["verts"]
         form = getattr(f, "form", None)
-        diam2 = np.empty(len(verts))
-        sigma = np.empty(len(verts)) if form is not None and form.is_positive_definite else None
-        for i in range(0, len(verts), _MAX_BATCH):
-            rows = verts[i:i + _MAX_BATCH]
-            e = edge_vectors_of(rows)
-            diam2[i:i + _MAX_BATCH] = (e * e).sum(axis=2).max(axis=1)
-            if sigma is not None:
-                sigma[i:i + _MAX_BATCH] = sigma_batch(form, rows)
-        self.measures = (diam2,) if sigma is None else (diam2, sigma)
+        self.form = form if form is not None and form.is_positive_definite else None
+        self.rows = 2 if self.form is None else 3
         # summed: the powers, sigma; maxed: the p = inf error, diam^2, sigma
-        self.summed = [0, 2][math.isinf(p):len(self.measures)]
-        self.maxed = [*range(math.isfinite(p), len(self.measures) + 1)]
+        self.summed = [0, 2][math.isinf(p):self.rows - 1]
+        self.maxed = [*range(math.isfinite(p), self.rows)]
+        self.later = {}
         r = forest.n_roots
         steps = max(0, min(_EVERY_STEP, forest.n_leaves) - r) + 1  # the early ones
         n = r + 2 * steps - 2  # the nodes they read
-        rows = self.gather(np.ones(n, bool))
+        self.head = np.empty((self.rows, 0))
+        self.head = rows = self.measure(0, n)
         parent = forest.nodes["parent"][r:n:2].tolist()
         self.sums = [_step_sums(row, r, parent) for row in rows[self.summed]]
         # a node is a leaf from the step that makes it (0 for a root) to the one that splits it
@@ -309,20 +344,80 @@ class _LeafValues:
             (np.full(steps, math.nan),) * 2
         self.early = np.array([error, np.sqrt(tops[0]), smean, smax])
 
-    def gather(self, leaf) -> np.ndarray:
-        """The rows of the nodes that the mask ``leaf`` over the first rows
-        selects, one column each."""
-        values = np.empty((1 + len(self.measures), np.count_nonzero(leaf)))
-        # a mask gathers from the strided error field of the records without
-        # a copy of it; the power is lp_sum's, elementwise, in place to save
-        # a temporary
-        values[0] = self.forest.nodes["error"][:len(leaf)][leaf]
-        if not math.isinf(self.p):
+    def measure(self, start: int, stop: int) -> np.ndarray:
+        """The values of the nodes ``start`` to ``stop - 1``, one column each:
+        copied from ``head`` where it holds them, so that no node is measured
+        twice, and otherwise measured ``_MAX_BATCH`` nodes at a time."""
+        nodes = self.forest.nodes
+        values = np.empty((self.rows, stop - start))
+        held = min(max(self.head.shape[1] - start, 0), stop - start)
+        values[:, :held] = self.head[:, start:start + held]
+        values[0, held:] = nodes["error"][start + held:stop]
+        if not math.isinf(self.p):  # lp_sum's power, elementwise, in place
             with np.errstate(over="ignore"):  # lp_root reports an overflow
-                values[0] **= self.p
-        for row, column in zip(values[1:], self.measures):
-            np.compress(leaf, column, out=row)
+                values[0, held:] **= self.p
+        for i in range(start + held, stop, _MAX_BATCH):
+            rows = nodes["verts"][i:min(i + _MAX_BATCH, stop)]
+            out = values[1:, i - start:i - start + len(rows)]
+            ee = edge_vectors_of(rows)
+            ee *= ee
+            out[0] = (ee[..., 0] + ee[..., 1]).max(axis=1)
+            if self.form is not None:
+                out[1] = sigma_batch(self.form, rows)
         return values
+
+    def reduce(self, steps) -> dict:
+        """The maxima (by row) and the exact sums (of the rows ``summed``, as
+        ints in units of ``2 ** _UNIT``) of the records of the later steps
+        among ``steps``, by step, made in one pass over the nodes they read:
+        each node is measured once, in slices of a ``_BATCH_SHARE``-th of
+        them."""
+        steps = sorted({s for s in steps if s >= self.early.shape[1]})
+        ends = [self.forest.n_roots + 2 * s for s in steps]
+        # a leaf's child is -1, the largest unsigned value, or made after the step
+        child = self.forest.nodes["child"].view(np.uint64)
+        tops = np.full((len(steps), self.rows), -math.inf)
+        sums = [[0] * len(self.summed) for _ in steps]
+        end = ends[-1] if ends else 0
+        size = max(1, end // _BATCH_SHARE)
+        for i in range(0, end, size):
+            values = self.measure(i, min(i + size, end))
+            for k, n in enumerate(ends):
+                if n > i:
+                    leaf = child[i:min(i + size, n)] >= n
+                    part = values[:, :len(leaf)].compress(leaf, axis=1)
+                    np.maximum(tops[k], part.max(axis=1, initial=-math.inf), out=tops[k])
+                    sums[k] = [a + _exact_sum(part[j]) for a, j in zip(sums[k], self.summed)]
+        return {s: (t, k) for s, t, k in zip(steps, tops, sums)}
+
+
+_UNIT = -1126  # the unit 2 ** _UNIT of a reduced exact sum divides every float
+
+
+def _mantissas(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ints ``k < 2 ** 53``, as floats, and exponents ``e >= -1073`` with
+    ``row == k * 2 ** (e - 53)``; a power past the float range counts as
+    ``2 ** 1024``."""
+    big = np.isinf(row)
+    m, e = np.frexp(np.where(big, 0.5, row))
+    e[big] = 1025
+    return np.ldexp(m, 53), e
+
+
+def _exact_sum(row: np.ndarray) -> int:
+    """The exact sum of the non-negative ``row`` as an int in units of
+    ``2 ** _UNIT``.  The high and the low 26 bits of the mantissas are added
+    per exponent by ``bincount``, whose float sums stay exact ints for up to
+    2 ** 26 values."""
+    if not len(row):
+        return 0
+    k, e = _mantissas(row)
+    low = int(e.min())
+    e -= low
+    high = np.floor(np.ldexp(k, -26))
+    parts = zip(np.bincount(e, high).tolist(), np.bincount(e, k - np.ldexp(high, 26)).tolist())
+    return sum(((int(a) << 26) + int(b)) << (j + low - 53 - _UNIT)
+               for j, (a, b) in enumerate(parts) if a or b)
 
 
 def _step_sums(row: np.ndarray, r: int, parent: list) -> tuple[list, int]:
@@ -330,11 +425,9 @@ def _step_sums(row: np.ndarray, r: int, parent: list) -> tuple[list, int]:
     unit ``u < 0`` (the sum is ``k * 2 ** u``; a power past the float range
     counts as ``2 ** 1024``): step 0 has the ``r`` roots, and step s > 0
     adds nodes r + 2 s - 2 and r + 2 s - 1 and loses ``parent[s - 1]``."""
-    big = np.isinf(row)
-    m, e = np.frexp(np.where(big, 0.5, row))
-    e[big] = 1025
+    m, e = _mantissas(row)
     low = min(int(e.min()), 52)
-    k = [i << s for i, s in zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e - low).tolist())]
+    k = [i << s for i, s in zip(m.astype(np.int64).tolist(), (e - low).tolist())]
     change = (a + b - k[c] for a, b, c in zip(k[r::2], k[r + 1::2], parent))
     return list(accumulate(change, initial=sum(k[:r]))), low - 53
 
@@ -376,19 +469,14 @@ def _trace_record(values: _LeafValues, step) -> TraceRecord:
     the first ``n = n_roots + 2 step`` rows not split among them; its sums
     are exact and rounded once, whatever the leaves' order.  An early
     step's record is its column of ``values.early``, read in any order;
-    any other record gathers its leaves."""
+    any other record takes its maxima and exact sums from ``values.later``,
+    where a run reduced its records ahead, or else by a pass of its own."""
     forest, p = values.forest, values.p
-    n, m = forest.n_roots + 2 * step, forest.n_roots + step
+    m = forest.n_roots + step
     if step < values.early.shape[1]:
         return _early_records(values, slice(step, step + 1))[0]
-    # a leaf's child is -1, the largest unsigned value, or made after the
-    # step; the unsigned view of the column compares without a copy
-    leaf = values.gather(forest.nodes["child"].view(np.uint64)[:n] >= n)
-    tops = np.maximum.reduce(leaf, axis=1)[values.maxed].tolist()
-    try:
-        sums = [math.fsum(leaf[i]) for i in values.summed]
-    except OverflowError:  # only a sum of powers passes the float range
-        sums = [math.inf]
+    tops, sums = values.later.get(step) or values.reduce([step])[step]
+    tops, sums = tops[values.maxed].tolist(), _rounded(sums, _UNIT).tolist()
     error = tops.pop(0) if math.isinf(p) else approx.lp_root(sums.pop(0), p)
     smean, smax = (sums[0] / m, tops[1]) if sums else (math.nan, math.nan)
     return TraceRecord(step, m, error, math.sqrt(tops[0]), smean, smax)
@@ -407,9 +495,9 @@ def _early_records(values: _LeafValues, steps: slice) -> list:
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
-                      sweeps_per_level: int = 1) -> None:
-    """Fail fast unless bisecting ``n_leaves`` leaves ``levels * sweeps_per_level``
-    times fits the cap."""
+                      sweeps_per_level: int = 1) -> int:
+    """The node count after bisecting ``n_leaves`` leaves ``levels *
+    sweeps_per_level`` times; fail fast unless it fits the cap."""
     sweeps = levels * sweeps_per_level
     # past the cap's bit length, 2**sweeps alone exceeds the cap
     added = 2 * n_leaves * (2 ** min(sweeps, int(node_cap).bit_length()) - 1)
@@ -418,6 +506,7 @@ def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
             f"{levels} levels ({sweeps} bisection sweeps)"
         raise RunawayRefinementError(
             f"refining {n_leaves} leaves by {by} exceeds the node cap {node_cap}")
+    return n_nodes + added
 
 
 def greedy_run(f, config: GreedyConfig):
@@ -428,17 +517,19 @@ def greedy_run(f, config: GreedyConfig):
     beyond that, and at the final step.  The loop keeps no trace state:
     every record is read from the finished forest, as the rate study reads
     its checkpoints: the early ones at once by ``_early_records``, from step
-    tables, and the later ones by ``_trace_record``, which gathers their
-    leaves.
+    tables, and the later ones by ``_trace_record``, from one pass that
+    reduces their leaves a slice of nodes at a time.
     Raises RunawayRefinementError at the node cap, and before refining when
-    a target-count or generation-levels run cannot fit under it.
+    a target-count or generation-levels run cannot fit under it.  A
+    target-count run sizes the forest's columns once, to its final node
+    count; the others grow them by doubling.
 
     Each iteration picks the ``k`` leaves of largest error from the
-    forest's record array (``np.partition``, then ``lexsort`` by error and
-    id), bisects and scores them in one batch of local arrays, and writes
-    to the forest only the longest prefix of steps that the one-leaf loop
-    takes in the same order; the leaves of the other steps stay due and
-    are picked again.  ``k`` doubles while every step is kept, up to 1024
+    forest's columns (``np.partition``, then ``lexsort`` by error and id),
+    bisects and scores them in one batch of local arrays, and writes to the
+    forest only the longest prefix of steps that the one-leaf loop takes in
+    the same order, as bisected and scored; the leaves of the other steps
+    stay due and are picked again.  ``k`` doubles while every step is kept, up to 1024
     or a sixteenth of the leaves, whichever is more, and falls to the
     number kept.  Forest, trace and errors are those of the one-leaf loop,
     bit for bit.
@@ -455,6 +546,7 @@ def greedy_run(f, config: GreedyConfig):
             raise RunawayRefinementError(
                 f"target-count {int(stop.value)} needs {needed} nodes, which exceeds "
                 f"the node cap {config.node_cap}")
+        forest._resize(needed)  # sized once
     if stop.kind == "generation-levels":
         _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
     _bisect_greedily(forest, f, config)  # its batch arrays are freed before the trace
@@ -466,10 +558,11 @@ def greedy_run(f, config: GreedyConfig):
     trace = _early_records(values, slice(None))
     # leaf counts with a record: the first and the last, every count up to
     # _EVERY_STEP and the powers of two; the early ones are all of those up
-    # to its last, the later ones gather their leaves
+    # to its last, the later ones are reduced in one pass over the nodes
     first = forest.n_roots + len(trace)
-    trace += [_trace_record(values, n - forest.n_roots)
-              for n in sorted(due) if first <= n <= n_last]
+    later = [n - forest.n_roots for n in sorted(due) if first <= n <= n_last]
+    values.later = values.reduce(later)
+    trace += [_trace_record(values, step) for step in later]
     return forest, trace
 
 
@@ -484,12 +577,13 @@ def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:
     while True:
         size = min(k, limit - forest.n_leaves) if stop.kind == "target-count" else k
         nodes = forest.nodes
+        level, error = nodes["level"], nodes["error"]
         # the leaves the one-leaf loop may bisect next
         pool = nodes["child"] < 0
         if stop.kind == "generation-levels":
-            pool &= nodes["level"] < levels
+            pool &= level < levels
         elif stop.kind == "error-threshold":
-            pool &= nodes["error"] > stop.value
+            pool &= error > stop.value
         ids = np.flatnonzero(pool)
         if size < 1 or not len(ids):
             break
@@ -498,7 +592,7 @@ def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:
             raise RunawayRefinementError(
                 f"node cap {config.node_cap} reached at {forest.n_leaves} leaves")
         size = min(size, room)
-        neg = -nodes["error"][ids]
+        neg = -error[ids]
         if len(ids) > size:  # the size largest errors, with every tie of the smallest
             top = neg <= np.partition(neg, size - 1)[size - 1]
             ids, neg = ids[top], neg[top]
@@ -507,7 +601,8 @@ def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:
         verts = nodes["verts"][ids]
         try:
             edges = select_edge(verts, f, config)
-            e0, e1 = (approx.local_error(c, f, p, op) for c in bisect(verts, edges))
+            children = bisect(verts, edges)
+            e0, e1 = (approx.local_error(c, f, p, op) for c in children)
         except ValueError:
             # a leaf the one-leaf loop would not reach may fail: keep no step and
             # retry one leaf, which fails exactly where that loop does
@@ -515,15 +610,17 @@ def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:
                 raise
             k = 1
             continue
-        live = nodes["level"][ids] + 1 < levels  # children it may bisect
+        live = level[ids] + 1 < levels  # children it may bisect
         made = np.where(live, np.maximum(e0, e1), -math.inf)
         # step j keeps the order unless an earlier step made a child with a
         # larger error (an equal one has a larger id); step 0 always keeps it
         before = np.maximum.accumulate(np.concatenate(([-math.inf], made[:-1])))
         m = int(np.argmax(before > -neg)) or len(ids)
-        # only the kept steps are written; the leaves of the others stay due
-        first, second = forest.bisect_node(ids[:m], edges[:m])
-        forest.nodes["error"][first], forest.nodes["error"][second] = e0[:m], e1[:m]
+        # only the kept steps are written, each bisected once; the leaves of the
+        # others stay due
+        forest.bisect_node(ids[:m], edges[:m], children=[c[:m] for c in children])
+        new = forest.nodes["error"][-2 * m:]  # child 0 and child 1 of each step
+        new[0::2], new[1::2] = e0[:m], e1[:m]
         k = m if m < len(ids) else min(2 * k, max(_MAX_BATCH, forest.n_leaves // _BATCH_SHARE))
 
 
@@ -537,7 +634,9 @@ def uniform_refine(forest: RefinementForest, f, config: GreedyConfig,
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    _check_levels_fit(len(forest.nodes), forest.n_leaves, levels, config.node_cap)
+    total = _check_levels_fit(len(forest.nodes), forest.n_leaves, levels, config.node_cap)
+    if total > len(forest._columns["child"]):
+        forest._resize(total)  # sized once
     for _ in range(levels):
         ids = forest.leaf_ids()
         forest.bisect_node(ids, select_edge(forest.nodes["verts"][ids], f, config))
@@ -551,7 +650,7 @@ def global_error(forest: RefinementForest, f, p, op: str = "interpolation") -> f
 
 def _mesh_text_slices(forest: RefinementForest):
     """The mesh text in pieces of at most ``_SLICE`` lines."""
-    xy = np.ascontiguousarray(forest.nodes["verts"]).reshape(-1, 2)
+    xy = forest.nodes["verts"].reshape(-1, 2)
     # equal bits sort together, and the stable sort starts each run at its first use
     x, y = xy.view(np.uint64).T
     order = np.lexsort((y, x))
@@ -706,26 +805,26 @@ def mesh_from_text(text: str) -> RefinementForest:
 
     stored = xy.take(tris, axis=0)
     forest = RefinementForest(roots)
+    forest._resize(n)  # sized once
     forest._reserve(n - n_roots)
     nodes = forest.nodes
+    verts, level, child = nodes["verts"], nodes["level"], nodes["child"]
     nodes["parent"][n_roots:] = parent[n_roots:]
-    nodes["child"][pp] = c0
+    child[pp] = c0
     # child 0 of a bisection starts at the vertex opposite the bisected edge
     edges = (stored[pp] == stored[c0, :1]).all(axis=2).argmax(axis=1)
     # one generation per round: the bisections of the nodes the last round made,
     # found through their child ids, so a round touches its own pairs only; every
     # parent descends from a root and has one pair, so each pair is replayed once
-    above = np.flatnonzero(nodes["child"][:n_roots] >= 0)
+    above = np.flatnonzero(child[:n_roots] >= 0)
     while len(above):
-        first = nodes["child"][above]
-        level = nodes["level"][above] + 1
-        for k, verts in enumerate(bisect(nodes["verts"][above], edges[(first - n_roots) // 2])):
-            nodes["verts"][first + k], nodes["level"][first + k] = verts, level
+        first, below = child[above], level[above] + 1
+        for k, pair in enumerate(bisect(verts[above], edges[(first - n_roots) // 2])):
+            verts[first + k], level[first + k] = pair, below
         made = np.concatenate((first, first + 1))
-        above = made[nodes["child"][made] >= 0]
+        above = made[child[made] >= 0]
     # bit for bit: 0.0 and -0.0 are distinct vertices
-    bad = np.flatnonzero((nodes["verts"].view(np.uint64) != stored.view(np.uint64))
-                         .any(axis=(1, 2)))
+    bad = np.flatnonzero((verts.view(np.uint64) != stored.view(np.uint64)).any(axis=(1, 2)))
     if len(bad):
         i = int(bad[0])
         raise MeshFormatError(

@@ -46,6 +46,12 @@ def count_config(n, **kw):
     return GreedyConfig(stop=StopRule("target-count", n), **kw)
 
 
+def column_bytes(forest):
+    """Each column of a forest's nodes as bytes, by name: forests with equal
+    ones hold the same nodes, bit for bit."""
+    return {name: forest.nodes[name].tobytes() for name in engine._COLUMNS}
+
+
 # one field and config per decision path: convex gains, quadrature L1, and
 # lp-split at p = 2 and p = inf with both operators
 DECISION_CASES = [
@@ -177,27 +183,54 @@ class TestForest:
         assert first.tolist() == [3, 5] and second.tolist() == [4, 6]
         for i, e in zip(ids.tolist(), edges.tolist()):
             rows.bisect_node(np.array([i]), np.array([e]))
-        assert batch.nodes.tobytes() == rows.nodes.tobytes()
+        assert column_bytes(batch) == column_bytes(rows)
+
+    def test_given_children_write_the_same_columns(self, monkeypatch):
+        # the greedy loop hands bisect_node the children it already made:
+        # every column holds the bytes bisect_node writes when it bisects,
+        # and it bisects nothing itself
+        roots = [random_root(np.random.default_rng(s)) for s in range(4)]
+        given, made = RefinementForest(roots), RefinementForest(roots)
+        for forest in (given, made):
+            forest.bisect_node(np.array([1]), np.array([0]))
+        ids, edges = np.array([3, 0, 5, 2]), np.array([2, 1, 0, 1])
+        children = bisect(given.nodes["verts"][ids], edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "bisect", None)
+            got = given.bisect_node(ids, edges, children=children)
+        want = made.bisect_node(ids, edges)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert column_bytes(given) == column_bytes(made)
+
+    def test_given_children_keep_the_id_checks(self):
+        forest = RefinementForest(initial_mesh("unit-square"))
+        forest.bisect_node(np.array([0]), np.array([0]))
+        before = column_bytes(forest)
+        for ids in ([1, 1], [0], [4]):  # repeated, non-leaf, past the end
+            children = bisect(forest.nodes["verts"][[1] * len(ids)], np.zeros(len(ids), int))
+            with pytest.raises(ValueError):
+                forest.bisect_node(np.array(ids), np.zeros(len(ids), int), children=children)
+            assert column_bytes(forest) == before
 
     @pytest.mark.parametrize("ids", [[1, 1], [2, 0], 1],
                              ids=["repeated", "non-leaf", "scalar"])
     def test_batch_bisection_rejects(self, ids):
         forest = RefinementForest(initial_mesh("unit-square"))
         forest.bisect_node(np.array([0]), np.array([0]))  # node 0 is no longer a leaf
-        before = forest.nodes.tobytes()
+        before = column_bytes(forest)
         with pytest.raises(ValueError):
             forest.bisect_node(np.array(ids), np.array([0, 0]))
-        assert forest.nodes.tobytes() == before
+        assert column_bytes(forest) == before
 
     @pytest.mark.parametrize("ids", [[-1], [2], [1.0]], ids=["negative", "past-the-end", "float"])
     def test_bisection_rejects_ids_outside_the_forest(self, ids):
         # two roots: -1 would index the last node and 2 no node at all
         forest = RefinementForest(initial_mesh("unit-square"))
-        before = forest.nodes.tobytes()
+        before = column_bytes(forest)
         with pytest.raises(ValueError, match="node ids"):
             forest.bisect_node(np.array(ids), np.array([0]))
-        assert forest.nodes.tobytes() == before
-        assert mesh_from_text(mesh_to_text(forest)).nodes.tobytes() == before
+        assert column_bytes(forest) == before
+        assert column_bytes(mesh_from_text(mesh_to_text(forest))) == before
 
 
 class TestSelectTriangle:
@@ -231,9 +264,10 @@ class TestSelectTriangle:
         forest, _ = greedy_run(get_field(label), GreedyConfig(
             p=p, decision="lp-split" if math.isinf(p) else "l1-interp",
             stop=StopRule("target-count", 1024)))
-        leaves = forest.nodes[forest.leaf_ids()]
+        leaves = forest.leaf_ids()
         groups = collections.defaultdict(set)
-        for e, err in zip(edge_vectors_of(leaves["verts"]), leaves["error"]):
+        for e, err in zip(edge_vectors_of(forest.nodes["verts"][leaves]),
+                          forest.nodes["error"][leaves]):
             groups[e.tobytes()].add(err.tobytes())
         assert len(groups) < len(leaves)  # some leaves are translates
         assert all(len(bits) == 1 for bits in groups.values())
@@ -352,9 +386,8 @@ class TestGreedyRun:
         forest, _ = greedy_run(DISK, cfg)
         for i in forest.leaf_ids():
             assert forest.nodes["error"][i] <= eta
-        for node in forest.nodes:
-            if node["child"] >= 0:
-                assert node["error"] > eta
+        split = forest.nodes["child"] >= 0
+        assert (forest.nodes["error"][split] > eta).all()
 
     def test_generation_levels_matches_uniform(self):
         cfg = GreedyConfig(stop=StopRule("generation-levels", 3))
@@ -444,17 +477,17 @@ def reference_trace_record(forest, p, form, step):
     """A trace record that re-measures every leaf (sigma only given ``form``)
     of the mesh after ``step`` bisections: the first rows of the forest, with
     the bisections made after that step undone."""
-    nodes = forest.nodes[:forest.n_roots + 2 * step].copy()
-    nodes["child"][nodes["child"] >= len(nodes)] = -1
-    leaves = nodes[nodes["child"] < 0]
-    verts = leaves["verts"]
+    n = forest.n_roots + 2 * step
+    child = forest.nodes["child"][:n]
+    leaves = np.flatnonzero((child < 0) | (child >= n))
+    verts = forest.nodes["verts"][leaves]
     if form is not None:
         s = sigma_batch(form, verts)
         smean, smax = math.fsum(s) / len(s), float(s.max())
     else:
         smean = smax = math.nan
     e = edge_vectors_of(verts)
-    return engine.TraceRecord(step, len(leaves), approx.lp_sum(leaves["error"], p),
+    return engine.TraceRecord(step, len(leaves), approx.lp_sum(forest.nodes["error"][leaves], p),
                               float(np.sqrt((e * e).sum(axis=2).max())), smean, smax)
 
 
@@ -777,6 +810,41 @@ class TestTraceRecords:
             assert sum(rows[kind]) == len(forest.nodes)
 
 
+def column_sizes(monkeypatch):
+    """The sizes the forests' columns are allocated to, past their roots, in
+    call order."""
+    sizes = []
+    real = RefinementForest._resize
+    monkeypatch.setattr(RefinementForest, "_resize",
+                        lambda forest, size: sizes.append(size) or real(forest, size))
+    return sizes
+
+
+class TestColumnSizing:
+    """Runs that know their final node count allocate the columns once."""
+
+    def test_a_target_count_run(self, monkeypatch):
+        sizes = column_sizes(monkeypatch)
+        forest, _ = greedy_run(get_field("expbump"), count_config(3000, initial="unit-square"))
+        assert sizes == [len(forest.nodes)] == [2 * 3000 - 2]
+
+    def test_uniform_refine(self, monkeypatch):
+        forest = RefinementForest(initial_mesh("unit-square"))
+        sizes = column_sizes(monkeypatch)
+        uniform_refine(forest, get_field("aniso-10"), GreedyConfig(), 7)
+        assert sizes == [len(forest.nodes)] == [2 * (2 ** 8 - 1)]
+        # columns already large enough are kept
+        uniform_refine(forest, get_field("aniso-10"), GreedyConfig(), 0)
+        assert len(sizes) == 1
+
+    def test_a_loaded_mesh(self, monkeypatch):
+        forest, _ = greedy_run(get_field("disk"), count_config(500))
+        text = mesh_to_text(forest)
+        sizes = column_sizes(monkeypatch)
+        loaded = mesh_from_text(text)
+        assert sizes == [len(loaded.nodes)] == [len(forest.nodes)]
+
+
 class TestUniformRefine:
     @pytest.mark.parametrize("name, cfg", DECISION_CASES, ids=DECISION_IDS)
     def test_matches_per_leaf_reference(self, name, cfg):
@@ -787,7 +855,7 @@ class TestUniformRefine:
         for _ in range(4):
             for i in ref.leaf_ids().tolist():
                 ref.bisect_node(np.array([i]), [select_edge(ref.nodes["verts"][i], f, cfg)])
-        assert forest.nodes.tobytes() == ref.nodes.tobytes()
+        assert column_bytes(forest) == column_bytes(ref)
 
     def test_one_call_per_sweep(self, monkeypatch):
         calls = collections.Counter()
@@ -906,9 +974,8 @@ class TestSerialization:
         loaded = load_mesh(path)
         assert loaded.n_leaves == forest.n_leaves
         assert mesh_to_text(loaded) == mesh_to_text(forest)
-        for a, b in zip(forest.nodes, loaded.nodes):
-            assert np.array_equal(a["verts"], b["verts"])
-            assert a["parent"] == b["parent"] and a["level"] == b["level"]
+        for name in ("verts", "parent", "level"):
+            assert np.array_equal(forest.nodes[name], loaded.nodes[name])
 
     def test_signed_zeros_round_trip(self):
         roots = [Triangle([(0, 0), (1, 0), (0, 1)]),
@@ -1153,7 +1220,7 @@ class TestLoader:
         # small pieces put piece edges next to the changed line
         with mock.patch.object(engine, "_PIECE", piece):
             try:
-                got = mesh_from_text(text).nodes.tobytes()
+                got = column_bytes(mesh_from_text(text))
             except MeshFormatError as exc:
                 got = str(exc)
         lines = text.splitlines()
@@ -1162,7 +1229,7 @@ class TestLoader:
             assert isinstance(got, str) and got.startswith(f"line {faults[0]}: ")
             return
         try:
-            want = reference_mesh_from_text(text).nodes.tobytes()
+            want = column_bytes(reference_mesh_from_text(text))
         except MeshFormatError as exc:
             want = str(exc)
         assert got == want
@@ -1172,19 +1239,19 @@ class TestLoader:
     def test_matches_per_pair_reference(self, case):
         _, forest = case
         text = mesh_to_text(forest)
-        assert mesh_from_text(text).nodes.tobytes() == \
-            reference_mesh_from_text(text).nodes.tobytes()
+        assert column_bytes(mesh_from_text(text)) == \
+            column_bytes(reference_mesh_from_text(text))
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted_mesh_text())
     def test_corrupted_text_loads_the_same_or_names_a_line(self, case):
         _, text = case
         try:
-            want = reference_mesh_from_text(text).nodes.tobytes()
+            want = column_bytes(reference_mesh_from_text(text))
         except MeshFormatError as exc:
             want = str(exc)
         try:
-            got = mesh_from_text(text).nodes.tobytes()
+            got = column_bytes(mesh_from_text(text))
         except MeshFormatError as exc:
             assert re.match(r"line \d+: ", str(exc))
             got = str(exc)
@@ -1261,9 +1328,9 @@ class TestForestProperties:
         nodes = forest.nodes
         for i in np.flatnonzero(nodes["child"] >= 0):
             c = nodes["child"][i]
-            pair = nodes[c:c + 2]
-            assert (pair["parent"] == i).all()
-            assert (pair["level"] == nodes["level"][i] + 1).all()
-            assert any(np.array_equal(np.stack(bisect(nodes["verts"][i], e)), pair["verts"])
+            pair = slice(c, c + 2)
+            assert (nodes["parent"][pair] == i).all()
+            assert (nodes["level"][pair] == nodes["level"][i] + 1).all()
+            assert any(np.array_equal(np.stack(bisect(nodes["verts"][i], e)), nodes["verts"][pair])
                        for e in range(3))
 

@@ -29,7 +29,8 @@ from anisomesh.engine import (
 from anisomesh.fields import get_field
 from anisomesh.geometry import Triangle, areas_of, edge_vectors_of
 
-from test_engine import counted, record_bytes, reference_trace_record, traced_config
+from test_engine import (column_bytes, column_sizes, counted, record_bytes,
+                         reference_trace_record, traced_config)
 
 FIELDS = ["disk", "aniso-10", "aniso-100", "mixed-saddle", "expbump"]
 
@@ -99,7 +100,7 @@ def assert_same_run(f, config):
         assert str(got.value) == str(exc)
         return None
     forest, trace = greedy_run(f, config)
-    assert forest.nodes.tobytes() == want_forest.nodes.tobytes()
+    assert column_bytes(forest) == column_bytes(want_forest)
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
     return forest
 
@@ -151,9 +152,9 @@ def test_rollbacks_keep_the_order(monkeypatch):
         batches.append([len(verts), 0])
         return real_select(verts, f, config)
 
-    def bisect_node(forest, ids, edges):
+    def bisect_node(forest, ids, edges, **kw):
         batches[-1][1] = len(ids)
-        return real_bisect(forest, ids, edges)
+        return real_bisect(forest, ids, edges, **kw)
 
     f = get_field("expbump")
     config = GreedyConfig(stop=StopRule("target-count", 1024), initial="unit-square")
@@ -163,7 +164,7 @@ def test_rollbacks_keep_the_order(monkeypatch):
         forest, _ = greedy_run(f, config)
     assert any(bisected < scored for scored, bisected in batches)
     assert all(bisected >= 1 for _, bisected in batches)
-    assert forest.nodes.tobytes() == assert_same_run(f, config).nodes.tobytes()
+    assert column_bytes(forest) == column_bytes(assert_same_run(f, config))
 
 
 def test_steps_not_kept_reserve_no_rows(monkeypatch):
@@ -177,6 +178,20 @@ def test_steps_not_kept_reserve_no_rows(monkeypatch):
     forest, _ = greedy_run(get_field("expbump"), config)
     assert reserved[0] == forest.n_roots
     assert sum(reserved[1:]) == len(forest.nodes) - forest.n_roots
+
+
+def test_an_error_threshold_run_grows_its_columns(monkeypatch):
+    # its final node count is not known ahead: the columns double as it grows,
+    # and the forest is still the one-leaf loop's
+    f = get_field("disk")
+    config = GreedyConfig(stop=StopRule("error-threshold", 2e-4), initial="unit-square")
+    with monkeypatch.context() as patch:
+        sizes = column_sizes(patch)
+        forest, _ = greedy_run(f, config)
+    assert len(sizes) > 3
+    assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-2] < len(forest.nodes) <= sizes[-1]
+    assert column_bytes(forest) == column_bytes(assert_same_run(f, config))
 
 
 @pytest.mark.parametrize("label", ["disk", "expbump"])
@@ -209,7 +224,7 @@ def test_failure_on_a_leaf_the_one_leaf_loop_never_splits(monkeypatch):
     monkeypatch.setattr(approx, "local_error", fails_off_the_reference)
     forest, trace = greedy_run(f, config)
     assert failed["batches"] >= 1
-    assert forest.nodes.tobytes() == want.nodes.tobytes()
+    assert column_bytes(forest) == column_bytes(want)
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
 
 
@@ -224,11 +239,11 @@ def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels
         chosen.append(np.array(verts))
         return real_select(verts, f, config)
 
-    def bisect_node(forest, ids, edges):
+    def bisect_node(forest, ids, edges, **kw):
         # a prefix of the leaves whose edges were just chosen
         assert forest.nodes["verts"][ids].tobytes() == chosen[-1][:len(ids)].tobytes()
         picked.extend(forest.nodes["level"][ids].tolist())
-        return real_bisect(forest, ids, edges)
+        return real_bisect(forest, ids, edges, **kw)
 
     f = get_field("aniso-100")
     config = GreedyConfig(stop=StopRule("generation-levels", levels), initial="unit-square")
@@ -241,7 +256,7 @@ def test_leaves_at_the_generation_limit_never_enter_the_heap(monkeypatch, levels
     assert all(level < levels for level in picked)
     # a leaf of generation j from the unit square has area 2 ** -(j + 1), exactly
     assert all((areas_of(edge_vectors_of(v)) > 2.0 ** -(levels + 1)).all() for v in chosen)
-    assert forest.nodes.tobytes() == assert_same_run(f, config).nodes.tobytes()
+    assert column_bytes(forest) == column_bytes(assert_same_run(f, config))
 
 
 @pytest.mark.parametrize("max_batch", [2, 5])
@@ -261,14 +276,14 @@ def test_ties_across_the_batch_boundary(monkeypatch):
     straddled = []
     real = RefinementForest.bisect_node
 
-    def bisect_node(forest, ids, edges):
+    def bisect_node(forest, ids, edges, **kw):
         err = forest.nodes["error"]
         left = np.setdiff1d(forest.leaf_ids(), ids)
         tie = err[left] == err[ids[-1]]
         if tie.any():
             assert (left[tie] > ids[err[ids] == err[ids[-1]]].max()).all()
             straddled.append((np.count_nonzero(err[ids] == err[ids[-1]]), tie.sum()))
-        return real(forest, ids, edges)
+        return real(forest, ids, edges, **kw)
 
     f = get_field("disk")
     config = GreedyConfig(stop=StopRule("target-count", 300), initial="unit-square")
@@ -277,7 +292,7 @@ def test_ties_across_the_batch_boundary(monkeypatch):
         forest, trace = greedy_run(f, config)
     assert any(inside > 1 and outside > 1 for inside, outside in straddled)
     want_forest, want_trace = reference_greedy_run(f, config)
-    assert forest.nodes.tobytes() == want_forest.nodes.tobytes()
+    assert column_bytes(forest) == column_bytes(want_forest)
     assert [record_bytes(r) for r in trace] == [record_bytes(r) for r in want_trace]
 
 
@@ -304,8 +319,8 @@ def test_batch_cap_grows_with_the_mesh(monkeypatch):
     sizes = []
     real = RefinementForest.bisect_node
     monkeypatch.setattr(RefinementForest, "bisect_node",
-                        lambda forest, ids, edges: sizes.append(len(ids))
-                        or real(forest, ids, edges))
+                        lambda forest, ids, edges, **kw: sizes.append(len(ids))
+                        or real(forest, ids, edges, **kw))
     config = GreedyConfig(stop=StopRule("target-count", 2 ** 15))
     forest, _ = greedy_run(get_field("aniso-10"), config)
     bisections = (len(forest.nodes) - forest.n_roots) // 2
