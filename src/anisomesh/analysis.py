@@ -112,8 +112,8 @@ def sigma_study(f: QuadraticField, roots=None, levels: int = 5) -> list[SigmaSta
     roots = engine.initial_mesh(roots if roots is not None else "ref-triangle")
     config = GreedyConfig()
     forest = RefinementForest(roots)
-    engine._check_levels_fit(forest.n_roots, forest.n_roots, levels, config.node_cap,
-                             sweeps_per_level=3)
+    forest._resize(engine._check_levels_fit(forest.n_roots, forest.n_roots, levels,
+                                            config.node_cap, sweeps_per_level=3))  # sized once
     stats = [_leaf_stats(f.form, forest.leaf_vertex_array(), 0)]
     for level in range(1, levels + 1):
         engine.uniform_refine(forest, f, config, 3)
@@ -186,11 +186,11 @@ def convergence_study(f: ScalarField, config: GreedyConfig,
         raise ValueError(f"checkpoint {counts[0]} below the initial leaf count")
     target = hessian_tau_norm(f, roots, tau_from_p(config.p))
     forest, _ = engine.greedy_run(f, replace(config, stop=StopRule("target-count", counts[-1])))
-    values = engine._LeafValues(forest, f, config.p)
-    values.later = values.reduce(n - len(roots) for n in counts)
+    records = engine._trace_record(engine._LeafValues(forest, f, config.p),
+                                   [n - len(roots) for n in counts])
     points = []
-    for n in counts:
-        error = engine._trace_record(values, n - len(roots)).global_error
+    for n, record in zip(counts, records):
+        error = record.global_error
         product = n * error
         ratio = product / target if target > 0 else math.nan
         points.append(ConvergencePoint(n, error, product, target, ratio))

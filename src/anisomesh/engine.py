@@ -8,14 +8,16 @@ with the largest local Lp error, choosing the edge through a decision
 function; leaves tie by earliest creation.  A leaf's error and edge depend
 on that leaf only, so the loop replays this order in batches of leaves,
 which it picks by partial sort of the forest's error column, not from a
-heap, and scores before it writes the steps it keeps, each bisected once; the trace is read from the finished forest,
-whose nodes are in step order: the records up to 1024 leaves are built all
-at once from tables made in one pass (exact sums divided once per step,
-the roots and sigma_mean as one array each), the later ones are reduced
-together a slice of nodes at a time.  Runs whose final node count is
-known (target-count, uniform refinement, a loaded mesh) size the columns
-once.  Meshes serialize to a plain-text format with 17-significant-digit
-decimals so runs round-trip bit-exactly.
+heap, and scores before it writes the steps it keeps, each bisected once.
+The trace is read from the finished forest, whose nodes are in step order,
+by one call: the records up to 1024 leaves are built all at once from
+tables made in one pass, the later ones are reduced together a slice of
+nodes at a time, and all of them take their fields from one formula
+(exact sums divided once per step, the roots and sigma_mean as one array
+each).  Runs whose final node count is known (target-count and
+generation-levels runs, uniform refinement, a loaded mesh) size the
+columns once.  Meshes serialize to a plain-text format with
+17-significant-digit decimals so runs round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -308,11 +310,10 @@ class _LeafValues:
     record sums the rows ``summed`` and takes the maxima of the rows
     ``maxed``; for each step up to ``_EVERY_STEP`` leaves, the tables
     ``sums`` (exact, as ints in one unit per row) and ``tops`` hold them,
-    and the column of ``early`` (4, steps) the fields of its record after
-    its step and leaf count, made in one pass over the tables from ``head``,
-    the values of the nodes those steps read.  Later records are reduced a
-    slice of nodes at a time (``reduce``); ``later`` holds those a run
-    reduced ahead, by step."""
+    and the column of ``early`` the fields of its record (``fields``), made
+    in one pass over the tables from ``head``, the values of the nodes
+    those steps read.  Later records are reduced a slice of nodes at a time
+    (``reduce``)."""
 
     def __init__(self, forest, f, p):
         self.forest, self.p = forest, p
@@ -322,7 +323,6 @@ class _LeafValues:
         # summed: the powers, sigma; maxed: the p = inf error, diam^2, sigma
         self.summed = [0, 2][math.isinf(p):self.rows - 1]
         self.maxed = [*range(math.isfinite(p), self.rows)]
-        self.later = {}
         r = forest.n_roots
         steps = max(0, min(_EVERY_STEP, forest.n_leaves) - r) + 1  # the early ones
         n = r + 2 * steps - 2  # the nodes they read
@@ -335,14 +335,20 @@ class _LeafValues:
         child = forest.nodes["child"][:n]
         split = np.where((child < 0) | (child >= n), steps, (child - r) // 2 + 1)
         self.tops = np.array([_range_max(rows[i], born, split, steps) for i in self.maxed]).T
-        # each exact sum rounded once; the roots as one array by numpy's power,
-        # as lp_root takes one, and sigma_mean as one division by the leaf counts
-        sums = [_rounded(k, u) for k, u in self.sums]
-        tops = list(self.tops.T)
-        error = tops.pop(0) if math.isinf(p) else sums.pop(0) ** (1.0 / p)
-        smean, smax = (sums[0] / np.arange(r, r + steps), tops[1]) if sums else \
-            (np.full(steps, math.nan),) * 2
-        self.early = np.array([error, np.sqrt(tops[0]), smean, smax])
+        self.early = self.fields(self.sums, self.tops.T, np.arange(steps))
+
+    def fields(self, sums, tops, steps) -> np.ndarray:
+        """The fields of the records of ``steps`` after step and leaf count
+        (4, k), from the exact sums ``(k, u)`` of the rows ``summed`` and the
+        maxima (one row each) of the rows ``maxed``: each sum rounded once,
+        the roots as one array by numpy's power, as lp_root takes one, and
+        sigma_mean as one division by the leaf counts."""
+        sums = [_rounded(k, u) for k, u in sums]
+        tops = list(tops)
+        error = tops.pop(0) if math.isinf(self.p) else sums.pop(0) ** (1.0 / self.p)
+        smean, smax = (sums[0] / (self.forest.n_roots + steps), tops[1]) if sums else \
+            (np.full(len(steps), math.nan),) * 2
+        return np.array([error, np.sqrt(tops[0]), smean, smax])
 
     def measure(self, start: int, stop: int) -> np.ndarray:
         """The values of the nodes ``start`` to ``stop - 1``, one column each:
@@ -366,18 +372,16 @@ class _LeafValues:
                 out[1] = sigma_batch(self.form, rows)
         return values
 
-    def reduce(self, steps) -> dict:
-        """The maxima (by row) and the exact sums (of the rows ``summed``, as
-        ints in units of ``2 ** _UNIT``) of the records of the later steps
-        among ``steps``, by step, made in one pass over the nodes they read:
-        each node is measured once, in slices of a ``_BATCH_SHARE``-th of
-        them."""
-        steps = sorted({s for s in steps if s >= self.early.shape[1]})
-        ends = [self.forest.n_roots + 2 * s for s in steps]
+    def reduce(self, steps: np.ndarray) -> np.ndarray:
+        """The fields of the records of the increasing later ``steps`` (4, k)
+        (``fields``), from their maxima and exact sums (as ints in units of
+        ``2 ** _UNIT``), made in one pass over the nodes they read: each node
+        is measured once, in slices of a ``_BATCH_SHARE``-th of them."""
+        ends = (self.forest.n_roots + 2 * steps).tolist()
         # a leaf's child is -1, the largest unsigned value, or made after the step
         child = self.forest.nodes["child"].view(np.uint64)
-        tops = np.full((len(steps), self.rows), -math.inf)
-        sums = [[0] * len(self.summed) for _ in steps]
+        tops = np.full((self.rows, len(ends)), -math.inf)
+        sums = [[0] * len(ends) for _ in self.summed]
         end = ends[-1] if ends else 0
         size = max(1, end // _BATCH_SHARE)
         for i in range(0, end, size):
@@ -386,9 +390,10 @@ class _LeafValues:
                 if n > i:
                     leaf = child[i:min(i + size, n)] >= n
                     part = values[:, :len(leaf)].compress(leaf, axis=1)
-                    np.maximum(tops[k], part.max(axis=1, initial=-math.inf), out=tops[k])
-                    sums[k] = [a + _exact_sum(part[j]) for a, j in zip(sums[k], self.summed)]
-        return {s: (t, k) for s, t, k in zip(steps, tops, sums)}
+                    np.maximum(tops[:, k], part.max(axis=1, initial=-math.inf), out=tops[:, k])
+                    for row, j in zip(sums, self.summed):
+                        row[k] += _exact_sum(part[j])
+        return self.fields([(row, _UNIT) for row in sums], tops[self.maxed], steps)
 
 
 _UNIT = -1126  # the unit 2 ** _UNIT of a reduced exact sum divides every float
@@ -464,34 +469,24 @@ def _rounded(k: list, u: int) -> np.ndarray:
     return np.array(out)
 
 
-def _trace_record(values: _LeafValues, step) -> TraceRecord:
-    """The record of the mesh after ``step`` bisections, whose leaves are
-    the first ``n = n_roots + 2 step`` rows not split among them; its sums
-    are exact and rounded once, whatever the leaves' order.  An early
-    step's record is its column of ``values.early``, read in any order;
-    any other record takes its maxima and exact sums from ``values.later``,
-    where a run reduced its records ahead, or else by a pass of its own."""
-    forest, p = values.forest, values.p
-    m = forest.n_roots + step
-    if step < values.early.shape[1]:
-        return _early_records(values, slice(step, step + 1))[0]
-    tops, sums = values.later.get(step) or values.reduce([step])[step]
-    tops, sums = tops[values.maxed].tolist(), _rounded(sums, _UNIT).tolist()
-    error = tops.pop(0) if math.isinf(p) else approx.lp_root(sums.pop(0), p)
-    smean, smax = (sums[0] / m, tops[1]) if sums else (math.nan, math.nan)
-    return TraceRecord(step, m, error, math.sqrt(tops[0]), smean, smax)
-
-
-def _early_records(values: _LeafValues, steps: slice) -> list:
-    """The records of the early steps ``steps``, in step order, from their
-    columns of ``values.early``; lp_root's ValueError, naming p, if an
-    error is past the float range (at finite p, only a sum of powers is)."""
-    columns = values.early[:, steps]
+def _trace_record(values: _LeafValues, steps) -> list:
+    """The records of the meshes after each of ``steps`` bisections, in the
+    order given; the mesh after step s has as leaves the first ``n_roots +
+    2 s`` rows not split among them, and its sums are exact and rounded
+    once, whatever the leaves' order.  An early step's record is its column
+    of ``values.early``; the later ones are reduced together in one pass.
+    lp_root's ValueError, naming p, if an error is past the float range (at
+    finite p, only a sum of powers is)."""
+    steps = np.asarray(steps, dtype=np.int64)
+    early = steps < values.early.shape[1]
+    later, at = np.unique(steps[~early], return_inverse=True)
+    columns = np.empty((4, len(steps)))
+    columns[:, early] = values.early[:, steps[early]]
+    columns[:, ~early] = values.reduce(later)[:, at]
     if math.isfinite(values.p) and np.isinf(columns[0]).any():
         approx.lp_root(math.inf, values.p)
     r = values.forest.n_roots
-    return [TraceRecord(step, r + step, *row) for step, row in
-            zip(range(values.early.shape[1])[steps], columns.T.tolist())]
+    return [TraceRecord(s, r + s, *row) for s, row in zip(steps.tolist(), columns.T.tolist())]
 
 
 def _check_levels_fit(n_nodes: int, n_leaves: int, levels: int, node_cap: int,
@@ -515,14 +510,14 @@ def greedy_run(f, config: GreedyConfig):
     Returns ``(forest, trace)``.  Trace records are emitted at step 0,
     every step while the mesh has at most 1024 leaves, at powers of two
     beyond that, and at the final step.  The loop keeps no trace state:
-    every record is read from the finished forest, as the rate study reads
-    its checkpoints: the early ones at once by ``_early_records``, from step
-    tables, and the later ones by ``_trace_record``, from one pass that
-    reduces their leaves a slice of nodes at a time.
+    every record is read from the finished forest by one ``_trace_record``
+    call, as the rate study reads its checkpoints: the early ones from step
+    tables, the later ones from one pass that reduces their leaves a slice
+    of nodes at a time.
     Raises RunawayRefinementError at the node cap, and before refining when
-    a target-count or generation-levels run cannot fit under it.  A
-    target-count run sizes the forest's columns once, to its final node
-    count; the others grow them by doubling.
+    a target-count or generation-levels run cannot fit under it.  These two
+    size the forest's columns once, to their final node count; an
+    error-threshold run grows them by doubling.
 
     Each iteration picks the ``k`` leaves of largest error from the
     forest's columns (``np.partition``, then ``lexsort`` by error and id),
@@ -547,23 +542,18 @@ def greedy_run(f, config: GreedyConfig):
                 f"target-count {int(stop.value)} needs {needed} nodes, which exceeds "
                 f"the node cap {config.node_cap}")
         forest._resize(needed)  # sized once
-    if stop.kind == "generation-levels":
-        _check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value), config.node_cap)
+    if stop.kind == "generation-levels":  # sized once
+        forest._resize(_check_levels_fit(forest.n_roots, forest.n_roots, int(stop.value),
+                                         config.node_cap))
     _bisect_greedily(forest, f, config)  # its batch arrays are freed before the trace
 
-    n_last = forest.n_leaves
-    due = {forest.n_roots, n_last, *range(_EVERY_STEP + 1),
-           *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
-    values = _LeafValues(forest, f, config.p)
-    trace = _early_records(values, slice(None))
     # leaf counts with a record: the first and the last, every count up to
-    # _EVERY_STEP and the powers of two; the early ones are all of those up
-    # to its last, the later ones are reduced in one pass over the nodes
-    first = forest.n_roots + len(trace)
-    later = [n - forest.n_roots for n in sorted(due) if first <= n <= n_last]
-    values.later = values.reduce(later)
-    trace += [_trace_record(values, step) for step in later]
-    return forest, trace
+    # _EVERY_STEP and the powers of two
+    r, n_last = forest.n_roots, forest.n_leaves
+    due = {r, n_last, *range(_EVERY_STEP + 1),
+           *(2 ** j for j in range(_EVERY_STEP.bit_length(), n_last.bit_length()))}
+    steps = [n - r for n in sorted(due) if r <= n <= n_last]
+    return forest, _trace_record(_LeafValues(forest, f, config.p), steps)
 
 
 def _bisect_greedily(forest: RefinementForest, f, config: GreedyConfig) -> None:

@@ -118,19 +118,21 @@ def test_benchmark_tracer_hooks_resolve():
 
 def test_benchmark_trace_counts_hold_for_a_greedy_run():
     # the benchmark's traced run requires both children of every
-    # ``bisect_node`` call to be scored through ``approx.local_error``
-    tracer = benchmark_tracer().Tracer()
-    config = anisomesh.GreedyConfig(stop=anisomesh.StopRule("target-count", 1100),
-                                    initial="unit-square")
-    with tracer.installed(), tracer.root("op.refine"):
-        forest, trace = anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
-    counts = tracer.root_counts["op.refine"]
-    # ``engine.trace.records`` counts the ``_trace_record`` calls: the records
-    # past 1024 leaves, which gather their leaves; the earlier ones are built
-    # in one pass, without it
-    assert [r.n_leaves for r in trace if r.n_leaves > 1024] == [1100]
-    assert counts["engine.trace.calls"] == 1
-    assert counts["engine.bisect_node.calls"] >= 1
-    assert counts["approx.local_error.calls"] >= 2 * counts["engine.bisect_node.calls"]
-    # every step of the run is one bisection in the forest
-    assert (forest.nodes["child"] >= 0).sum() == 1100 - forest.n_roots
+    # ``bisect_node`` call to be scored through ``approx.local_error``; a run
+    # whose records all come from step tables, and one past them
+    for n in (1024, 1100):
+        tracer = benchmark_tracer().Tracer()
+        config = anisomesh.GreedyConfig(stop=anisomesh.StopRule("target-count", n),
+                                        initial="unit-square")
+        with tracer.installed(), tracer.root("op.refine"):
+            forest, trace = anisomesh.greedy_run(anisomesh.get_field("expbump"), config)
+        counts = tracer.root_counts["op.refine"]
+        # ``engine.trace.records`` counts the ``_trace_record`` calls: one per
+        # run, which reads the records up to 1024 leaves from step tables and
+        # gathers the leaves of the later ones
+        assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == sorted({1024, n})
+        assert counts["engine.trace.calls"] == 1
+        assert counts["engine.bisect_node.calls"] >= 1
+        assert counts["approx.local_error.calls"] >= 2 * counts["engine.bisect_node.calls"]
+        # every step of the run is one bisection in the forest
+        assert (forest.nodes["child"] >= 0).sum() == n - forest.n_roots

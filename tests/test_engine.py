@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisomesh import approx, engine
-from anisomesh.analysis import random_triangle as random_root
+from anisomesh.analysis import random_triangle as random_root, sigma_study
 from anisomesh.approx import local_error
 from anisomesh.engine import (
     GreedyConfig,
@@ -516,12 +516,14 @@ def checked_greedy_run(f, config):
 
 def assert_records_reread(forest, f, p, counts):
     """The records at the leaf counts ``counts``, read from the finished forest
-    by a fresh ``_LeafValues``, equal the reference records as bytes."""
-    values = engine._LeafValues(forest, f, p)
-    for n in counts:
-        rec = engine._trace_record(values, n - forest.n_roots)
+    by one ``_trace_record`` call on a fresh ``_LeafValues``, come in the order
+    asked and equal the reference records as bytes."""
+    records = engine._trace_record(engine._LeafValues(forest, f, p),
+                                   [n - forest.n_roots for n in counts])
+    assert [rec.n_leaves for rec in records] == list(counts)
+    for rec in records:
         want = reference_trace_record(forest, p, definite_form(f), rec.step)
-        assert rec.n_leaves == n and record_bytes(rec) == record_bytes(want), rec
+        assert record_bytes(rec) == record_bytes(want), rec
 
 
 @st.composite
@@ -656,9 +658,9 @@ class TestTraceRecords:
         early = 1024 - forest.n_roots + 1  # steps 0 ... 1023
         assert [len(sums) for sums, _ in values.sums] == [early] * 2
         assert values.tops.shape == (early, 2)
-        engine._trace_record(values, 1024)  # past the tables: gathered
-        assert peak(lambda: engine._trace_record(values, 1024)) < column // 4
-        assert peak(lambda: [engine._trace_record(values, s) for s in range(9)]) < column // 4
+        engine._trace_record(values, [1024])  # past the tables: gathered
+        assert peak(lambda: engine._trace_record(values, [1024])) < column // 4
+        assert peak(lambda: engine._trace_record(values, range(9))) < column // 4
 
     def test_range_max_matches_brute_force(self):
         # seeded random intervals, some empty, some one step long and some
@@ -685,11 +687,11 @@ class TestTraceRecords:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
     def test_records_read_in_any_order(self, label, p):
         # a fresh read takes early and gathered records in shuffled order,
-        # across the seam between 1024 and 1025 leaves
+        # across the seam between 1024 and 1025 leaves, some of them twice
         f = get_field(label)
         forest, _ = greedy_run(f, count_config(1100, p=p, initial="unit-square"))
         rng = np.random.default_rng(30)
-        counts = [2, 3, 4, 512, 1023, 1024, 1025, 1026, 1100,
+        counts = [2, 3, 4, 512, 1023, 1024, 1025, 1026, 1100, 4, 1025,
                   *rng.integers(2, 1101, 24).tolist()]
         rng.shuffle(counts)
         assert_records_reread(forest, f, p, counts)
@@ -704,7 +706,7 @@ class TestTraceRecords:
         forest, trace = checked_greedy_run(f, config)
         assert [r.n_leaves for r in trace] == [2048, 2100]
         assert len(engine._LeafValues(forest, f, 2.0).tops) == 1
-        assert_records_reread(forest, f, 2.0, [2100, 2049, 2048, 2077])
+        assert_records_reread(forest, f, 2.0, [2100, 2049, 2048, 2077, 2049])
 
     def test_trace_phase_stays_under_the_loop_peak(self, monkeypatch):
         # the last batch's arrays are gone when the records are read, so the
@@ -734,11 +736,12 @@ class TestTraceRecords:
     def test_records_across_the_seam_match_full_remeasure(self, label, config):
         # the records up to 1024 leaves read the step tables, the later ones
         # gather their leaves; a fresh read of the finished forest reads the
-        # record of any step, 1025 leaves (one step past the tables) included
+        # records of any steps in any order, 1025 leaves (one step past the
+        # tables) included, and twice
         f = get_field(label)
         forest, trace = checked_greedy_run(f, config)
         assert [r.n_leaves for r in trace if r.n_leaves >= 1024] == [1024, 2048, 4096]
-        assert_records_reread(forest, f, config.p, [2, 1024, 1025, 1026, 1500, 3001])
+        assert_records_reread(forest, f, config.p, [1500, 1025, 2, 3001, 1024, 1026, 1025])
 
     @pytest.mark.parametrize("label", ["disk", "mixed-saddle"])  # definite, indefinite
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
@@ -751,8 +754,8 @@ class TestTraceRecords:
         form = definite_form(f)
         forest, trace = greedy_run(f, count_config(1100, p=p, initial="unit-square"))
         values = engine._LeafValues(forest, f, p)
-        for rec in trace[:150:7] + [engine._trace_record(values, n - forest.n_roots)
-                                    for n in (40, 1100)]:
+        for rec in trace[:150:7] + engine._trace_record(values, [n - forest.n_roots
+                                                                 for n in (40, 1100)]):
             n = forest.n_roots + 2 * rec.step
             child = forest.nodes["child"][:n]
             leaves = np.flatnonzero((child < 0) | (child >= n))
@@ -774,12 +777,12 @@ class TestTraceRecords:
         forest = RefinementForest(initial_mesh("unit-square") * 513)
         forest.bisect_node(np.array([0]), np.array([0]))
         forest.nodes["error"] = error
-        for step in (0, 1):
+        for steps in ([0], [1], [1, 0]):  # the early one, the gathered one, both in one call
             values = engine._LeafValues(forest, get_field("expbump"), p)
             with pytest.raises(ValueError, match=f"global error overflows at p = {p:g}:"):
-                engine._trace_record(values, step)
+                engine._trace_record(values, steps)
         values = engine._LeafValues(forest, get_field("expbump"), math.inf)
-        assert engine._trace_record(values, 1).global_error == error
+        assert engine._trace_record(values, [1])[0].global_error == error
 
     def test_each_node_measured_once(self, monkeypatch):
         rows = collections.Counter()
@@ -827,6 +830,19 @@ class TestColumnSizing:
         sizes = column_sizes(monkeypatch)
         forest, _ = greedy_run(get_field("expbump"), count_config(3000, initial="unit-square"))
         assert sizes == [len(forest.nodes)] == [2 * 3000 - 2]
+
+    def test_a_generation_levels_run(self, monkeypatch):
+        sizes = column_sizes(monkeypatch)
+        config = GreedyConfig(stop=StopRule("generation-levels", 9), initial="unit-square")
+        forest, _ = greedy_run(get_field("aniso-10"), config)
+        assert sizes == [len(forest.nodes)] == [2 * (2 ** 10 - 1)]
+
+    def test_a_sigma_study(self, monkeypatch):
+        # one root, three sweeps per level: 8 ** 3 leaves after three levels
+        sizes = column_sizes(monkeypatch)
+        stats = sigma_study(get_field("aniso-10"), levels=3)
+        assert stats[-1].count == 8 ** 3
+        assert sizes == [2 * 8 ** 3 - 1]
 
     def test_uniform_refine(self, monkeypatch):
         forest = RefinementForest(initial_mesh("unit-square"))

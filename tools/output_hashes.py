@@ -37,6 +37,9 @@ COMMANDS = [
     ("disk-eta", "run --field disk --eta 1e-4"),
     # the one finite p besides 1 and 2, where numpy's power and libm's differ
     ("disk-p3.5", "run --field disk --p 3.5 --target-n 512"),
+    # records past 1024 leaves at p = 3.5, whose roots are numpy's power too
+    ("aniso-10-p3.5-4096", "run --field aniso-10 --p 3.5 --target-n 4096"),
+    ("converge-disk-p3.5", "converge --field disk --p 3.5 --checkpoints 100,1500,3001"),
     ("aniso-10-levels", "run --field aniso-10 --initial unit-square --levels 6"),
     ("gauss-ridge-l2-p1", "run --field gauss-ridge --operator l2-projection "
                           "--decision lp-split --target-n 512 --p 1"),
